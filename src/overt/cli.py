@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 from overt import kernel, located, metric, plot, setspec, trees, vietoris
 from overt.errors import (
@@ -27,7 +28,25 @@ PRECONDITION_EXIT = 3
 INTERNAL_EXIT = 4
 
 
+def _is_rational_list(text: str) -> bool:
+    """True for a rational or a comma list of rationals, e.g. ``-3/2,0``."""
+    try:
+        for part in text.split(","):
+            Fraction(part)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
 class _Parser(argparse.ArgumentParser):
+    def _parse_optional(self, arg_string):
+        # argparse takes only decimals for negative numbers; a value such as
+        # ``--point -3/2,0`` or ``--viewport -2,2,-2,2`` is a value, not an
+        # option, since no option of this parser looks like a number.
+        if arg_string.startswith("-") and _is_rational_list(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

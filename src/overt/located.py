@@ -16,9 +16,21 @@ set.  The round trip is the computational content of "located iff totally
 bounded".
 
 Builtin sets (closed intervals, finite point sets, the middle-thirds set,
-closed disks and segments in the plane, finite unions, images under maps
-with a modulus) carry exact rational distance comparisons, so their
-predicates never approximate.
+closed disks and segments in the plane, boxes, finite unions of these)
+carry an exact rational distance comparison, which is the located
+structure itself; a net is only one witness of it.  So every query asks
+the exact oracle first and falls back to nets only without one:
+
+* a dichotomy is one call of ``distance_compare``;
+* ``distance_to_set`` returns ``distance_value`` exactly, or bisects on
+  ``distance_compare``, and otherwise takes the minimum over a net;
+* each directed ``hausdorff_distance`` sweep takes the target's oracle
+  over the source's net when both sets have one, and otherwise compares
+  two nets.
+
+Images under maps with a modulus carry nets only.  Distances and
+Hausdorff sweeps choose between the exact oracle and nets in one place,
+:func:`_exact_max_distance`.
 
 Intersections of located sets are deliberately absent: locatedness is not
 preserved by intersection, and it depends on the metric presentation, not
@@ -33,7 +45,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from overt import kernel
 from overt.errors import (
     AmbientMismatch,
     EmptySetError,
@@ -148,13 +159,11 @@ class LocatedPredicate:
         space: MetricSpace,
         decide_fn: Callable[[FormalBall, FormalBall], Decision],
         pos_exact: Optional[Callable[[FormalBall], bool]] = None,
-        hints: tuple = (),
         name: str = "pred",
     ):
         self.space = space
         self._decide_fn = decide_fn
         self.pos_exact = pos_exact
-        self.hints = hints
         self.name = name
 
     def decide(self, inner: FormalBall, outer: FormalBall) -> Decision:
@@ -237,19 +246,73 @@ class _PlaneIndex:
             r += 1
 
 
+def _bracket_distance(cmp, p, lo: Fraction, width: Fraction) -> tuple:
+    """Bracket of d(p) of width at most ``width``, given d(p) >= lo, by a
+    gallop from lo and then bisection on ``cmp(p, t)``.  A probe that meets
+    the distance exactly ends the search with an exact value."""
+    hi, t, step = None, lo, width
+    while hi is None or hi - lo > width:
+        sign = cmp(p, t)
+        if sign == 0:
+            return (t, t)
+        if sign > 0:
+            lo = t
+        else:
+            hi = t
+        if hi is None:
+            t, step = lo + step, 2 * step
+        else:
+            t = (lo + hi) / 2
+    return (lo, hi)
+
+
+def _exact_max_distance(S: EpsilonNetFamily, pts, width: Fraction) -> Optional[tuple]:
+    """Bracket of max over pts of d(p, S) of width at most ``width``, from
+    the set's exact oracle; None when the set has none and nets must answer.
+
+    ``distance_value`` gives the maximum exactly.  With ``distance_compare``
+    only, each round brackets a few evenly spread points in play and then
+    keeps just the points that lie beyond the largest upper end: no other
+    point can carry the maximum.  When none is left beyond it, the largest
+    sample bracket is a bracket of the maximum.
+    """
+    if S.distance_value is not None:
+        m = max(S.distance_value(p) for p in pts)
+        return (m, m)
+    cmp = S.distance_compare
+    if cmp is None:
+        return None
+    lo, live = Fraction(0), list(pts)
+    while True:
+        slo = shi = lo
+        for p in live[:: max(1, len(live) // 8)]:
+            plo, phi = _bracket_distance(cmp, p, lo, width)
+            slo, shi = max(slo, plo), max(shi, phi)
+        beyond = [p for p in live if cmp(p, shi) > 0]
+        if not beyond:
+            return (slo, shi)
+        lo, live = shi, beyond
+
+
 def distance_to_set(S: EpsilonNetFamily, x) -> DedekindReal:
     """Distance from a point to the set, as a Dedekind real.
 
-    At precision eps the minimum over the net at eps/3 is computed (exactly
-    via the nearest-point index when the space allows, with the distance
-    oracle at eps/6 otherwise); it is within eps/2 of the true infimum,
-    which gives an interval of width at most eps (clipped below at zero).
+    A set with ``distance_value`` answers exactly, as ``[v, v]``; one with
+    ``distance_compare`` only is bisected down to width eps, exactly again
+    when a probe meets the distance.  Without either, the minimum over the
+    net at eps/3 is computed (exactly via the nearest-point index when the
+    space allows, with the distance oracle at eps/6 otherwise); it is within
+    eps/2 of the true infimum, which gives an interval of width at most eps
+    (clipped below at zero).
     """
     if not S.inhabited:
         raise EmptySetError(f"distance to possibly-empty set {S.name}")
     space = S.space
 
     def refine(eps: Fraction):
+        exact = _exact_max_distance(S, [x], eps)
+        if exact is not None:
+            return exact
         index = S.net_index(eps / 3)
         if isinstance(index, _LineIndex):
             best = index.min_distance(x)
@@ -271,20 +334,13 @@ def distance_to_set(S: EpsilonNetFamily, x) -> DedekindReal:
     return DedekindReal(refine, name=f"d({x}, {S.name})")
 
 
-def _distance_upper_bound(space: MetricSpace, x, y, start: Fraction) -> Fraction:
-    """A rational upper bound on d(x, y), refined from the start tolerance."""
-    eps = start
-    q = space.dist_approx(x, y, eps)
-    return q + eps
-
-
 def decide_located_pair(S, inner: FormalBall, outer: FormalBall) -> Decision:
     """Sound dichotomy for strictly refining balls.
 
-    Net-backed sets without exact comparison evaluate the distance at a
-    fraction of the certified gap margin and compare against the inner
-    radius; exactly-backed sets answer POS_OUTER precisely when the set
-    meets the outer ball.
+    Exactly-backed sets answer POS_OUTER precisely when the set meets the
+    outer ball, from one exact comparison.  Net-backed sets without one
+    evaluate the distance at a fraction of the certified gap margin and
+    compare against the inner radius.
     """
     if isinstance(S, LocatedPredicate):
         return S.decide(inner, outer)
@@ -298,12 +354,12 @@ def decide_located_pair(S, inner: FormalBall, outer: FormalBall) -> Decision:
     if S.distance_compare is not None:
         cmp = S.distance_compare(outer.center, outer.radius)
         return Decision.POS_OUTER if cmp < 0 else Decision.NOT_POS_INNER
-    # Certified lower bound on the gap margin s - r - d(centers).
+    # Certified lower bound on the gap margin s - r - d(centers), from a
+    # rational upper bound q + eps on d(centers).
     gap = outer.radius - inner.radius
     eps = gap / 8
     while True:
-        ub = _distance_upper_bound(space, inner.center, outer.center, eps)
-        margin = gap - ub
+        margin = gap - space.dist_approx(inner.center, outer.center, eps) - eps
         if margin > 0:
             break
         eps /= 4
@@ -318,8 +374,18 @@ def decide_located_pair(S, inner: FormalBall, outer: FormalBall) -> Decision:
 # ---------------------------------------------------------------------------
 
 
+class _NetPredicate(LocatedPredicate):
+    """The predicate of a net-backed set.  Its answers come from
+    :func:`decide_located_pair` on the set, which checks the refinement of
+    the pair itself, so ``decide`` does not check it a second time."""
+
+    def decide(self, inner: FormalBall, outer: FormalBall) -> Decision:
+        return self._decide_fn(inner, outer)
+
+
 def predicate_from_net(S: EpsilonNetFamily) -> LocatedPredicate:
     """The located predicate of a net-backed set."""
+    pos = None
     if S.distance_compare is not None:
         cmp = S.distance_compare
 
@@ -328,14 +394,8 @@ def predicate_from_net(S: EpsilonNetFamily) -> LocatedPredicate:
                 return S.inhabited
             return cmp(ball.center, ball.radius) < 0
 
-        return LocatedPredicate(
-            S.space,
-            lambda i, o: decide_located_pair(S, i, o),
-            pos_exact=pos,
-            name=S.name,
-        )
-    return LocatedPredicate(
-        S.space, lambda i, o: decide_located_pair(S, i, o), name=S.name
+    return _NetPredicate(
+        S.space, lambda i, o: decide_located_pair(S, i, o), pos_exact=pos, name=S.name
     )
 
 
@@ -510,10 +570,18 @@ def _max_min_sq_plane(dist_sq, pts_from, pts_to, cell: Fraction) -> Fraction:
 def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal:
     """Hausdorff distance between two inhabited sets, as a Dedekind real.
 
-    At precision eps both nets are taken at eps/6; net replacement moves the
-    value by at most twice that.  The max-min sweeps are exact: sorted
-    bisection on the line, bucketed ring search on squared distances in the
-    plane (one square root at the end), a full approximate sweep otherwise.
+    When both sets have an exact distance oracle, each directed sweep takes
+    the target's oracle over the source's net: d(., target) is 1-Lipschitz,
+    so its maximum over a delta-net is within delta of its supremum over
+    the source.  A target with ``distance_value`` gives that maximum
+    exactly over the net at eps/2; one with ``distance_compare`` only is
+    bisected to width eps/2 over the net at eps/4.
+
+    Otherwise both nets are taken at eps/6; net replacement moves the value
+    by at most twice that.  The max-min sweeps are exact: sorted bisection
+    on the line, bucketed ring search on squared distances in the plane
+    (one square root at the end), a full approximate sweep otherwise.
+
     The computation is literally symmetric in A and B, so swapping the
     arguments returns identical intervals.
     """
@@ -522,6 +590,7 @@ def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal
     if A.space is not B.space:
         raise AmbientMismatch(f"hausdorff over different spaces {A.space.name}, {B.space.name}")
     space = A.space
+    exact = A.distance_compare is not None and B.distance_compare is not None
 
     def directed_approx(pts_from, pts_to, eta):
         worst = None
@@ -534,6 +603,14 @@ def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal
             if worst is None or best > worst:
                 worst = best
         return worst
+
+    def refine_exact(eps: Fraction):
+        lo = hi = Fraction(0)
+        for source, target in ((A, B), (B, A)):
+            delta = eps / 2 if target.distance_value is not None else eps / 4
+            mlo, mhi = _exact_max_distance(target, source.net(delta), eps - 2 * delta)
+            lo, hi = max(lo, mlo - delta), max(hi, mhi + delta)
+        return (lo, hi)
 
     def refine(eps: Fraction):
         delta = eps / 6
@@ -562,7 +639,7 @@ def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal
             hi = lo + eps
         return (lo, hi)
 
-    return DedekindReal(refine, name=f"H({A.name}, {B.name})")
+    return DedekindReal(refine_exact if exact else refine, name=f"H({A.name}, {B.name})")
 
 
 # ---------------------------------------------------------------------------

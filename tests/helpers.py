@@ -189,3 +189,89 @@ def grid_points(x0, x1, y0, y1, h):
             y += h
         x += h
     return pts
+
+
+def root_at_least(q, shift, lo):
+    """max(0, sqrt(q) + shift) >= lo, decided on squares."""
+    q, shift, lo = Fraction(q), Fraction(shift), Fraction(lo)
+    if lo <= 0:
+        return True
+    need = lo - shift  # sqrt(q) >= need
+    return need <= 0 or q >= need * need
+
+
+def root_at_most(q, shift, hi):
+    """max(0, sqrt(q) + shift) <= hi, decided on squares."""
+    q, shift, hi = Fraction(q), Fraction(shift), Fraction(hi)
+    room = hi - shift  # sqrt(q) <= room
+    return hi >= 0 and room >= 0 and q <= room * room
+
+
+def bracket_holds_min_root(lo, hi, parts):
+    """lo <= min over parts of max(0, sqrt(q) + shift) <= hi."""
+    return all(root_at_least(q, s, lo) for q, s in parts) and any(
+        root_at_most(q, s, hi) for q, s in parts
+    )
+
+
+def point_sq(p, q):
+    return (Fraction(p[0]) - q[0]) ** 2 + (Fraction(p[1]) - q[1]) ** 2
+
+
+def segment_dist_sq(p, a, b):
+    """Squared distance from p to the closed segment [a, b]: the
+    perpendicular distance when the foot falls inside, else the nearer
+    endpoint."""
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    vx, vy = p[0] - a[0], p[1] - a[1]
+    len_sq = ux * ux + uy * uy
+    if len_sq == 0:
+        return point_sq(p, a)
+    dot = ux * vx + uy * vy
+    if 0 <= dot <= len_sq:
+        cross = ux * vy - uy * vx
+        return cross * cross / len_sq
+    return min(point_sq(p, a), point_sq(p, b))
+
+
+def finite_hausdorff_sq(A, B):
+    """Exact squared Hausdorff distance between finite planar point lists."""
+
+    def directed(xs, ys):
+        return max(min(point_sq(x, y) for y in ys) for x in xs)
+
+    return max(directed(A, B), directed(B, A))
+
+
+def union_distance_1d(x, intervals):
+    """Distance from x to a finite union of closed intervals (lo, hi)."""
+    x = Fraction(x)
+    return min(max(Fraction(0), lo - x, x - hi) for lo, hi in intervals)
+
+
+def union_hausdorff_1d(A, B):
+    """Exact Hausdorff distance between finite unions of closed intervals.
+
+    On each interval of the source, the distance to the target is piecewise
+    linear with peaks only at the midpoints of the target's gaps, so its
+    maximum sits at an endpoint of the source interval or at a gap midpoint
+    inside it.
+    """
+
+    def directed(src, tgt):
+        merged = []
+        for lo, hi in sorted(tgt):
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        mids = [(h1 + l2) / 2 for (_, h1), (l2, _) in zip(merged, merged[1:])]
+        worst = Fraction(0)
+        for lo, hi in src:
+            cands = [lo, hi] + [m for m in mids if lo <= m <= hi]
+            worst = max(worst, max(union_distance_1d(c, tgt) for c in cands))
+        return worst
+
+    A = [(Fraction(lo), Fraction(hi)) for lo, hi in A]
+    B = [(Fraction(lo), Fraction(hi)) for lo, hi in B]
+    return max(directed(A, B), directed(B, A))

@@ -4,6 +4,7 @@ import pytest
 
 from overt.cli import main
 from overt.errors import ParseError
+from overt.plot import PlotSpec, render_plot
 from overt.setspec import parse_set_spec
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -52,7 +53,13 @@ class TestCommands:
     def test_distance(self, capsys):
         code, out, _ = run(capsys, "distance", "--set", "interval:0,1", "--point", "2", "--prec", "1/64")
         assert code == 0
-        assert out.strip() == "[127/128, 129/128]"
+        assert out.strip() == "[1, 1]"
+
+    def test_distance_negative_point(self, capsys):
+        code, out, _ = run(capsys, "distance", "--set", "disk:0,0,1", "--point", "-3/2,0", "--prec", "1/4")
+        assert code == 0 and out.strip() == "[1/2, 1/2]"
+        code, out, _ = run(capsys, "distance", "--set", "interval:0,1", "--point", "-3/2", "--prec", "1/4")
+        assert code == 0 and out.strip() == "[3/2, 3/2]"
 
     def test_distance_cantor(self, capsys):
         code, out, _ = run(capsys, "distance", "--set", "cantor", "--point", "1/2", "--prec", "1/64")
@@ -113,6 +120,14 @@ class TestCommands:
         golden = (GOLDEN_DIR / "disk_16.pgm").read_text(encoding="ascii")
         assert out == golden
 
+    def test_plot_negative_viewport(self, capsys):
+        code, out, _ = run(
+            capsys, "plot", "--set", "disk:0,0,1", "--viewport", "-2,2,-2,2", "--size", "8x8",
+        )
+        assert code == 0
+        spec = PlotSpec(parse_set_spec("disk:0,0,1"), (-2, 2, -2, 2), 8, 8)
+        assert out == render_plot(spec)
+
     def test_plot_to_file(self, capsys, tmp_path):
         out_file = tmp_path / "o.pgm"
         code, _, _ = run(
@@ -128,6 +143,8 @@ class TestExitCodes:
     def test_usage(self, capsys):
         assert run(capsys, "distance", "--set", "interval:0,1")[0] == 1
         assert run(capsys, "nonsense")[0] == 1
+        # a dash value that is no rational list stays an option
+        assert run(capsys, "distance", "--set", "interval:0,1", "--point", "-x", "--prec", "1/4")[0] == 1
 
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "distance", "--set", "interval:1,0", "--point", "0", "--prec", "1/4")

@@ -1,0 +1,383 @@
+"""Randomised differential tests of the exact-first located queries.
+
+Distances and Hausdorff distances answered from a set's exact comparison
+are checked against the independent oracles of ``helpers`` and against the
+net path, which is reached by wrapping the same net function without an
+exact comparison.  Every bracket must have width at most eps, contain the
+oracle value and meet the net-path bracket; swapping the arguments of a
+Hausdorff distance must give the identical interval.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    bracket_holds_min_root,
+    cantor_oracle_distance,
+    finite_hausdorff_sq,
+    point_sq,
+    root_at_least,
+    root_at_most,
+    segment_dist_sq,
+    union_distance_1d,
+    union_hausdorff_1d,
+)
+from overt import located
+from overt.errors import PreconditionFailed
+from overt.located import (
+    LINE,
+    PLANE,
+    EpsilonNetFamily,
+    cantor_set,
+    decide_located_pair,
+    disk_set,
+    distance_to_set,
+    hausdorff_distance,
+    interval_set,
+    plane_point_set,
+    point_set,
+    predicate_from_net,
+    segment_set,
+    union_located,
+)
+from overt.metric import FormalBall
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+NET_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+
+CANTOR_LEVEL = 10
+CANTOR_TOL = F(1, 3**CANTOR_LEVEL)
+
+# Rational unit vectors, so that a diameter of a rational disk is rational.
+DIRECTIONS = [(F(1), F(0)), (F(0), F(1)), (F(3, 5), F(4, 5)), (F(-4, 5), F(3, 5)),
+              (F(5, 13), F(12, 13))]
+
+
+def rat(lo, hi, den):
+    return st.fractions(min_value=F(lo), max_value=F(hi), max_denominator=den)
+
+
+def plane_pt(den=4):
+    return st.tuples(rat(-1, 1, den), rat(-1, 1, den))
+
+
+def net_only(S):
+    """The same set without its exact comparison: every query takes nets."""
+    return EpsilonNetFamily(S.space, S.net, inhabited=S.inhabited, name=f"nets({S.name})")
+
+
+def loose_interval(a, b):
+    """[a, b] with its exact distance value but the loosest nets the
+    contract allows: interior points 2 eps apart and one point eps beyond
+    each end, none of them on an end."""
+    a, b = F(a), F(b)
+
+    def net(eps):
+        n = max(1, -(-(b - a) // (2 * eps)))
+        inner = [a + (2 * k + 1) * (b - a) / (2 * n) for k in range(n)]
+        return [a - eps] + inner + [b + eps]
+
+    return EpsilonNetFamily(LINE, net, distance_value=interval_set(a, b).distance_value,
+                            name=f"loose[{a},{b}]")
+
+
+def loose_segment(a, b):
+    """The segment [a, b] with its exact comparison but loose nets: the
+    midpoints of pieces at most 2 eps long, and one point at most eps
+    beyond each end."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    l1 = abs(dx) + abs(dy)  # at least the Euclidean length
+
+    def net(eps):
+        n = max(1, -(-l1 // (2 * eps)))
+        pts = [(a[0] + dx * F(2 * k + 1, 2 * n), a[1] + dy * F(2 * k + 1, 2 * n)) for k in range(n)]
+        if l1:
+            ox, oy = dx * eps / l1, dy * eps / l1
+            pts += [(a[0] - ox, a[1] - oy), (b[0] + ox, b[1] + oy)]
+        return pts
+
+    return EpsilonNetFamily(PLANE, net, distance_compare=segment_set(*a, *b).distance_compare,
+                            name="loose-segment")
+
+
+def width_ok(bracket, eps):
+    lo, hi = bracket
+    return 0 <= lo <= hi and hi - lo <= eps
+
+
+def meet(b1, b2):
+    return max(b1[0], b2[0]) <= min(b1[1], b2[1])
+
+
+# ---------------------------------------------------------------------------
+# Sets with their independent oracles.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def line_sets(draw):
+    """(set, intervals, cantor): the set is the union of the closed
+    intervals, and of the middle-thirds set when ``cantor`` holds."""
+    kind = draw(st.sampled_from(["interval", "points", "union", "cantor", "cantor-union"]))
+    if kind == "interval":
+        a = draw(rat(-2, 2, 8))
+        b = a + draw(rat(0, 2, 8))
+        return interval_set(a, b), [(a, b)], False
+    if kind == "points":
+        pts = draw(st.lists(rat(-2, 2, 16), min_size=1, max_size=5))
+        return point_set(pts), [(p, p) for p in pts], False
+    if kind == "union":
+        a = draw(rat(-2, 0, 8))
+        b = a + draw(rat(0, 1, 8))
+        pts = draw(st.lists(rat(0, 2, 16), min_size=1, max_size=3))
+        return union_located(interval_set(a, b), point_set(pts)), [(a, b)] + [(p, p) for p in pts], False
+    if kind == "cantor":
+        return cantor_set(), [], True
+    a = draw(rat(-3, -1, 8))
+    b = a + draw(rat(0, 1, 8))
+    return union_located(interval_set(a, b), cantor_set()), [(a, b)], True
+
+
+def line_distance_bounds(intervals, cantor, x):
+    """Rational bounds lower <= d(x, set) <= upper, exact without the
+    middle-thirds set and within 3**-10 with it."""
+    big = F(10**6)
+    d = union_distance_1d(x, intervals) if intervals else big
+    if not cantor:
+        return d, d
+    k = cantor_oracle_distance(x, CANTOR_LEVEL)
+    return min(d, k), min(d, k + CANTOR_TOL)
+
+
+@st.composite
+def plane_sets(draw):
+    """(set, parts): d(x, set) is the minimum over ``parts(x)`` of
+    max(0, sqrt(q) + shift)."""
+    kind = draw(st.sampled_from(["disk", "segment", "points", "union"]))
+    disk = segment = None
+    if kind in ("disk", "union"):
+        c = draw(plane_pt())
+        r = draw(rat(F(1, 8), F(1, 2), 8))
+        disk = (disk_set(c[0], c[1], r), lambda x: [(point_sq(x, c), -r)])
+    if kind in ("segment", "union"):
+        a, b = draw(plane_pt()), draw(plane_pt())
+        segment = (segment_set(a[0], a[1], b[0], b[1]), lambda x: [(segment_dist_sq(x, a, b), 0)])
+    if kind == "points":
+        pts = draw(st.lists(plane_pt(8), min_size=1, max_size=4))
+        return plane_point_set(pts), lambda x: [(point_sq(x, p), 0) for p in pts]
+    if kind == "union":
+        (S1, o1), (S2, o2) = disk, segment
+        return union_located(S1, S2), lambda x: o1(x) + o2(x)
+    return disk or segment
+
+
+# ---------------------------------------------------------------------------
+# Distances.
+# ---------------------------------------------------------------------------
+
+
+@SETTINGS
+@given(line_sets(), rat(-4, 4, 16), st.sampled_from([F(1, 2), F(1, 8), F(1, 64), F(1, 1024)]))
+def test_line_distance_is_exact(case, x, eps):
+    S, intervals, cantor = case
+    lo, hi = distance_to_set(S, x).approximate(eps)
+    assert lo == hi  # every builtin line set has an exact distance value
+    lower, upper = line_distance_bounds(intervals, cantor, x)
+    assert lower <= lo <= upper
+
+
+@SETTINGS
+@given(plane_sets(), plane_pt(8), st.sampled_from([F(1, 4), F(1, 16), F(1, 256)]))
+def test_plane_distance_contains_oracle(case, x, eps):
+    S, parts = case
+    bracket = distance_to_set(S, x).approximate(eps)
+    assert width_ok(bracket, eps)
+    assert bracket_holds_min_root(*bracket, parts(x))
+
+
+@NET_SETTINGS
+@given(line_sets(), rat(-4, 4, 16), st.sampled_from([F(1, 4), F(1, 32)]))
+def test_line_distance_meets_net_path(case, x, eps):
+    S, intervals, cantor = case
+    exact = distance_to_set(S, x).approximate(eps)
+    nets = distance_to_set(net_only(S), x).approximate(eps)
+    assert width_ok(nets, eps) and meet(exact, nets)
+    lower, upper = line_distance_bounds(intervals, cantor, x)
+    assert nets[0] <= upper and lower <= nets[1]
+
+
+@NET_SETTINGS
+@given(plane_sets(), plane_pt(8), st.sampled_from([F(1, 4), F(1, 8)]))
+def test_plane_distance_meets_net_path(case, x, eps):
+    S, parts = case
+    exact = distance_to_set(S, x).approximate(eps)
+    nets = distance_to_set(net_only(S), x).approximate(eps)
+    assert width_ok(nets, eps) and meet(exact, nets)
+    assert bracket_holds_min_root(*nets, parts(x))
+
+
+def _no_net(eps):
+    raise AssertionError("an exact set built a net")
+
+
+@pytest.mark.parametrize(
+    "S, x",
+    [
+        (EpsilonNetFamily(LINE, _no_net, distance_value=interval_set(0, 1).distance_value), F(7, 3)),
+        (EpsilonNetFamily(LINE, _no_net, distance_value=cantor_set().distance_value), F(1, 2)),
+        (EpsilonNetFamily(PLANE, _no_net, distance_compare=disk_set(0, 0, 1).distance_compare),
+         (F(3, 2), F(1, 3))),
+        (EpsilonNetFamily(PLANE, _no_net, distance_compare=segment_set(0, 0, 1, 1).distance_compare),
+         (F(1), F(0))),
+    ],
+)
+def test_exact_set_never_builds_a_net(S, x):
+    for eps in (F(1, 4), F(1, 4096)):
+        assert width_ok(distance_to_set(S, x).approximate(eps), eps)
+
+
+def test_compare_only_distance_is_exact_when_probed():
+    # d((-3/2, 0), unit disk) = 1/2 is met by the gallop 0, 1/4, 1/2.
+    S = disk_set(0, 0, 1)
+    assert distance_to_set(S, (F(-3, 2), F(0))).approximate(F(1, 4)) == (F(1, 2), F(1, 2))
+    assert distance_to_set(S, (F(1, 3), F(1, 3))).approximate(F(1, 4)) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Hausdorff distances.
+# ---------------------------------------------------------------------------
+
+
+def interval_sets():
+    return line_sets().filter(lambda case: not case[2])
+
+
+def check_hausdorff(A, Bs, eps, holds):
+    """Width, oracle containment and literal symmetry of H(A, B)."""
+    ab = hausdorff_distance(A, Bs).approximate(eps)
+    assert width_ok(ab, eps)
+    assert holds(*ab)
+    assert hausdorff_distance(Bs, A).approximate(eps) == ab
+    return ab
+
+
+@SETTINGS
+@given(interval_sets(), interval_sets(), st.sampled_from([F(1, 4), F(1, 64), F(1, 512)]))
+def test_line_hausdorff_contains_oracle(ca, cb, eps):
+    h = union_hausdorff_1d(ca[1], cb[1])
+    check_hausdorff(ca[0], cb[0], eps, lambda lo, hi: lo <= h <= hi)
+
+
+@SETTINGS
+@given(rat(-1, 0, 8), rat(1, 2, 8), st.sampled_from([F(1, 16), F(1, 256)]))
+def test_cantor_hausdorff_contains_oracle(a, b, eps):
+    # [a, b] contains [0, 1]: its farthest points from the set are its ends
+    # and the middle of the widest gap, at 1/6.
+    h = max(-a, b - 1, F(1, 6))
+    check_hausdorff(interval_set(a, b), cantor_set(), eps, lambda lo, hi: lo <= h <= hi)
+
+
+@st.composite
+def plane_pairs(draw):
+    """(A, B, q, shift) with H(A, B) = sqrt(q) + shift in closed form."""
+    kind = draw(st.sampled_from(["diameter", "disks", "segments", "points"]))
+    if kind == "diameter":
+        c, r = draw(plane_pt()), draw(rat(F(1, 8), F(1, 2), 8))
+        ux, uy = draw(st.sampled_from(DIRECTIONS))
+        seg = segment_set(c[0] - r * ux, c[1] - r * uy, c[0] + r * ux, c[1] + r * uy)
+        return disk_set(c[0], c[1], r), seg, r * r, 0
+    if kind == "disks":
+        c1, c2 = draw(plane_pt()), draw(plane_pt())
+        r1, r2 = draw(rat(F(1, 8), F(1, 2), 8)), draw(rat(F(1, 8), F(1, 2), 8))
+        return disk_set(c1[0], c1[1], r1), disk_set(c2[0], c2[1], r2), point_sq(c1, c2), abs(r1 - r2)
+    if kind == "segments":
+        # d(., segment) is convex, so the largest endpoint distance is H.
+        a1, b1, a2, b2 = (draw(plane_pt()) for _ in range(4))
+        q = max(segment_dist_sq(a1, a2, b2), segment_dist_sq(b1, a2, b2),
+                segment_dist_sq(a2, a1, b1), segment_dist_sq(b2, a1, b1))
+        return segment_set(*a1, *b1), segment_set(*a2, *b2), q, 0
+    # Many source points: the sweep must not lose the farthest one when it
+    # drops the points that cannot carry the maximum.
+    P = draw(st.lists(plane_pt(8), min_size=1, max_size=40))
+    Q = draw(st.lists(plane_pt(8), min_size=1, max_size=5))
+    return plane_point_set(P), plane_point_set(Q), finite_hausdorff_sq(P, Q), 0
+
+
+@SETTINGS
+@given(plane_pairs(), st.sampled_from([F(1, 4), F(1, 8)]))
+def test_plane_hausdorff_contains_oracle(case, eps):
+    A, Bs, q, shift = case
+    check_hausdorff(A, Bs, eps,
+                    lambda lo, hi: root_at_least(q, shift, lo) and root_at_most(q, shift, hi))
+
+
+# Loose nets sit at the edge of the net contract, so a sweep that leans on
+# the builtin nets being finer than promised fails here.
+
+
+@SETTINGS
+@given(rat(-2, 2, 8), rat(0, 2, 8), st.lists(rat(-3, 3, 16), min_size=1, max_size=4),
+       st.sampled_from([F(1, 2), F(1, 8), F(1, 64)]))
+def test_line_hausdorff_loose_nets(a, length, pts, eps):
+    h = union_hausdorff_1d([(a, a + length)], [(p, p) for p in pts])
+    check_hausdorff(loose_interval(a, a + length), point_set(pts), eps,
+                    lambda lo, hi: lo <= h <= hi)
+
+
+@SETTINGS
+@given(plane_pt(), plane_pt(), plane_pt(), plane_pt(), st.sampled_from([F(1, 2), F(1, 8)]))
+def test_plane_hausdorff_loose_nets(a1, b1, a2, b2, eps):
+    q = max(segment_dist_sq(a1, a2, b2), segment_dist_sq(b1, a2, b2),
+            segment_dist_sq(a2, a1, b1), segment_dist_sq(b2, a1, b1))
+    check_hausdorff(loose_segment(a1, b1), loose_segment(a2, b2), eps,
+                    lambda lo, hi: root_at_least(q, 0, lo) and root_at_most(q, 0, hi))
+
+
+@NET_SETTINGS
+@given(interval_sets(), interval_sets(), st.sampled_from([F(1, 4), F(1, 32)]))
+def test_line_hausdorff_meets_net_path(ca, cb, eps):
+    exact = hausdorff_distance(ca[0], cb[0]).approximate(eps)
+    nets = hausdorff_distance(net_only(ca[0]), net_only(cb[0])).approximate(eps)
+    assert width_ok(nets, eps) and meet(exact, nets)
+
+
+@NET_SETTINGS
+@given(plane_pairs())
+def test_plane_hausdorff_meets_net_path(case):
+    A, Bs, _, _ = case
+    eps = F(1, 4)
+    exact = hausdorff_distance(A, Bs).approximate(eps)
+    nets = hausdorff_distance(net_only(A), net_only(Bs)).approximate(eps)
+    assert width_ok(nets, eps) and meet(exact, nets)
+
+
+def test_cantor_hausdorff_meets_net_path():
+    A, C = interval_set(F(-1, 4), F(5, 4)), cantor_set()
+    for eps in (F(1, 8), F(1, 64)):
+        exact = hausdorff_distance(A, C).approximate(eps)
+        nets = hausdorff_distance(net_only(A), net_only(C)).approximate(eps)
+        assert meet(exact, nets)
+
+
+# ---------------------------------------------------------------------------
+# Dichotomies through a predicate check the refinement exactly once.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("S", [interval_set(0, 1), net_only(interval_set(0, 1))])
+def test_predicate_checks_refinement_once(S, monkeypatch):
+    P = predicate_from_net(S)
+    inner, outer = FormalBall(F(2), F(1, 4)), FormalBall(F(2), F(1, 2))
+    calls = []
+    ball_lt = located.ball_lt
+    monkeypatch.setattr(located, "ball_lt", lambda *a: calls.append(a) or ball_lt(*a))
+    decide_located_pair(P, inner, outer)
+    P.decide(inner, outer)
+    assert len(calls) == 2
+    same = FormalBall(F(2), F(1, 4))
+    for decide in (P.decide, lambda i, o: decide_located_pair(P, i, o)):
+        with pytest.raises(PreconditionFailed):
+            decide(same, same)

@@ -295,18 +295,18 @@ def parse_element(text: str, ambient: Part) -> IntervalElement:
         return IntervalElement.one(ambient)
     parts = []
     offset = 0
-    for chunk in s.split("|"):
+    for chunk in text.split("|"):
         c = chunk.strip()
+        at = offset + len(chunk) - len(chunk.lstrip())
         if not (c.startswith("(") and c.endswith(")")):
-            raise ParseError(f"expected (p,q), got {chunk!r}", offset)
-        body = c[1:-1]
-        halves = body.split(",")
+            raise ParseError(f"expected (p,q), got {chunk!r}", at)
+        halves = c[1:-1].split(",")
         if len(halves) != 2:
-            raise ParseError(f"expected two endpoints in {chunk!r}", offset)
-        p = parse_rational(halves[0], offset)
-        q = parse_rational(halves[1], offset)
+            raise ParseError(f"expected two endpoints in {chunk!r}", at)
+        p = parse_rational(halves[0], at + 1)
+        q = parse_rational(halves[1], at + len(halves[0]) + 2)
         if p >= q:
-            raise ParseError(f"empty interval ({p},{q})", offset)
+            raise ParseError(f"empty interval ({p},{q})", at)
         parts.append((p, q))
         offset += len(chunk) + 1
     return IntervalElement.make(ambient, parts)

@@ -299,16 +299,10 @@ class FormalRealsBase(Base):
             if isinstance(h, Fraction) or isinstance(h, int):
                 pool.add(Fraction(h))
         points = sorted(x for x in pool if p <= x <= s)
-        out = []
-        seen = set()
-        for q in points:
-            for r in points:
-                if p <= q < r <= s:
-                    fam = ((p, r), (q, s))
-                    if fam not in seen:
-                        seen.add(fam)
-                        out.append(("split", fam))
-        return out
+        # The points are distinct, so each pair q < r is a new family.
+        return [
+            ("split", ((p, r), (q, s))) for i, q in enumerate(points) for r in points[i + 1 :]
+        ]
 
     def sample_elements(self, rng: random.Random, count: int) -> list:
         lo, hi = self.ambient if self.ambient is not None else (Fraction(-4), Fraction(4))
@@ -355,6 +349,30 @@ class _Searcher:
         self.axiom_filter = axiom_filter
         self.found: dict = {}  # element -> (derivation, tree_depth)
         self.failed_at: dict = {}  # element -> highest depth that failed
+        self.instances: dict = {}  # element -> filtered non-empty instances
+
+    def deepen(self, u, depth: int) -> Optional[Derivation]:
+        """Iterative deepening: found derivations stay as shallow as
+        possible; success at a depth implies success at every larger depth."""
+        for d in range(1, max(0, depth) + 1):
+            out = self.search(u, d)
+            if out is not None:
+                return out
+        return None
+
+    def _instances(self, u) -> list:
+        """The non-empty candidate instances of u that pass the filter, built
+        once: they depend on (u, budget, target) only, all fixed here."""
+        out = self.instances.get(u)
+        if out is None:
+            keep = self.axiom_filter
+            out = [
+                (axiom, family)
+                for axiom, family in self.base.candidate_instances(u, self.budget, self.target)
+                if family and (keep is None or keep(axiom, u, family))
+            ]
+            self.instances[u] = out
+        return out
 
     def search(self, u, depth: int) -> Optional[Derivation]:
         if depth <= 0:
@@ -379,19 +397,13 @@ class _Searcher:
         for b in self.target.listed:
             if b != u and self.base.leq(u, b):
                 return Derivation("ext", u, witness=b)
-        instances = self.base.candidate_instances(u, self.budget, self.target)
+        instances = self._instances(u)
         for axiom, family in instances:
-            if self.axiom_filter is not None and not self.axiom_filter(axiom, u, family):
-                continue
-            if family and all(self.target.contains(f) for f in family):
+            if all(self.target.contains(f) for f in family):
                 return Derivation(axiom, u, witness=tuple(family))
         if depth <= 1:
             return None
         for axiom, family in instances:
-            if self.axiom_filter is not None and not self.axiom_filter(axiom, u, family):
-                continue
-            if not family:
-                continue
             subs = []
             for f in family:
                 sub = self.search(f, depth - 1)
@@ -418,13 +430,7 @@ def derive_cover(
     Iterative deepening keeps found derivations as shallow as possible;
     success at a depth implies success at every larger depth.
     """
-    target = as_target(family)
-    searcher = _Searcher(base, target, budget, None, axiom_filter)
-    for d in range(1, max(0, depth) + 1):
-        out = searcher.search(u, d)
-        if out is not None:
-            return out
-    return None
+    return _Searcher(base, as_target(family), budget, None, axiom_filter).deepen(u, depth)
 
 
 def sublocale_cover(
@@ -442,12 +448,7 @@ def sublocale_cover(
         target = target.extend(listed=spec.listed, predicates=spec.predicates)
         return derive_cover(base, u, target, depth, budget, axiom_filter)
     if isinstance(spec, PosClosedSub):
-        searcher = _Searcher(base, target, budget, spec, axiom_filter)
-        for d in range(1, max(0, depth) + 1):
-            out = searcher.search(u, d)
-            if out is not None:
-                return out
-        return None
+        return _Searcher(base, target, budget, spec, axiom_filter).deepen(u, depth)
     if isinstance(spec, OpenSub):
         if depth <= 0:
             return None

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -407,6 +408,12 @@ class BallBase(Base):
         self.points = space.enumerate_points(point_budget)
         self._point_set = set(self.points)
         self.name = f"loc({space.name})"
+        # On the builtin lines the points within r of c are an open range of
+        # the sorted points; other spaces are scanned with compare_distance.
+        self._line = None
+        if type(space) in (RationalLine, LineSegment):
+            order = sorted(range(len(self.points)), key=self.points.__getitem__)
+            self._line = ([self.points[i] for i in order], order)
 
     def top(self):
         return TOP
@@ -421,28 +428,30 @@ class BallBase(Base):
     def m2_complete(self, k: int) -> bool:
         return self.space.is_grid_complete(k, self.point_budget)
 
+    def _near(self, c, r: Fraction) -> list:
+        """The listed points y with d(y, c) < r certified, in listed order."""
+        if self._line is None:
+            out = []
+            for y in self.points:
+                cmp = self.space.compare_distance(y, c, r)
+                if cmp is not None and cmp < 0:
+                    out.append(y)
+            return out
+        keys, order = self._line
+        found = order[bisect_right(keys, c - r) : bisect_left(keys, c + r)]
+        return [self.points[i] for i in sorted(found)]
+
     def _shrink_family(self, u: FormalBall, k: int) -> tuple:
         margin = Fraction(1, 2**k)
         if margin >= u.radius:
             return ()
         radius = u.radius - margin
-        fam = []
-        for y in self.points:
-            cmp = self.space.compare_distance(y, u.center, margin)
-            if cmp is not None and cmp < 0:
-                fam.append(FormalBall(y, radius))
-        return tuple(fam)
+        return tuple(FormalBall(y, radius) for y in self._near(u.center, margin))
 
     def _uniform_family(self, u: Optional[FormalBall], k: int) -> tuple:
         radius = Fraction(1, 2**k)
-        fam = []
-        for y in self.points:
-            if u is not None:
-                cmp = self.space.compare_distance(y, u.center, u.radius + radius)
-                if cmp is None or cmp >= 0:
-                    continue
-            fam.append(FormalBall(y, radius))
-        return tuple(fam)
+        near = self.points if u is None else self._near(u.center, u.radius + radius)
+        return tuple(FormalBall(y, radius) for y in near)
 
     def axiom_instances(self, u, budget: int) -> list[tuple[str, tuple]]:
         out = []

@@ -24,11 +24,16 @@ def format_interval(lo: Fraction, hi: Fraction) -> str:
 
 
 def parse_rational(text: str, offset: int = 0) -> Fraction:
-    """Parse ``p`` or ``p/q``; raises ParseError with the byte offset."""
+    """Parse ``p`` or ``p/q``; raises ParseError with the byte offset.
+
+    ``offset`` is where text starts in the caller's input; a malformed
+    rational is reported at its first non-blank character.
+    """
     s = text.strip()
     if not s:
         raise ParseError("empty rational", offset)
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"malformed rational {text!r}", offset) from None
+        at = offset + len(text) - len(text.lstrip())
+        raise ParseError(f"malformed rational {text!r}", at) from None

@@ -17,15 +17,16 @@ of *tiles* box(a) & dia(b_1) & ... & dia(b_k) with every b_i below a.
 A model assigns to the carrier a positivity predicate: empty at bottom,
 upward closed, splitting joins, and answering the well-inside dichotomy.
 Models evaluate dia(u) as positivity of u and box(u) as "u joins with the
-non-positive part to the top".  For finite carriers the models can be
-enumerated outright, which yields an exact inequality decision; the
-syntactic normal-form comparison is sound but not claimed complete, and is
-the only decision offered for infinite carriers.
+non-positive part to the top".  Carriers are distributive lattices; the
+finite ones rely on it, since on a finite distributive carrier the models
+are exactly the principal ones, {u : not u <= n} for each element n
+(Birkhoff), which yields an exact inequality decision in |L| model
+evaluations.  The syntactic normal-form comparison is sound but not claimed
+complete, and is the only decision offered for infinite carriers.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -33,6 +34,7 @@ from typing import Callable, Optional
 from overt import intervals as ilat
 from overt.errors import InvariantViolation, ParseError, PreconditionFailed
 from overt.intervals import IntervalElement
+from overt.rationals import parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +76,23 @@ class Carrier:
         raise NotImplementedError
 
 
+MAX_CARRIER_ELEMENTS = 1024
+
+
+def _check_carrier_size(count: int) -> None:
+    if count > MAX_CARRIER_ELEMENTS:
+        raise PreconditionFailed(
+            f"carrier of {count} elements exceeds the cap of {MAX_CARRIER_ELEMENTS}"
+        )
+
+
 class FiniteCarrier(Carrier):
-    """Finite distributive lattice given by explicit tables."""
+    """Finite distributive lattice given by explicit tables.
+
+    Distributivity is a precondition, not checked: model enumeration and
+    ``term_leq`` are exact only on distributive tables.  The builtin chains,
+    Boolean lattices and grids are distributive.
+    """
 
     def __init__(self, name, elems, leq_fn, meet_fn, join_fn, bot, top, fmt, parse):
         self.name = name
@@ -119,13 +136,17 @@ class FiniteCarrier(Carrier):
         return self._fmt(u)
 
     def parse_element(self, text):
-        return self._parse(text.strip())
+        try:
+            return self._parse(text.strip())
+        except ParseError as e:
+            raise e.shifted(_lead(text, 0)) from None
 
 
 def chain(n: int) -> FiniteCarrier:
     """The n-element chain 0 < 1 < ... < n-1."""
     if n < 2:
         raise PreconditionFailed("chain needs at least two elements")
+    _check_carrier_size(n)
     return FiniteCarrier(
         f"chain:{n}",
         range(n),
@@ -139,13 +160,19 @@ def chain(n: int) -> FiniteCarrier:
     )
 
 
-def _parse_index(text: str, n: int) -> int:
+def _lead(text: str, offset: int) -> int:
+    """The offset of the first non-blank character of text at offset."""
+    return offset + len(text) - len(text.lstrip())
+
+
+def _parse_index(text: str, n: int, offset: int = 0) -> int:
+    offset = _lead(text, offset)
     try:
         k = int(text)
     except ValueError:
-        raise ParseError(f"expected a chain element index, got {text!r}", 0) from None
+        raise ParseError(f"expected a chain element index, got {text!r}", offset) from None
     if not 0 <= k < n:
-        raise ParseError(f"chain index {k} out of range 0..{n - 1}", 0)
+        raise ParseError(f"chain index {k} out of range 0..{n - 1}", offset)
     return k
 
 
@@ -166,9 +193,9 @@ def boolean(n: int) -> FiniteCarrier:
         if text == "{}":
             return 0
         mask = 0
-        for ch in text:
+        for i, ch in enumerate(text):
             if ch not in _ATOMS[:n]:
-                raise ParseError(f"unknown atom {ch!r}", 0)
+                raise ParseError(f"unknown atom {ch!r}", i)
             mask |= 1 << _ATOMS.index(ch)
         return mask
 
@@ -190,13 +217,15 @@ def grid(m: int, n: int) -> FiniteCarrier:
     """Product of two chains: pairs ordered componentwise."""
     if m < 2 or n < 2:
         raise PreconditionFailed("grid needs chains of length at least two")
+    _check_carrier_size(m * n)
     elems = [(i, j) for i in range(m) for j in range(n)]
 
     def parse(text: str):
         halves = text.split(",")
         if len(halves) != 2:
             raise ParseError(f"expected i,j got {text!r}", 0)
-        i, j = _parse_index(halves[0], m), _parse_index(halves[1], n)
+        i = _parse_index(halves[0], m)
+        j = _parse_index(halves[1], n, len(halves[0]) + 1)
         return (i, j)
 
     return FiniteCarrier(
@@ -329,16 +358,22 @@ def is_loc_model(L: Carrier, pos: frozenset) -> bool:
 
 
 def enumerate_models(L: Carrier) -> list[frozenset]:
-    """All positivity models of a finite carrier, deterministically ordered."""
+    """All positivity models of a finite distributive carrier, ordered by
+    size and then by the enumeration indices of their elements.
+
+    The models are the principal ones, {u : not u <= n} for each n.  The
+    non-positive elements of a model contain bottom, are down-closed and
+    are closed under binary joins, so they form an ideal, and every ideal
+    of a finite lattice is principal.  Conversely each such set is a model:
+    on a distributive carrier the well-inside clause adds nothing, since
+    u << v with witness w gives u = u & (v | w) = (u & v) | (u & w) = u & v,
+    so u <= v.  Distinct n give distinct models.
+    """
     elems = L.elements()
     if elems is None:
         raise PreconditionFailed("model enumeration needs a finite carrier")
     idx = {e: i for i, e in enumerate(elems)}
-    models = []
-    for bits in itertools.product((False, True), repeat=len(elems)):
-        pos = frozenset(e for e, b in zip(elems, bits) if b)
-        if is_loc_model(L, pos):
-            models.append(pos)
+    models = [frozenset(u for u in elems if not L.leq(u, n)) for n in elems]
     models.sort(key=lambda m: (len(m), sorted(idx[e] for e in m)))
     return models
 
@@ -574,12 +609,16 @@ def evaluate_nf(nf: TileNormalForm, point: Point) -> bool:
 def term_leq(s, t, L: Carrier) -> Optional[bool]:
     """s <= t in the modal lattice.
 
-    Finite carriers: exact, by checking every model.  Infinite carriers:
+    Finite carriers: exact, by evaluating both terms at every model, read
+    directly off its principal ideal n (see :func:`enumerate_models`): dia(u)
+    holds when not u <= n, box(u) when u | n is the top.  Infinite carriers:
     the sound normal-form comparison; True is trustworthy, None is Unknown.
     """
-    if L.elements() is not None:
-        for pos in enumerate_models(L):
-            p = model_point(L, pos)
+    elems = L.elements()
+    if elems is not None:
+        top = L.top
+        for n in elems:
+            p = Point(dia=lambda u: not L.leq(u, n), box=lambda u: L.join(u, n) == top)
             if p.evaluate(s) and not p.evaluate(t):
                 return False
         return True
@@ -672,27 +711,47 @@ class _TermParser:
                     raise ParseError("unbalanced parentheses in generator", start)
                 inner = self.text[start + 1 : self.pos]
                 self.pos += 1
-                return ctor(self.L.parse_element(inner))
+                try:
+                    return ctor(self.L.parse_element(inner))
+                except ParseError as e:
+                    raise e.shifted(start + 1) from None
         raise ParseError(f"unexpected character {c!r}", self.pos)
 
 
 def parse_carrier(name: str) -> Carrier:
-    s = name.strip()
-    if s.startswith("chain:"):
-        return chain(int(s[6:]))
-    if s.startswith("bool:"):
-        return boolean(int(s[5:]))
-    if s.startswith("grid:"):
-        parts = s[5:].split(",")
+    """``chain:n``, ``bool:n``, ``grid:m,n`` or ``intervals:(a,b)``.
+
+    Finite carriers are capped at ``MAX_CARRIER_ELEMENTS`` elements; the cap
+    is checked from the sizes, before any element is built.
+    """
+    kind, _, body = name.strip().partition(":")
+    at = _lead(name, len(kind) + 1)
+    if kind == "chain":
+        return chain(_parse_size(body, at))
+    if kind == "bool":
+        return boolean(_parse_size(body, at))
+    if kind == "grid":
+        parts = body.split(",")
         if len(parts) != 2:
-            raise ParseError(f"grid needs two sizes, got {name!r}", 0)
-        return grid(int(parts[0]), int(parts[1]))
-    if s.startswith("intervals:"):
-        body = s[len("intervals:"):].strip()
+            raise ParseError(f"grid needs two sizes, got {name!r}", at)
+        m = _parse_size(parts[0], at)
+        return grid(m, _parse_size(parts[1], at + len(parts[0]) + 1))
+    if kind == "intervals":
+        at = _lead(body, at)
+        body = body.strip()
         if not (body.startswith("(") and body.endswith(")")):
-            raise ParseError(f"intervals carrier needs (a,b), got {name!r}", 0)
+            raise ParseError(f"intervals carrier needs (a,b), got {name!r}", at)
         halves = body[1:-1].split(",")
         if len(halves) != 2:
-            raise ParseError("intervals carrier needs two endpoints", 0)
-        return IntervalCarrier((Fraction(halves[0]), Fraction(halves[1])))
+            raise ParseError("intervals carrier needs two endpoints", at)
+        lo = parse_rational(halves[0], at + 1)
+        hi = parse_rational(halves[1], at + len(halves[0]) + 2)
+        return IntervalCarrier((lo, hi))
     raise ParseError(f"unknown carrier {name!r}", 0)
+
+
+def _parse_size(text: str, offset: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"expected a size, got {text!r}", _lead(text, offset)) from None

@@ -2,8 +2,10 @@
 
 Everything here is deliberately written from scratch against the math, not
 against the library: bisection for square roots, triadic interval lists for
-the middle-thirds set, endpoint sweeps for interval covers, and bucketed
-integer arithmetic for exact finite Hausdorff bounds.
+the middle-thirds set, endpoint sweeps for interval covers, bucketed
+integer arithmetic for exact finite Hausdorff bounds, every subset of a
+finite carrier for its positivity models, and a scan of every listed point
+for the balls near a center.
 """
 
 from fractions import Fraction
@@ -275,3 +277,38 @@ def union_hausdorff_1d(A, B):
     A = [(Fraction(lo), Fraction(hi)) for lo, hi in A]
     B = [(Fraction(lo), Fraction(hi)) for lo, hi in B]
     return max(directed(A, B), directed(B, A))
+
+
+def subset_models(L):
+    """Every positivity model of a finite carrier, by testing all 2**|L|
+    subsets against the definition: bottom is not positive, positivity is
+    upward closed, a positive join has a positive part, and u well inside v
+    (some w with u & w = 0 and v | w = 1) makes v positive when u is.
+    Subsets are bit masks over the element list; unordered result."""
+    elems = L.elements()
+    n = len(elems)
+    index = {e: i for i, e in enumerate(elems)}
+    bot = 1 << index[L.bot]
+    up = [sum(1 << j for j, v in enumerate(elems) if L.leq(u, v)) for u in elems]
+    joins = [(1 << i, 1 << j, 1 << index[L.join(u, v)])
+             for i, u in enumerate(elems) for j, v in enumerate(elems) if i < j]
+    inside = [(1 << i, 1 << j)
+              for i, u in enumerate(elems) for j, v in enumerate(elems)
+              if any(L.meet(u, w) == L.bot and L.join(v, w) == L.top for w in elems)]
+    models = []
+    for mask in range(1 << n):
+        if mask & bot:
+            continue
+        if any(mask >> i & 1 and up[i] & ~mask for i in range(n)):
+            continue
+        if any(mask & k and not mask & (a | b) for a, b, k in joins):
+            continue
+        if any(mask & a and not mask & b for a, b in inside):
+            continue
+        models.append(frozenset(elems[i] for i in range(n) if mask >> i & 1))
+    return models
+
+
+def points_within(points, c, r):
+    """The points y with |y - c| < r, in the order given."""
+    return [y for y in points if abs(y - c) < r]

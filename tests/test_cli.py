@@ -6,6 +6,7 @@ from overt.cli import main
 from overt.errors import ParseError
 from overt.plot import PlotSpec, render_plot
 from overt.setspec import parse_set_spec
+from overt.vietoris import parse_carrier, parse_term
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -159,3 +160,38 @@ class TestExitCodes:
     def test_dimension_mismatch_precondition(self, capsys):
         code, _, _ = run(capsys, "distance", "--set", "disk:0,0,1", "--point", "2", "--prec", "1/4")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "carrier, offset",
+        [("chain:x", 6), ("bool:x", 5), ("grid:2,x", 7), ("grid:2", 5),
+         ("intervals:(0,x)", 13), ("intervals:( y,1)", 12)],
+    )
+    def test_malformed_carrier_parse_error(self, capsys, carrier, offset):
+        code, _, err = run(capsys, "vietoris", f"--carrier={carrier}", "--leq", "1", "1")
+        assert code == 2 and f"(at offset {offset})" in err
+
+    @pytest.mark.parametrize("carrier", ["chain:1025", "grid:100000,100000", "bool:9"])
+    def test_carrier_size_cap(self, capsys, carrier):
+        code, _, err = run(capsys, "vietoris", f"--carrier={carrier}", "--leq", "1", "1")
+        assert code == 3 and "precondition" in err
+
+    def test_large_carriers_answer(self, capsys):
+        code, out, _ = run(capsys, "vietoris", "--carrier=bool:8", "--leq", "dia(ab)", "dia(a) | dia(b)")
+        assert code == 0 and out.strip() == "true"
+        code, out, _ = run(capsys, "vietoris", "--carrier=chain:1024", "--leq", "box(1)", "dia(1)")
+        assert code == 0 and out.strip() == "false"
+
+
+class TestModalTermOffsets:
+    # The offset of the bad token in the term, not in the generator's text.
+    @pytest.mark.parametrize(
+        "carrier, term, offset",
+        [("chain:3", "dia(z)", 4), ("chain:3", "1 & box( 7)", 9),
+         ("bool:3", "box(az)", 5), ("grid:2,2", "dia(0,x)", 6),
+         ("grid:2,2", "dia(0, 5)", 7), ("intervals:(0,1)", "dia((0,x))", 7),
+         ("intervals:(0,1)", "dia((0,1/2) | (q,1))", 15)],
+    )
+    def test_generator_offset(self, carrier, term, offset):
+        with pytest.raises(ParseError) as e:
+            parse_term(term, parse_carrier(carrier))
+        assert e.value.offset == offset

@@ -1,0 +1,117 @@
+"""Differential tests of the principal-model Vietoris decision.
+
+``enumerate_models`` reads the models of a finite carrier off its principal
+ideals, and ``term_leq`` evaluates terms at those ideals directly.  Both
+are checked against ``helpers.subset_models``, which tests every subset of
+the carrier against the definition of a model.  The step from one to the
+other needs a distributive carrier, so distributivity of every builtin
+carrier is checked too.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import subset_models
+from overt.vietoris import (
+    TERM_ONE,
+    TERM_ZERO,
+    Box,
+    Dia,
+    TermJoin,
+    TermMeet,
+    boolean,
+    chain,
+    enumerate_models,
+    grid,
+    term_leq,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def builtin_carriers(limit):
+    out = [chain(n) for n in range(2, limit + 1)]
+    out += [boolean(n) for n in range(1, 9) if 2**n <= limit]
+    out += [grid(m, n) for m in range(2, limit + 1) for n in range(2, limit + 1) if m * n <= limit]
+    return out
+
+
+UP_TO_16 = builtin_carriers(16)
+UP_TO_12 = builtin_carriers(12)
+
+
+def by_index(L, models):
+    idx = {e: i for i, e in enumerate(L.elements())}
+    return sorted(models, key=lambda m: (len(m), sorted(idx[e] for e in m)))
+
+
+@pytest.mark.parametrize("L", UP_TO_16, ids=lambda L: L.name)
+def test_models_equal_subset_brute_force(L):
+    assert enumerate_models(L) == by_index(L, subset_models(L))
+
+
+@pytest.mark.parametrize("L", UP_TO_16, ids=lambda L: L.name)
+def test_builtin_carriers_distributive(L):
+    elems = L.elements()
+    for u in elems:
+        for v in elems:
+            for w in elems:
+                assert L.meet(u, L.join(v, w)) == L.join(L.meet(u, v), L.meet(u, w))
+
+
+def holds(t, L, pos):
+    """A term at the model pos: dia(u) is positivity of u, box(u) says u
+    joins the non-positive part to the top."""
+    if t is TERM_ZERO:
+        return False
+    if t is TERM_ONE:
+        return True
+    if isinstance(t, Dia):
+        return t.u in pos
+    if isinstance(t, Box):
+        negative = L.bot
+        for e in L.elements():
+            if e not in pos:
+                negative = L.join(negative, e)
+        return L.join(t.u, negative) == L.top
+    if isinstance(t, TermMeet):
+        return holds(t.left, L, pos) and holds(t.right, L, pos)
+    return holds(t.left, L, pos) or holds(t.right, L, pos)
+
+
+MODELS = {}
+
+
+def brute_leq(s, t, L):
+    if L.name not in MODELS:
+        MODELS[L.name] = subset_models(L)
+    return all(holds(t, L, pos) for pos in MODELS[L.name] if holds(s, L, pos))
+
+
+def terms(L):
+    elems = L.elements()
+    leaves = st.one_of(
+        st.sampled_from(elems).map(Dia),
+        st.sampled_from(elems).map(Box),
+        st.sampled_from([TERM_ZERO, TERM_ONE]),
+    )
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(st.builds(TermMeet, sub, sub), st.builds(TermJoin, sub, sub)),
+        max_leaves=8,
+    )
+
+
+@st.composite
+def carrier_and_terms(draw):
+    L = draw(st.sampled_from(UP_TO_12))
+    return L, draw(terms(L)), draw(terms(L))
+
+
+@SETTINGS
+@given(carrier_and_terms())
+def test_term_leq_matches_brute_force(case):
+    L, s, t = case
+    assert term_leq(s, t, L) is brute_leq(s, t, L)
+    assert term_leq(t, s, L) is brute_leq(t, s, L)

@@ -21,8 +21,8 @@ for name, spec_text, viewport in [
     ("two_disks", "union(disk:1/4,1/2,1/8,disk:3/4,1/2,1/8)", (0, 1, 0, 1)),
     ("segment", "segment:0,0,1,1", (0, 1, 0, 1)),
     ("cantor_line", "cantor", (0, 1, "-1/4", "1/4")),
-    # an affine image has no closed-form distance: every pixel goes through
-    # the generic net-backed dichotomy
+    # the image of a line set keeps its exact comparison: the squared height
+    # over the image line plus the squared distance along it
     ("tilted_cantor", "image(affine:3/5,0,0,4/5,0,0,cantor)", (0, 1, 0, 1)),
 ]:
     spec = PlotSpec(parse_set_spec(spec_text), viewport, SIZE, SIZE)

@@ -91,15 +91,40 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _rational_list(text: str) -> list[Fraction]:
+    """Comma-separated rationals; a malformed one is reported at its offset."""
+    out, at = [], 0
+    for part in text.split(","):
+        out.append(parse_rational(part, at))
+        at += len(part) + 1
+    return out
+
+
+def _parse_size(text: str) -> tuple[int, int]:
+    """``WxH``; a malformed part is reported at its offset."""
+    parts = text.lower().split("x")
+    if len(parts) < 2:
+        raise ParseError("size must be WxH, missing 'x'", len(text))
+    if len(parts) > 2:
+        at = len(parts[0]) + 1 + len(parts[1])
+        raise ParseError(f"size must be WxH, trailing input {text[at:]!r}", at)
+    dims, at = [], 0
+    for part in parts:
+        try:
+            dims.append(int(part))
+        except ValueError:
+            lead = at + len(part) - len(part.lstrip())
+            raise ParseError(f"malformed size {part!r}", lead) from None
+        at += len(part) + 1
+    return dims[0], dims[1]
+
+
 def _cmd_plot(args) -> int:
     family = setspec.parse_set_spec(args.set_spec)
-    vp = [parse_rational(v) for v in args.viewport.split(",")]
+    vp = _rational_list(args.viewport)
     if len(vp) != 4:
         raise ParseError("viewport needs xmin,xmax,ymin,ymax", 0)
-    size = args.size.lower().split("x")
-    if len(size) != 2:
-        raise ParseError("size must be WxH", 0)
-    spec = plot.PlotSpec(family, tuple(vp), int(size[0]), int(size[1]))
+    spec = plot.PlotSpec(family, tuple(vp), *_parse_size(args.size))
     text = plot.render_plot(spec)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -111,7 +136,7 @@ def _cmd_plot(args) -> int:
 
 def _cmd_distance(args) -> int:
     family = setspec.parse_set_spec(args.set_spec)
-    coords = [parse_rational(c) for c in args.point.split(",")]
+    coords = _rational_list(args.point)
     if family.space is located.PLANE:
         if len(coords) != 2:
             raise PreconditionFailed("this set needs a 2-d point")

@@ -28,9 +28,10 @@ the exact oracle first and falls back to nets only without one:
   over the source's net when both sets have one, and otherwise compares
   two nets.
 
-Images under maps with a modulus carry nets only.  Distances and
-Hausdorff sweeps choose between the exact oracle and nets in one place,
-:func:`_exact_max_distance`.
+Affine images keep the exact comparison wherever the map carries it
+(:func:`affine_image`); images under other maps with a modulus carry nets
+only.  Distances and Hausdorff sweeps choose between the exact oracle and
+nets in one place, :func:`_exact_max_distance`.
 
 Intersections of located sets are deliberately absent: locatedness is not
 preserved by intersection, and it depends on the metric presentation, not
@@ -41,6 +42,7 @@ itself rather than of this module.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -63,6 +65,7 @@ from overt.kernel import (
 )
 from overt.metric import (
     FormalBall,
+    LineSegment,
     MetricSpace,
     PlaneEuclid,
     RationalLine,
@@ -457,7 +460,11 @@ def image_located(
     target_space: Optional[MetricSpace] = None,
     name: Optional[str] = None,
 ) -> EpsilonNetFamily:
-    """Image of a located set under a map with a uniform-continuity modulus."""
+    """Image of a located set under a map with a uniform-continuity modulus.
+
+    The image carries nets only; :func:`affine_image` keeps an exact
+    comparison for the affine maps that carry one.
+    """
     space = target_space if target_space is not None else S.space
     return EpsilonNetFamily(
         space,
@@ -894,21 +901,119 @@ def promote_to_plane(S: EpsilonNetFamily) -> EpsilonNetFamily:
     )
 
 
-def affine_plane_map(a, b, c, d, e, f) -> tuple[Callable, Modulus]:
-    """(x, y) -> (a x + b y + c, d x + e y + f) with a Euclidean modulus."""
-    a, b, c, d, e, f = (Fraction(v) for v in (a, b, c, d, e, f))
-    lip = abs(a) + abs(b) + abs(d) + abs(e)
-    if lip == 0:
-        lip = Fraction(1)
+@dataclass(frozen=True)
+class AffineMap:
+    """(x, y) -> (a x + b y + c, d x + e y + f); a line point x is (x, 0).
 
-    def apply(p):
+    ``lip`` is a rational upper bound on the operator norm of the linear
+    part A = [[a, b], [d, e]], exact when that norm is rational: a
+    similarity of rational scale s has ``lip == s``.
+    """
+
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    d: Fraction
+    e: Fraction
+    f: Fraction
+    lip: Fraction
+
+    def __call__(self, p):
         if isinstance(p, tuple):
             x, y = p
         else:
             x, y = Fraction(p), Fraction(0)
-        return (a * x + b * y + c, d * x + e * y + f)
+        return (self.a * x + self.b * y + self.c, self.d * x + self.e * y + self.f)
 
-    return apply, Modulus(lambda eps: eps / lip)
+    @property
+    def modulus(self) -> Modulus:
+        return Modulus(lambda eps: eps / self.lip)
+
+    def similarity_scale(self) -> Optional[Fraction]:
+        """s when A is s times an orthogonal matrix (orthogonal columns of
+        equal length s > 0) and s is rational, else None."""
+        a, b, d, e = self.a, self.b, self.d, self.e
+        ssq = a * a + d * d
+        if ssq == 0 or a * b + d * e != 0 or b * b + e * e != ssq:
+            return None
+        lo, hi = sqrt_bounds(ssq, Fraction(1))
+        return lo if lo == hi else None
+
+
+def affine_plane_map(a, b, c, d, e, f) -> AffineMap:
+    """The affine map (x, y) -> (a x + b y + c, d x + e y + f).
+
+    Its Lipschitz constant bounds the operator norm of A, whose square is
+    the larger eigenvalue (F^2 + sqrt(F^4 - 4 det^2)) / 2 of A^T A, with
+    F^2 = a^2 + b^2 + d^2 + e^2.  Both roots are rounded up; an irrational
+    norm is rounded up to a multiple of 1/64 to keep net denominators small.
+    """
+    a, b, c, d, e, f = (Fraction(v) for v in (a, b, c, d, e, f))
+    fsq = a * a + b * b + d * d + e * e
+    det = a * e - b * d
+    width = Fraction(1, 1024)
+    root = sqrt_bounds(fsq * fsq - 4 * det * det, width)[1]
+    lo, hi = sqrt_bounds((fsq + root) / 2, width)
+    lip = lo if lo == hi else Fraction(math.ceil(hi * 64), 64)
+    return AffineMap(a, b, c, d, e, f, lip or Fraction(1))
+
+
+def affine_image(S: EpsilonNetFamily, f: AffineMap) -> EpsilonNetFamily:
+    """Image of a located set under an affine plane map.
+
+    The image keeps an exact distance comparison wherever the map carries
+    the source's, so every query takes it as for a builtin set:
+
+    * a line set with ``distance_value`` and a nonzero column u = (a, d),
+      under any map: with w = p - (c, f) and x0 = (w.u) / |u|^2 the foot of
+      p on the image line, d(p)^2 = |w|^2 - (w.u) x0 + |u|^2 dv(x0)^2, the
+      squared height plus the squared distance along the line;
+    * a plane set with ``distance_compare`` under a similarity of rational
+      scale s: d(p, f(S)) = s d(f^-1(p), S), with f^-1(p) = A^T (p - t) / s^2.
+
+    Other images (shears of plane sets, irrational scales, a zero column)
+    carry nets only, built from the source net at eps / lip.
+    """
+    cmp = None
+    if S.inhabited and isinstance(S.space, (RationalLine, LineSegment)):
+        if S.distance_value is not None and (f.a or f.d):
+            cmp = _line_image_compare(S.distance_value, f)
+    elif S.inhabited and S.space is PLANE and S.distance_compare is not None:
+        s = f.similarity_scale()
+        if s is not None:
+            cmp = _similar_image_compare(S.distance_compare, f, s)
+    return EpsilonNetFamily(
+        PLANE,
+        lambda eps: [f(p) for p in S.net(eps / f.lip)],
+        inhabited=S.inhabited,
+        distance_compare=cmp,
+        name=f"image({S.name})",
+    )
+
+
+def _line_image_compare(dv: Callable, f: AffineMap) -> Callable:
+    ux, uy = f.a, f.d
+    ssq = ux * ux + uy * uy
+
+    def cmp(p, t):
+        wx, wy = p[0] - f.c, p[1] - f.f
+        wu = wx * ux + wy * uy
+        x0 = wu / ssq
+        d1 = dv(x0)
+        return _sq_sign(wx * wx + wy * wy - wu * x0 + ssq * d1 * d1, t)
+
+    return cmp
+
+
+def _similar_image_compare(src_cmp: Callable, f: AffineMap, s: Fraction) -> Callable:
+    ssq = s * s
+
+    def cmp(p, t):
+        wx, wy = p[0] - f.c, p[1] - f.f
+        q = ((f.a * wx + f.d * wy) / ssq, (f.b * wx + f.e * wy) / ssq)
+        return src_cmp(q, t / s)
+
+    return cmp
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ Grammar (offsets in error messages are byte offsets into the input):
           | "image(affine:" RAT "," ... 6 in all ... "," spec ")"
 
 Point specs with one coordinate live on the line, with two in the plane.
+An image keeps its source's exact distance comparison where the map
+carries it (see ``located.affine_image``).
 """
 
 from __future__ import annotations
@@ -108,10 +110,7 @@ def _parse_spec(cur: _Cursor) -> EpsilonNetFamily:
         cur.expect(",")
         src = _parse_spec(cur)
         cur.expect(")")
-        f, m = located.affine_plane_map(*coeffs)
-        return located.image_located(
-            src, f, m, target_space=located.PLANE, name=f"image({src.name})"
-        )
+        return located.affine_image(src, located.affine_plane_map(*coeffs))
     word = cur.text[start:].split(":")[0].split("(")[0].strip() or cur.text[start:]
     raise ParseError(f"unknown set constructor {word!r}", start)
 

@@ -192,6 +192,8 @@ def boolean(n: int) -> FiniteCarrier:
     def parse(text: str) -> int:
         if text == "{}":
             return 0
+        if not text:
+            raise ParseError("expected atoms or {}", 0)
         mask = 0
         for i, ch in enumerate(text):
             if ch not in _ATOMS[:n]:
@@ -464,9 +466,19 @@ def point_to_loc(point: Point, L: Carrier) -> frozenset:
             + ", ".join(_describe_violation(L, v) for v in violations)
         )
     pos = frozenset(u for u in L.elements() if point.dia(u))
-    if not is_loc_model(L, pos):
+    if not is_principal_model(L, pos):
         raise InvariantViolation("diamond values of a valid point must form a model")
     return pos
+
+
+def is_principal_model(L: Carrier, pos: frozenset) -> bool:
+    """Whether pos is the principal model {u : not u <= n} of its
+    non-positive join n, in O(|L|) lattice operations.  On a finite
+    distributive carrier these are all the models (see
+    :func:`enumerate_models`), so this agrees with :func:`is_loc_model`,
+    which stays the checker for carriers not known to be distributive."""
+    n = nonpositive_join(L, pos)
+    return all((u in pos) != L.leq(u, n) for u in L.elements())
 
 
 def model_point(L: Carrier, pos: frozenset) -> Point:

@@ -4,11 +4,13 @@ Everything here is deliberately written from scratch against the math, not
 against the library: bisection for square roots, triadic interval lists for
 the middle-thirds set, endpoint sweeps for interval covers, bucketed
 integer arithmetic for exact finite Hausdorff bounds, every subset of a
-finite carrier for its positivity models, and a scan of every listed point
-for the balls near a center.
+finite carrier for its positivity models, a scan of every listed point
+for the balls near a center, and affine maps applied coordinate by
+coordinate.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 
@@ -29,6 +31,7 @@ def sqrt2_refiner(eps):
     return bisect_sqrt_interval(2, eps)
 
 
+@lru_cache(maxsize=None)
 def cantor_level_intervals(k):
     """The closed intervals of the k-th middle-thirds stage."""
     intervals = [(Fraction(0), Fraction(1))]
@@ -39,7 +42,7 @@ def cantor_level_intervals(k):
             nxt.append((lo, lo + third))
             nxt.append((hi - third, hi))
         intervals = nxt
-    return intervals
+    return tuple(intervals)
 
 
 def cantor_oracle_distance(x, k=12):
@@ -214,6 +217,29 @@ def bracket_holds_min_root(lo, hi, parts):
     return all(root_at_least(q, s, lo) for q, s in parts) and any(
         root_at_most(q, s, hi) for q, s in parts
     )
+
+
+def min_root_sign(parts, t):
+    """Sign of d - t, where d is the minimum over parts of
+    max(0, sqrt(q) + shift), decided on squares."""
+    at_least = all(root_at_least(q, s, t) for q, s in parts)
+    at_most = any(root_at_most(q, s, t) for q, s in parts)
+    return (not at_most) - (not at_least)
+
+
+def affine_apply(m, p):
+    """(x, y) -> (a x + b y + c, d x + e y + f) for m = (a, b, c, d, e, f);
+    a line point x is the plane point (x, 0)."""
+    a, b, c, d, e, f = m
+    x, y = p if isinstance(p, tuple) else (p, 0)
+    return (a * x + b * y + c, d * x + e * y + f)
+
+
+def stretch_sq_at_most(m, v, lip):
+    """|A v| <= lip |v| for the linear part A of m, decided on squares."""
+    a, b, _, d, e, _ = m
+    ax, ay = a * v[0] + b * v[1], d * v[0] + e * v[1]
+    return ax * ax + ay * ay <= lip * lip * (v[0] * v[0] + v[1] * v[1])
 
 
 def point_sq(p, q):

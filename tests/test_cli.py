@@ -170,6 +170,33 @@ class TestExitCodes:
         code, _, err = run(capsys, "vietoris", f"--carrier={carrier}", "--leq", "1", "1")
         assert code == 2 and f"(at offset {offset})" in err
 
+    @pytest.mark.parametrize("carrier", ["bool:2", "chain:3", "grid:2,2"])
+    def test_empty_generator_parse_error(self, capsys, carrier):
+        code, out, err = run(capsys, "vietoris", f"--carrier={carrier}", "--leq", "dia()", "0")
+        assert code == 2 and out == "" and "(at offset 4)" in err
+        code, _, err = run(capsys, "vietoris", f"--carrier={carrier}", "--leq", "1", "box( )")
+        assert code == 2 and "(at offset 5)" in err
+
+    @pytest.mark.parametrize(
+        "size, offset",
+        [("axb", 0), ("4x", 2), ("3x4x5", 3), ("4", 1), ("4x b", 3), ("x4", 0)],
+    )
+    def test_malformed_size_parse_error(self, capsys, size, offset):
+        code, out, err = run(
+            capsys, "plot", "--set", "disk:0,0,1", "--viewport", "-1,1,-1,1", f"--size={size}"
+        )
+        assert code == 2 and out == "" and f"(at offset {offset})" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, offset",
+        [("--viewport", "-1,1,-1,x", 8), ("--viewport", "0,,0,1", 2), ("--point", "0, 1/0", 3)],
+    )
+    def test_malformed_rational_list_offset(self, capsys, flag, value, offset):
+        argv = {"--viewport": ["plot", "--set", "disk:0,0,1", "--size", "2x2"],
+                "--point": ["distance", "--set", "disk:0,0,1", "--prec", "1/4"]}[flag]
+        code, _, err = run(capsys, *argv, f"{flag}={value}")
+        assert code == 2 and f"(at offset {offset})" in err
+
     @pytest.mark.parametrize("carrier", ["chain:1025", "grid:100000,100000", "bool:9"])
     def test_carrier_size_cap(self, capsys, carrier):
         code, _, err = run(capsys, "vietoris", f"--carrier={carrier}", "--leq", "1", "1")

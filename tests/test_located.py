@@ -210,8 +210,8 @@ class TestImagesAndUnions:
 
     def test_projection_of_square(self):
         square = box_set(0, 1, 0, 1)
-        f, m = affine_plane_map(1, 0, 0, 0, 0, 0)  # (x, y) -> (x, 0)
-        img = image_located(square, f, m, target_space=PLANE)
+        f = affine_plane_map(1, 0, 0, 0, 0, 0)  # (x, y) -> (x, 0)
+        img = image_located(square, f, f.modulus, target_space=PLANE)
         seg = segment_set(0, 0, 1, 0)
         for eps in (F(1, 4), F(1, 8)):
             assert finite_hausdorff_leq(img.net(eps), seg.net(eps), 2 * eps, plane=True)

@@ -5,7 +5,9 @@ are checked against the independent oracles of ``helpers`` and against the
 net path, which is reached by wrapping the same net function without an
 exact comparison.  Every bracket must have width at most eps, contain the
 oracle value and meet the net-path bracket; swapping the arguments of a
-Hausdorff distance must give the identical interval.
+Hausdorff distance must give the identical interval.  Images under affine
+maps are checked the same way, against oracles written from the mapped
+geometry.
 """
 
 from fractions import Fraction as F
@@ -15,13 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    affine_apply,
     bracket_holds_min_root,
     cantor_oracle_distance,
+    finite_hausdorff_leq,
     finite_hausdorff_sq,
+    min_root_sign,
     point_sq,
     root_at_least,
     root_at_most,
     segment_dist_sq,
+    stretch_sq_at_most,
     union_distance_1d,
     union_hausdorff_1d,
 )
@@ -381,3 +387,239 @@ def test_predicate_checks_refinement_once(S, monkeypatch):
     for decide in (P.decide, lambda i, o: decide_located_pair(P, i, o)):
         with pytest.raises(PreconditionFailed):
             decide(same, same)
+
+
+# ---------------------------------------------------------------------------
+# Images under affine maps.  The oracles come from the mapped geometry: a
+# similarity maps a disk to the disk of radius s r about f(c), and any
+# affine map sends segments, intervals and points to the segments and
+# points between the mapped ends.
+# ---------------------------------------------------------------------------
+
+@st.composite
+def similarities(draw):
+    """(m, s): a rotation or a reflection by a rational unit vector, scaled
+    by s, then a translation."""
+    (co, si), s = draw(st.sampled_from(DIRECTIONS)), draw(rat(F(1, 4), 2, 8))
+    t = draw(plane_pt())
+    if draw(st.booleans()):
+        return (s * co, -s * si, t[0], s * si, s * co, t[1]), s
+    return (s * co, s * si, t[0], s * si, -s * co, t[1]), s
+
+
+@st.composite
+def any_maps(draw):
+    """Any affine map whose first column (a, d) is nonzero."""
+    a, b, d, e = (draw(rat(-2, 2, 4)) for _ in range(4))
+    if a == d == 0:
+        a = F(1)
+    t = draw(plane_pt())
+    return (a, b, t[0], d, e, t[1])
+
+
+@st.composite
+def shears(draw):
+    k = draw(st.sampled_from([F(1, 2), F(3, 4), F(1), F(-1, 2), F(-3, 4), F(-1)]))
+    t = draw(plane_pt())
+    if draw(st.booleans()):
+        return (F(1), k, t[0], F(0), F(1), t[1])
+    return (F(1), F(0), t[0], k, F(1), t[1])
+
+
+def image(S, m):
+    return located.affine_image(S, located.affine_plane_map(*m))
+
+
+@st.composite
+def similar_plane_images(draw):
+    """(image, parts) for a plane set under a similarity; d(p, image) is the
+    minimum over parts(p) of max(0, sqrt(q) + shift)."""
+    m, s = draw(similarities())
+    f = lambda p: affine_apply(m, p)
+    kind = draw(st.sampled_from(["disk", "segment", "points", "union"]))
+    c, r = draw(plane_pt()), draw(rat(F(1, 8), F(1, 2), 8))
+    a, b = draw(plane_pt()), draw(plane_pt())
+    disk = (disk_set(c[0], c[1], r), lambda p: [(point_sq(p, f(c)), -s * r)])
+    seg = (segment_set(a[0], a[1], b[0], b[1]), lambda p: [(segment_dist_sq(p, f(a), f(b)), 0)])
+    if kind == "disk":
+        S, parts = disk
+    elif kind == "segment":
+        S, parts = seg
+    elif kind == "points":
+        pts = draw(st.lists(plane_pt(8), min_size=1, max_size=4))
+        S, parts = plane_point_set(pts), lambda p: [(point_sq(p, f(q)), 0) for q in pts]
+    else:
+        S, parts = union_located(disk[0], seg[0]), lambda p: disk[1](p) + seg[1](p)
+    img = image(S, m)
+    assert img.distance_compare is not None
+    return img, parts
+
+
+@st.composite
+def line_images(draw):
+    """(image, parts) for an interval or 1-d points under any map."""
+    m = draw(any_maps())
+    f = lambda x: affine_apply(m, x)
+    if draw(st.booleans()):
+        a = draw(rat(-2, 2, 8))
+        b = a + draw(rat(0, 2, 8))
+        S, parts = interval_set(a, b), lambda p: [(segment_dist_sq(p, f(a), f(b)), 0)]
+    else:
+        pts = draw(st.lists(rat(-2, 2, 16), min_size=1, max_size=5))
+        S, parts = point_set(pts), lambda p: [(point_sq(p, f(x)), 0) for x in pts]
+    img = image(S, m)
+    assert img.distance_compare is not None
+    return img, parts
+
+
+THRESHOLDS = rat(-1, 4, 16)
+
+
+@SETTINGS
+@given(similar_plane_images(), plane_pt(8), st.lists(THRESHOLDS, min_size=1, max_size=4))
+def test_similar_image_compare_matches_oracle(case, p, ts):
+    img, parts = case
+    for t in ts:
+        assert img.distance_compare(p, t) == min_root_sign(parts(p), t)
+
+
+@SETTINGS
+@given(similarities(), plane_pt(), rat(F(1, 8), F(1, 2), 8), st.sampled_from(DIRECTIONS), rat(0, 1, 8))
+def test_similar_disk_image_compare_at_the_distance(ms, c, r, v, k):
+    # p lies s (r + k) from f(c) along a rational direction, so its
+    # distance to the image disk is s k exactly.
+    m, s = ms
+    fc = affine_apply(m, c)
+    p = (fc[0] + s * (r + k) * v[0], fc[1] + s * (r + k) * v[1])
+    img = image(disk_set(c[0], c[1], r), m)
+    d = s * k
+    for t in (d - F(1, 1024), d, d + F(1, 1024)):
+        assert img.distance_compare(p, t) == (d > t) - (d < t)
+
+
+@SETTINGS
+@given(line_images(), plane_pt(8), st.lists(THRESHOLDS, min_size=1, max_size=4))
+def test_line_image_compare_matches_oracle(case, p, ts):
+    img, parts = case
+    for t in ts:
+        assert img.distance_compare(p, t) == min_root_sign(parts(p), t)
+
+
+@SETTINGS
+@given(st.one_of(similar_plane_images(), line_images()), plane_pt(8),
+       st.sampled_from([F(1, 4), F(1, 16), F(1, 256)]))
+def test_image_distance_contains_oracle(case, p, eps):
+    img, parts = case
+    bracket = distance_to_set(img, p).approximate(eps)
+    assert width_ok(bracket, eps)
+    assert bracket_holds_min_root(*bracket, parts(p))
+
+
+@NET_SETTINGS
+@given(st.one_of(similar_plane_images(), line_images()), plane_pt(8))
+def test_image_distance_meets_net_path(case, p):
+    # The net path builds the image nets at eps / lip, so it checks the
+    # modulus as well.
+    img, parts = case
+    eps = F(1, 4)
+    exact = distance_to_set(img, p).approximate(eps)
+    nets = distance_to_set(net_only(img), p).approximate(eps)
+    assert width_ok(nets, eps) and meet(exact, nets)
+    assert bracket_holds_min_root(*nets, parts(p))
+
+
+@SETTINGS
+@given(any_maps(), rat(-1, 2, 16), rat(-1, 1, 16), st.sampled_from([F(1, 8), F(1, 64)]))
+def test_cantor_image_along_the_line(m, x, h, eps):
+    # p = f(x) + h (-d, a) lies at height h |u| over the image line of u = (a, d),
+    # so d(p, f(C))^2 = |u|^2 (h^2 + d(x, C)^2), bracketed by the triadic stages.
+    a, _, _, d, _, _ = m
+    fx = affine_apply(m, x)
+    p = (fx[0] - h * d, fx[1] + h * a)
+    ssq = a * a + d * d
+    dk = cantor_oracle_distance(x, CANTOR_LEVEL)
+    q_lo, q_hi = ssq * (h * h + dk * dk), ssq * (h * h + (dk + CANTOR_TOL) ** 2)
+    img = image(cantor_set(), m)
+    lo, hi = distance_to_set(img, p).approximate(eps)
+    assert width_ok((lo, hi), eps)
+    assert root_at_least(q_hi, 0, lo) and root_at_most(q_lo, 0, hi)
+    for t in (lo - eps, hi + eps):
+        if t >= 0 and t * t < q_lo:
+            assert img.distance_compare(p, t) == 1
+        if t > 0 and t * t > q_hi:
+            assert img.distance_compare(p, t) == -1
+
+
+@NET_SETTINGS
+@given(similarities(), plane_pt(), plane_pt(), rat(F(1, 8), F(1, 2), 8), st.sampled_from(DIRECTIONS),
+       st.sampled_from([F(1, 4), F(1, 8)]))
+def test_similar_image_hausdorff_contains_oracle(ms, t, c, r, v, eps):
+    # H(f(disk), f(diameter)) = s r.
+    m, s = ms
+    seg = segment_set(c[0] - r * v[0], c[1] - r * v[1], c[0] + r * v[0], c[1] + r * v[1])
+    q = (s * r) ** 2
+    check_hausdorff(image(disk_set(c[0], c[1], r), m), image(seg, m), eps,
+                    lambda lo, hi: root_at_least(q, 0, lo) and root_at_most(q, 0, hi))
+
+
+# The modulus: lip bounds the operator norm and is exact on similarities.
+
+
+@SETTINGS
+@given(st.tuples(*(rat(-3, 3, 8) for _ in range(4))), st.lists(plane_pt(8), min_size=1, max_size=8))
+def test_lip_bounds_the_stretch(coeffs, vs):
+    a, b, d, e = coeffs
+    m = (a, b, F(0), d, e, F(0))
+    lip = located.affine_plane_map(*m).lip
+    for v in vs + [(F(1), F(0)), (F(0), F(1))]:
+        if v != (0, 0):
+            assert stretch_sq_at_most(m, v, lip)
+
+
+@SETTINGS
+@given(similarities())
+def test_lip_is_the_scale_of_a_similarity(ms):
+    m, s = ms
+    f = located.affine_plane_map(*m)
+    assert f.lip == s and f.similarity_scale() == s
+
+
+def test_lip_of_a_shear_is_near_its_norm():
+    # The norm of [[1, 1/2], [0, 1]] is (1 + sqrt(17)) / 4, about 1.2808.
+    lip = located.affine_plane_map(1, F(1, 2), 0, 0, 1, 0).lip
+    assert F(12808, 10000) < lip <= F(13, 10)
+
+
+# Images without a closed form keep their nets, which must stay two-sided.
+
+
+@pytest.mark.parametrize("m, S", [
+    ((1, F(1, 2), 0, 0, 1, 0), disk_set(0, 0, 1)),  # a shear of a plane set
+    ((1, 1, 0, -1, 1, 0), disk_set(0, 0, 1)),  # scale sqrt(2)
+    ((0, 1, 0, 0, 1, 0), interval_set(0, 1)),  # a zero column
+])
+def test_images_without_a_closed_form_take_nets(m, S):
+    assert image(S, m).distance_compare is None
+
+
+@SETTINGS
+@given(shears(), plane_pt(), plane_pt(), st.sampled_from([F(1, 4), F(1, 16)]))
+def test_shear_segment_nets_are_two_sided(m, a, b, eps):
+    # Every point of f([a, b]) lies within delta of the sample, which lies in
+    # it, so a two-sided eps-net is within eps + delta of the sample.
+    fa, fb = affine_apply(m, a), affine_apply(m, b)
+    n = 64
+    sample = [(fa[0] + (fb[0] - fa[0]) * F(k, n), fa[1] + (fb[1] - fa[1]) * F(k, n))
+              for k in range(n + 1)]
+    delta = (abs(fb[0] - fa[0]) + abs(fb[1] - fa[1])) / (2 * n)
+    img = image(segment_set(a[0], a[1], b[0], b[1]), m)
+    assert img.distance_compare is None
+    assert finite_hausdorff_leq(img.net(eps), sample, eps + delta, plane=True)
+
+
+@SETTINGS
+@given(shears(), st.lists(plane_pt(8), min_size=1, max_size=6), st.sampled_from([F(1, 4), F(1, 64)]))
+def test_shear_point_nets_are_the_mapped_points(m, pts, eps):
+    img = image(plane_point_set(pts), m)
+    assert img.distance_compare is None
+    assert finite_hausdorff_leq(img.net(eps), [affine_apply(m, p) for p in pts], 0, plane=True)

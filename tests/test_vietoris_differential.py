@@ -24,6 +24,10 @@ from overt.vietoris import (
     chain,
     enumerate_models,
     grid,
+    is_loc_model,
+    is_principal_model,
+    loc_to_point,
+    point_to_loc,
     term_leq,
 )
 
@@ -49,6 +53,17 @@ def by_index(L, models):
 @pytest.mark.parametrize("L", UP_TO_16, ids=lambda L: L.name)
 def test_models_equal_subset_brute_force(L):
     assert enumerate_models(L) == by_index(L, subset_models(L))
+
+
+@pytest.mark.parametrize("L", builtin_carriers(8), ids=lambda L: L.name)
+def test_principal_check_equals_model_check(L):
+    # Every subset of the carrier, as in helpers.subset_models.
+    elems = L.elements()
+    for mask in range(1 << len(elems)):
+        pos = frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
+        assert is_principal_model(L, pos) == is_loc_model(L, pos)
+        if is_loc_model(L, pos):
+            assert point_to_loc(loc_to_point(pos, L), L) == pos
 
 
 @pytest.mark.parametrize("L", UP_TO_16, ids=lambda L: L.name)

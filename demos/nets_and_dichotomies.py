@@ -40,7 +40,7 @@ for eps in (F(1, 2), F(1, 8), F(1, 32)):
 
 # A dichotomy that never certifies contact yields an empty filtered net:
 # the set may be empty, and the computation honestly says so.
-from overt.located import located_from_dichotomy, LINE
+from overt.located import LocatedPredicate, LINE
 
-never = located_from_dichotomy(lambda i, o: Decision.NOT_POS_INNER, LINE)
+never = LocatedPredicate(LINE, lambda i, o: Decision.NOT_POS_INNER, name="never")
 print("never-meets filtered net:", net_from_located(ambient, never, F(1, 4)))

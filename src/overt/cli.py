@@ -20,7 +20,7 @@ from overt.errors import (
     PreconditionFailed,
     UndecidableComparison,
 )
-from overt.rationals import format_interval, parse_rational
+from overt.rationals import format_interval, parse_rational, parse_rational_list
 
 USAGE_EXIT = 1
 PARSE_EXIT = 2
@@ -91,15 +91,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _rational_list(text: str) -> list[Fraction]:
-    """Comma-separated rationals; a malformed one is reported at its offset."""
-    out, at = [], 0
-    for part in text.split(","):
-        out.append(parse_rational(part, at))
-        at += len(part) + 1
-    return out
-
-
 def _parse_size(text: str) -> tuple[int, int]:
     """``WxH``; a malformed part is reported at its offset."""
     parts = text.lower().split("x")
@@ -121,9 +112,9 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 def _cmd_plot(args) -> int:
     family = setspec.parse_set_spec(args.set_spec)
-    vp = _rational_list(args.viewport)
-    if len(vp) != 4:
-        raise ParseError("viewport needs xmin,xmax,ymin,ymax", 0)
+    vp = parse_rational_list(args.viewport, most=4)
+    if len(vp) < 4:
+        raise ParseError("viewport needs xmin,xmax,ymin,ymax", len(args.viewport))
     spec = plot.PlotSpec(family, tuple(vp), *_parse_size(args.size))
     text = plot.render_plot(spec)
     if args.out:
@@ -136,7 +127,7 @@ def _cmd_plot(args) -> int:
 
 def _cmd_distance(args) -> int:
     family = setspec.parse_set_spec(args.set_spec)
-    coords = _rational_list(args.point)
+    coords = parse_rational_list(args.point)
     if family.space is located.PLANE:
         if len(coords) != 2:
             raise PreconditionFailed("this set needs a 2-d point")

@@ -62,6 +62,10 @@ TOP = _Top()
 class SetPredicate:
     """Decidable membership oracle for a (possibly infinite) set of basics.
 
+    The same shape serves as a positivity oracle on basic opens, since the
+    positive basics are a set: ``filter_positive`` and
+    ``check_positivity_axioms`` take one.
+
     ``hints`` are values (rational endpoints, elements) that instance
     synthesis may use when searching for derivations against this set.
     """
@@ -324,14 +328,16 @@ class FormalRealsBase(Base):
         s = text.strip()
         if s == "top":
             return TOP
+        at = len(text) - len(text.lstrip())
         if not (s.startswith("(") and s.endswith(")")):
-            raise ParseError(f"expected (p,q), got {text!r}", 0)
+            raise ParseError(f"expected (p,q), got {text!r}", at)
         halves = s[1:-1].split(",")
         if len(halves) != 2:
-            raise ParseError(f"expected two endpoints in {text!r}", 0)
-        p, q = parse_rational(halves[0]), parse_rational(halves[1])
+            raise ParseError(f"expected two endpoints in {text!r}", at)
+        p = parse_rational(halves[0], at + 1)
+        q = parse_rational(halves[1], at + len(halves[0]) + 2)
         if p >= q:
-            raise ParseError(f"empty interval ({p},{q})", 0)
+            raise ParseError(f"empty interval ({p},{q})", at)
         return (p, q)
 
 
@@ -538,18 +544,7 @@ def _check_node(base: Base, node: Derivation, u, target: EltSet, sublocale) -> b
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PositivityPredicate:
-    """Decidable positivity oracle on basic opens."""
-
-    name: str
-    fn: Callable[[object], bool]
-
-    def __call__(self, u) -> bool:
-        return bool(self.fn(u))
-
-
-def filter_positive(family: Sequence, pos: PositivityPredicate) -> tuple:
+def filter_positive(family: Sequence, pos: SetPredicate) -> tuple:
     """The positive members of a family, order-stable."""
     return tuple(u for u in family if pos(u))
 
@@ -587,7 +582,7 @@ class PositivityReport:
 
 def check_positivity_axioms(
     base: Base,
-    pos: PositivityPredicate,
+    pos: SetPredicate,
     judgments: Sequence[tuple],
     depth: int,
     budget: int = 4,

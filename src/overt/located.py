@@ -33,6 +33,11 @@ Affine images keep the exact comparison wherever the map carries it
 only.  Distances and Hausdorff sweeps choose between the exact oracle and
 nets in one place, :func:`_exact_max_distance`.
 
+Every nearest-point search over a net, for a distance and for the max-min
+sweep of a Hausdorff distance alike, goes through one grid index built by
+``EpsilonNetFamily.net_index`` (:class:`_GridIndex`); only spaces outside
+its reach scan the net with ``dist_approx`` (:func:`_approx_min`).
+
 Intersections of located sets are deliberately absent: locatedness is not
 preserved by intersection, and it depends on the metric presentation, not
 just the topology; both facts are documented limitations of the notion
@@ -68,6 +73,7 @@ from overt.metric import (
     LineSegment,
     MetricSpace,
     PlaneEuclid,
+    PlaneMax,
     RationalLine,
     ball_lt,
     completion_base,
@@ -76,6 +82,13 @@ from overt.reals import DedekindReal, sqrt_bounds
 
 LINE = RationalLine()
 PLANE = PlaneEuclid()
+
+# Spaces whose metric is at least every coordinate difference, so that nets
+# in them get a grid index (``_GridIndex``).  Its cell is _CELL times the
+# net's eps: cells of 2 to 8 times eps ran the located-nets benchmark ops
+# within a few percent of each other, 4 the fastest.
+_GRID_SPACES = (RationalLine, LineSegment, PlaneEuclid, PlaneMax)
+_CELL = 4
 
 
 class Decision(enum.Enum):
@@ -118,7 +131,7 @@ class EpsilonNetFamily:
         self.distance_compare = distance_compare
         self.name = name
         self._memo: dict[Fraction, tuple] = {}
-        self._indexes: dict[Fraction, object] = {}
+        self._indexes: dict[Fraction, _GridIndex] = {}
 
     def net(self, eps: Fraction) -> list:
         eps = Fraction(eps)
@@ -131,18 +144,15 @@ class EpsilonNetFamily:
             self._memo[eps] = pts
         return list(self._memo[eps])
 
-    def net_index(self, eps: Fraction):
-        """Cached nearest-point structure over net(eps), when the space
-        supports one (sorted values on the line, buckets in the plane)."""
+    def net_index(self, eps: Fraction) -> Optional[_GridIndex]:
+        """Cached exact nearest-point index over the nonempty net(eps), with
+        cells of side ``_CELL * eps``; None when the space is not one of
+        ``_GRID_SPACES``."""
+        if not isinstance(self.space, _GRID_SPACES):
+            return None
         eps = Fraction(eps)
         if eps not in self._indexes:
-            pts = self.net(eps)
-            if pts and not isinstance(pts[0], tuple):
-                self._indexes[eps] = _LineIndex(pts)
-            elif pts and self.space.dist_sq_exact(pts[0], pts[0]) is not None:
-                self._indexes[eps] = _PlaneIndex(self.space.dist_sq_exact, pts, 8 * eps)
-            else:
-                self._indexes[eps] = None
+            self._indexes[eps] = _GridIndex(self.space.dist_sq_exact, self.net(eps), _CELL * eps)
         return self._indexes[eps]
 
     def __repr__(self):
@@ -151,6 +161,12 @@ class EpsilonNetFamily:
 
 class LocatedPredicate:
     """Effective dichotomy oracle over formal balls of a space.
+
+    ``decide_fn`` is a raw gap oracle, and whoever supplies one promises:
+    sound answers on strictly refining pairs, positivity upward closed, and
+    every positive ball positive already on some strictly smaller ball.
+    ``spot_check_dichotomy`` samples these obligations; the monotonicity
+    content is exercised through the kernel's positivity checks.
 
     ``pos_exact``, when present, decides exactly whether the set meets the
     open ball; the dichotomy is then maximally informative (answers
@@ -183,30 +199,18 @@ class LocatedPredicate:
 # ---------------------------------------------------------------------------
 
 
-class _LineIndex:
-    """Sorted rational values; nearest distance by bisection, exactly."""
+class _GridIndex:
+    """Exact nearest-point search over a finite net, by rings of grid cells.
 
-    def __init__(self, pts):
-        import bisect
-
-        self._bisect = bisect.bisect_left
-        self.sorted = sorted(pts)
-
-    def min_distance(self, x) -> Fraction:
-        ys = self.sorted
-        i = self._bisect(ys, x)
-        best = None
-        for j in (i - 1, i):
-            if 0 <= j < len(ys):
-                d = abs(ys[j] - x)
-                if best is None or d < best:
-                    best = d
-        return best
-
-
-class _PlaneIndex:
-    """Bucket grid over plane points; exact minimal squared distance by
-    expanding ring search."""
+    Net points are bucketed in square cells of side ``cell``; a line point
+    x sits in the plane as (x, 0).  ``min_sq(p)`` scans the occupied cells
+    ring by ring outwards from the cell of p and stops once the best
+    squared distance found is no more than that of anything left: a point
+    r + 1 or more rings out differs from p by more than r cells in one
+    coordinate.  That stopping rule needs a metric at least as large as
+    every coordinate difference, as |x - y| on the line and the Euclidean
+    and max metrics in the plane are (``_GRID_SPACES``).
+    """
 
     def __init__(self, dist_sq, pts, cell: Fraction):
         self.dist_sq = dist_sq
@@ -214,39 +218,66 @@ class _PlaneIndex:
         self.buckets: dict = {}
         for q in pts:
             self.buckets.setdefault(self._key(q), []).append(q)
-        ks = self.buckets.keys()
-        self.minx = min(k[0] for k in ks)
-        self.maxx = max(k[0] for k in ks)
-        self.miny = min(k[1] for k in ks)
-        self.maxy = max(k[1] for k in ks)
+        xs, ys = zip(*self.buckets)
+        self.box = (min(xs), max(xs), min(ys), max(ys))
 
-    def _key(self, p):
-        return (int(p[0] // self.cell), int(p[1] // self.cell))
+    def _key(self, p) -> tuple:
+        if isinstance(p, tuple):
+            return (p[0] // self.cell, p[1] // self.cell)
+        return (p // self.cell, 0)
 
-    def min_sq(self, p) -> Fraction:
+    def _ring(self, cx: int, cy: int, r: int):
+        """The occupied-box cells at Chebyshev distance r from (cx, cy)."""
+        if r == 0:
+            return ((cx, cy),)
+        x0, x1, y0, y1 = self.box
+        xs = range(max(cx - r, x0), min(cx + r, x1) + 1)
+        ys = range(max(cy - r + 1, y0), min(cy + r - 1, y1) + 1)
+        cells = [(x, y) for y in (cy - r, cy + r) if y0 <= y <= y1 for x in xs]
+        cells += [(x, y) for x in (cx - r, cx + r) if x0 <= x <= x1 for y in ys]
+        return cells
+
+    def min_sq(self, p, floor: Optional[Fraction] = None) -> Fraction:
+        """The least squared distance from p to the net, exactly.  With a
+        ``floor`` the search may stop at the first value at most the floor."""
         cx, cy = self._key(p)
-        rmax = max(cx - self.minx, self.maxx - cx, cy - self.miny, self.maxy - cy)
+        x0, x1, y0, y1 = self.box
+        # Rings inside the first one that meets the occupied box are empty.
+        r = max(0, x0 - cx, cx - x1, y0 - cy, cy - y1)
+        last = max(cx - x0, x1 - cx, cy - y0, y1 - cy)
         best = None
-        r = 0
         while True:
-            if r == 0:
-                cells = [(cx, cy)]
-            else:
-                cells = [(cx + dx, cy - r) for dx in range(-r, r + 1)]
-                cells += [(cx + dx, cy + r) for dx in range(-r, r + 1)]
-                cells += [(cx - r, cy + dy) for dy in range(-r + 1, r)]
-                cells += [(cx + r, cy + dy) for dy in range(-r + 1, r)]
+            cells = self._ring(cx, cy, r)
+            if len(cells) > len(self.buckets):
+                # Ring r has more cells than the net has occupied ones, so
+                # the search ends with every occupied cell not yet scanned.
+                cells = [k for k in self.buckets if max(abs(k[0] - cx), abs(k[1] - cy)) >= r]
+                r = last
             for c in cells:
                 for q in self.buckets.get(c, ()):
                     d = self.dist_sq(p, q)
                     if best is None or d < best:
                         best = d
-            # Points beyond ring r sit at least r*cell away.
-            if best is not None and best <= (self.cell * r) ** 2:
-                return best
-            if r > rmax:
+                        if floor is not None and d <= floor:
+                            return d
+            if r >= last or (best is not None and best <= (self.cell * r) ** 2):
                 return best
             r += 1
+
+    def max_min_sq(self, pts) -> Fraction:
+        """max over pts of ``min_sq``, exactly.  The running maximum is the
+        floor of each search: a point whose distance falls to it cannot
+        raise the maximum."""
+        worst = Fraction(0)
+        for p in pts:
+            worst = max(worst, self.min_sq(p, worst))
+        return worst
+
+
+def _approx_min(space: MetricSpace, x, pts, eta: Fraction) -> Fraction:
+    """min over pts of ``dist_approx(x, p, eta)``: within eta of d(x, pts),
+    for spaces without a grid index."""
+    return min(space.dist_approx(x, p, eta) for p in pts)
 
 
 def _bracket_distance(cmp, p, lo: Fraction, width: Fraction) -> tuple:
@@ -303,36 +334,25 @@ def distance_to_set(S: EpsilonNetFamily, x) -> DedekindReal:
     A set with ``distance_value`` answers exactly, as ``[v, v]``; one with
     ``distance_compare`` only is bisected down to width eps, exactly again
     when a probe meets the distance.  Without either, the minimum over the
-    net at eps/3 is computed (exactly via the nearest-point index when the
-    space allows, with the distance oracle at eps/6 otherwise); it is within
-    eps/2 of the true infimum, which gives an interval of width at most eps
-    (clipped below at zero).
+    net at eps/3 is taken from its ``net_index`` (an exact squared distance
+    and one square root to eps/6), or from ``dist_approx`` at eps/6 in a
+    space without an index; it is within eps/2 of the true infimum, which
+    gives an interval of width at most eps (clipped below at zero).
     """
     if not S.inhabited:
         raise EmptySetError(f"distance to possibly-empty set {S.name}")
-    space = S.space
 
     def refine(eps: Fraction):
         exact = _exact_max_distance(S, [x], eps)
         if exact is not None:
             return exact
         index = S.net_index(eps / 3)
-        if isinstance(index, _LineIndex):
-            best = index.min_distance(x)
-        elif isinstance(index, _PlaneIndex):
+        if index is not None:
             slo, shi = sqrt_bounds(index.min_sq(x), eps / 6)
             best = (slo + shi) / 2
         else:
-            best = None
-            for p in S.net(eps / 3):
-                q = space.dist_approx(x, p, eps / 6)
-                if best is None or q < best:
-                    best = q
-        lo = max(Fraction(0), best - eps / 2)
-        hi = best + eps / 2
-        if hi - lo > eps:
-            hi = lo + eps
-        return (lo, hi)
+            best = _approx_min(S.space, x, S.net(eps / 3), eps / 6)
+        return (max(Fraction(0), best - eps / 2), best + eps / 2)
 
     return DedekindReal(refine, name=f"d({x}, {S.name})")
 
@@ -422,21 +442,6 @@ def net_from_located(ambient: EpsilonNetFamily, P, eps: Fraction) -> tuple:
     return tuple(kept)
 
 
-def located_from_dichotomy(
-    raw: Callable[[FormalBall, FormalBall], Decision],
-    space: MetricSpace,
-    name: str = "dichotomy",
-) -> LocatedPredicate:
-    """Wrap a raw gap oracle (with upward-closure obligations) as a predicate.
-
-    The caller promises: sound answers on strictly refining pairs, positivity
-    upward closed, and every positive ball positive already on some strictly
-    smaller ball.  ``spot_check_dichotomy`` samples these obligations; the
-    monotonicity content is exercised through the kernel's positivity checks.
-    """
-    return LocatedPredicate(space, raw, name=name)
-
-
 def spot_check_dichotomy(
     P: LocatedPredicate, pairs: Sequence[tuple[FormalBall, FormalBall]]
 ) -> list:
@@ -506,74 +511,6 @@ def union_located(A: EpsilonNetFamily, B: EpsilonNetFamily) -> EpsilonNetFamily:
     )
 
 
-def _directed_max_min_1d(xs_from, xs_to) -> Fraction:
-    """max over the first list of the distance to the second, exactly."""
-    import bisect
-
-    ys = sorted(xs_to)
-    worst = Fraction(0)
-    for x in xs_from:
-        i = bisect.bisect_left(ys, x)
-        best = None
-        for j in (i - 1, i):
-            if 0 <= j < len(ys):
-                d = abs(ys[j] - x)
-                if best is None or d < best:
-                    best = d
-        if best > worst:
-            worst = best
-    return worst
-
-
-def _max_min_sq_plane(dist_sq, pts_from, pts_to, cell: Fraction) -> Fraction:
-    """max over pts_from of the squared distance to pts_to, exactly, via a
-    bucket grid with expanding ring search."""
-    buckets: dict = {}
-
-    def key(p):
-        return (int(p[0] // cell), int(p[1] // cell))
-
-    for q in pts_to:
-        buckets.setdefault(key(q), []).append(q)
-    kx = [k[0] for k in buckets]
-    ky = [k[1] for k in buckets]
-    minx, maxx, miny, maxy = min(kx), max(kx), min(ky), max(ky)
-    worst = Fraction(0)
-    for p in pts_from:
-        cx, cy = key(p)
-        rmax = max(cx - minx, maxx - cx, cy - miny, maxy - cy)
-        best = None
-        r = 0
-        while True:
-            if r == 0:
-                cells = [(cx, cy)]
-            else:
-                cells = [(cx + dx, cy - r) for dx in range(-r, r + 1)]
-                cells += [(cx + dx, cy + r) for dx in range(-r, r + 1)]
-                cells += [(cx - r, cy + dy) for dy in range(-r + 1, r)]
-                cells += [(cx + r, cy + dy) for dy in range(-r + 1, r)]
-            pruned = False
-            for c in cells:
-                for q in buckets.get(c, ()):
-                    d = dist_sq(p, q)
-                    if best is None or d < best:
-                        best = d
-                        if best <= worst:
-                            pruned = True  # cannot raise the max any more
-                            break
-                if pruned:
-                    break
-            # Points beyond ring r sit at least r*cell away.
-            if pruned or (best is not None and best <= (cell * r) ** 2):
-                break
-            if r > rmax:
-                break  # every bucket has been scanned
-            r += 1
-        if best > worst:
-            worst = best
-    return worst
-
-
 def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal:
     """Hausdorff distance between two inhabited sets, as a Dedekind real.
 
@@ -584,10 +521,13 @@ def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal
     exactly over the net at eps/2; one with ``distance_compare`` only is
     bisected to width eps/2 over the net at eps/4.
 
-    Otherwise both nets are taken at eps/6; net replacement moves the value
-    by at most twice that.  The max-min sweeps are exact: sorted bisection
-    on the line, bucketed ring search on squared distances in the plane
-    (one square root at the end), a full approximate sweep otherwise.
+    Otherwise both nets are taken at delta = eps/6; net replacement moves
+    the value by at most 2 delta.  Each directed max-min sweep runs over
+    the target's ``net_index`` on exact squared distances, and one square
+    root to eps/12 ends it; the pad is 2 delta plus the width of that root
+    bracket, so an exact root (always on the line) pads by 2 delta only.
+    In a space without an index both sweeps scan with ``dist_approx`` at
+    eps/12.
 
     The computation is literally symmetric in A and B, so swapping the
     arguments returns identical intervals.
@@ -598,18 +538,6 @@ def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal
         raise AmbientMismatch(f"hausdorff over different spaces {A.space.name}, {B.space.name}")
     space = A.space
     exact = A.distance_compare is not None and B.distance_compare is not None
-
-    def directed_approx(pts_from, pts_to, eta):
-        worst = None
-        for a in pts_from:
-            best = None
-            for b in pts_to:
-                q = space.dist_approx(a, b, eta)
-                if best is None or q < best:
-                    best = q
-            if worst is None or best > worst:
-                worst = best
-        return worst
 
     def refine_exact(eps: Fraction):
         lo = hi = Fraction(0)
@@ -622,29 +550,16 @@ def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal
     def refine(eps: Fraction):
         delta = eps / 6
         na, nb = A.net(delta), B.net(delta)
-        one_d = na and not isinstance(na[0], tuple)
-        if one_d:
-            h = max(_directed_max_min_1d(na, nb), _directed_max_min_1d(nb, na))
-            pad = 2 * delta
-        elif space.dist_sq_exact(na[0], na[0]) is not None:
-            dsq = space.dist_sq_exact
-            cell = 4 * delta
-            msq = max(
-                _max_min_sq_plane(dsq, na, nb, cell),
-                _max_min_sq_plane(dsq, nb, na, cell),
-            )
-            slo, shi = sqrt_bounds(msq, eps / 12)
-            h = (slo + shi) / 2
-            pad = 2 * delta + eps / 12
+        ia, ib = A.net_index(delta), B.net_index(delta)
+        if ia is not None and ib is not None:
+            slo, shi = sqrt_bounds(max(ib.max_min_sq(na), ia.max_min_sq(nb)), eps / 12)
+            h, pad = (slo + shi) / 2, 2 * delta + (shi - slo)
         else:
             eta = eps / 12
-            h = max(directed_approx(na, nb, eta), directed_approx(nb, na, eta))
+            h = max(max(_approx_min(space, a, nb, eta) for a in na),
+                    max(_approx_min(space, b, na, eta) for b in nb))
             pad = 2 * delta + eta
-        lo = max(Fraction(0), h - pad)
-        hi = h + pad
-        if hi - lo > eps:
-            hi = lo + eps
-        return (lo, hi)
+        return (max(Fraction(0), h - pad), h + pad)
 
     return DedekindReal(refine_exact if exact else refine, name=f"H({A.name}, {B.name})")
 

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 from overt import kernel
 from overt.errors import ParseError, PreconditionFailed, UndecidableComparison
 from overt.kernel import TOP, Base
-from overt.rationals import format_rational, parse_rational
+from overt.rationals import format_rational, parse_rational, parse_rational_list
 from overt.reals import sqrt_bounds
 
 PRECISION_FLOOR = Fraction(1, 2**64)
@@ -61,20 +61,20 @@ def format_ball(b: FormalBall) -> str:
 
 
 def parse_ball(text: str) -> FormalBall:
+    """``B(r; x)`` or ``B(r; x, y)``; errors carry the byte offset in text."""
     s = text.strip()
+    at = len(text) - len(text.lstrip())
     if not (s.startswith("B(") and s.endswith(")")):
-        raise ParseError(f"expected B(r; center), got {text!r}", 0)
+        raise ParseError(f"expected B(r; center), got {text!r}", at)
     body = s[2:-1]
     if ";" not in body:
-        raise ParseError("missing ';' in ball", 2)
+        raise ParseError("missing ';' in ball", at + 2 + len(body))
     rad_txt, center_txt = body.split(";", 1)
-    radius = parse_rational(rad_txt, 2)
-    coords = [parse_rational(c, 2) for c in center_txt.split(",")]
+    radius = parse_rational(rad_txt, at + 2)
+    coords = parse_rational_list(center_txt, at + 3 + len(rad_txt), most=2)
     if len(coords) == 1:
         return FormalBall(coords[0], radius)
-    if len(coords) == 2:
-        return FormalBall((coords[0], coords[1]), radius)
-    raise ParseError(f"expected 1 or 2 coordinates, got {len(coords)}", 2)
+    return FormalBall((coords[0], coords[1]), radius)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +532,6 @@ def completion_base(space: MetricSpace, point_budget: int, max_shrink: int = 6) 
     return BallBase(space, point_budget, max_shrink)
 
 
-def always_positive() -> kernel.PositivityPredicate:
+def always_positive() -> kernel.SetPredicate:
     """The completion of a metric space is overt: everything is positive."""
-    return kernel.PositivityPredicate("always", lambda u: True)
+    return kernel.SetPredicate("always", lambda u: True)

@@ -8,6 +8,7 @@ intervals print as ``[a, b]``.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from overt.errors import ParseError
 
@@ -37,3 +38,16 @@ def parse_rational(text: str, offset: int = 0) -> Fraction:
     except (ValueError, ZeroDivisionError):
         at = offset + len(text) - len(text.lstrip())
         raise ParseError(f"malformed rational {text!r}", at) from None
+
+
+def parse_rational_list(text: str, offset: int = 0, most: Optional[int] = None) -> list:
+    """Comma-separated rationals, e.g. ``-3/2,0``.  A malformed value is
+    reported at its offset, and so is the first value beyond ``most``."""
+    out, at = [], offset
+    for part in text.split(","):
+        if len(out) == most:
+            lead = at + len(part) - len(part.lstrip())
+            raise ParseError(f"expected at most {most} values", lead)
+        out.append(parse_rational(part, at))
+        at += len(part) + 1
+    return out

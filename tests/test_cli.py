@@ -197,6 +197,18 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv, f"{flag}={value}")
         assert code == 2 and f"(at offset {offset})" in err
 
+    @pytest.mark.parametrize(
+        "argv, offset",
+        [(["plot", "--set=disk:0,0,1", "--size=2x2", "--viewport=0,1,0"], 5),  # end of the value
+         (["plot", "--set=disk:0,0,1", "--size=2x2", "--viewport=0,1,0,1,5"], 8),  # fifth value
+         (["cover", "--space=loc:q", "--target=B(1/2; 0, x)", "--family=top", "--depth=1"], 10),
+         (["cover", "--space=loc:q", "--target=B(1/2; 0, 1, 2)", "--family=top", "--depth=1"], 13),
+         (["cover", "--space=reals", "--target=(0,x)", "--family=top", "--depth=1"], 3)],
+    )
+    def test_true_offsets(self, capsys, argv, offset):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"(at offset {offset})" in err
+
     @pytest.mark.parametrize("carrier", ["chain:1025", "grid:100000,100000", "bool:9"])
     def test_carrier_size_cap(self, capsys, carrier):
         code, _, err = run(capsys, "vietoris", f"--carrier={carrier}", "--leq", "1", "1")

@@ -13,7 +13,6 @@ from overt.kernel import (
     FormalRealsBase,
     OpenSub,
     PosClosedSub,
-    PositivityPredicate,
     SetPredicate,
     check_derivation,
     check_positivity_axioms,
@@ -192,26 +191,26 @@ class TestSerialization:
 
 class TestPositivity:
     def test_filter_positive(self):
-        pos = PositivityPredicate("ab", lambda u: u == "a")
+        pos = SetPredicate("ab", lambda u: u == "a")
         assert filter_positive(("a", "b"), pos) == ("a",)
         assert filter_positive((), pos) == ()
 
     def test_filter_positive_intervals(self):
         # which rational intervals meet [0, 1]
-        pos = PositivityPredicate(
+        pos = SetPredicate(
             "meets01", lambda e: e[0] < 1 and e[1] > 0
         )
         assert filter_positive((iv(0, 1), iv(2, 3)), pos) == (iv(0, 1),)
 
     def test_all_true_passes(self):
-        pos = PositivityPredicate("always", lambda u: True)
+        pos = SetPredicate("always", lambda u: True)
         fam = (iv(0, 2), iv(1, 3))
         d = derive_cover(BASE, iv(0, 3), fam, 2)
         report = check_positivity_axioms(BASE, pos, [(iv(0, 3), fam, d)], depth=3)
         assert report.all_mon_ok and report.all_pos_found
 
     def test_all_false_vacuous(self):
-        pos = PositivityPredicate("never", lambda u: False)
+        pos = SetPredicate("never", lambda u: False)
         d = derive_cover(BASE, iv(0, 1), [iv(0, 1)], 1)
         report = check_positivity_axioms(BASE, pos, [(iv(0, 1), (iv(0, 1),), d)], depth=1)
         assert report.all_mon_ok
@@ -220,7 +219,7 @@ class TestPositivity:
     def test_mon_violation_pinpointed(self):
         # positive on (1,3) but on no member of a genuine splitting: the
         # undecided-region shape, forced finitely.
-        pos = PositivityPredicate("broken", lambda u: u == iv(1, 3))
+        pos = SetPredicate("broken", lambda u: u == iv(1, 3))
         fam = (iv(1, F(5, 2)), iv(2, 3))
         d = derive_cover(BASE, iv(1, 3), fam, 2)
         assert d is not None

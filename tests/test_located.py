@@ -15,6 +15,7 @@ from overt.located import (
     Decision,
     EpsilonNetFamily,
     LINE,
+    LocatedPredicate,
     PLANE,
     Modulus,
     affine_plane_map,
@@ -28,7 +29,6 @@ from overt.located import (
     hausdorff_distance,
     image_located,
     interval_set,
-    located_from_dichotomy,
     located_from_overt,
     meets_oracle,
     net_from_located,
@@ -159,7 +159,7 @@ class TestNetFromLocated:
         assert set(kept) == set(amb.net(F(1, 12)))
 
     def test_never_meets_gives_empty(self):
-        never = located_from_dichotomy(lambda i, o: Decision.NOT_POS_INNER, LINE)
+        never = LocatedPredicate(LINE, lambda i, o: Decision.NOT_POS_INNER, name="never")
         kept = net_from_located(interval_set(0, 1), never, F(1, 4))
         assert kept == ()
 
@@ -293,14 +293,14 @@ class TestDichotomyAdapters:
                 return Decision.POS_OUTER
             return Decision.NOT_POS_INNER
 
-        P = located_from_dichotomy(raw, LINE)
+        P = LocatedPredicate(LINE, raw, name="small-positive")
         pairs = [(B(F(1, 8), 0), B(F(1, 4), 0)), (B(F(1, 2), 0), B(F(1), 0))]
         assert spot_check_dichotomy(P, pairs)
 
     def test_constant_positive_mon(self):
         base = metric.completion_base(LINE, 10)
-        raw = located_from_dichotomy(lambda i, o: Decision.POS_OUTER, LINE)
-        pos = kernel.PositivityPredicate("from-raw", lambda b: True)
+        raw = LocatedPredicate(LINE, lambda i, o: Decision.POS_OUTER, name="always")
+        pos = kernel.SetPredicate("from-raw", lambda b: True)
         rng = random.Random(31)
         judgments = []
         for u in base.sample_elements(rng, 10):
@@ -318,7 +318,7 @@ class TestDichotomyAdapters:
         # judgments whose positivity has a robust margin.
         base = metric.completion_base(LINE, 16)
         dv = interval_set(0, 1).distance_value
-        pos = kernel.PositivityPredicate(
+        pos = kernel.SetPredicate(
             "pos01", lambda b: b is kernel.TOP or dv(b.center) < b.radius
         )
         rng = random.Random(99)
@@ -341,7 +341,7 @@ class TestDichotomyAdapters:
         base = metric.completion_base(LINE, 10)
         u = B(1, 0)
         fam = [nf for nf in base.axiom_instances(u, 2) if nf[0] == "m1"][0][1]
-        pos = kernel.PositivityPredicate("only-u", lambda b: b == u)
+        pos = kernel.SetPredicate("only-u", lambda b: b == u)
         judgments = [(u, fam, kernel.Derivation("m1", u, witness=fam))]
         rep = kernel.check_positivity_axioms(base, pos, judgments, depth=1, budget=2)
         assert not rep.all_mon_ok

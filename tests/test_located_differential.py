@@ -7,7 +7,9 @@ exact comparison.  Every bracket must have width at most eps, contain the
 oracle value and meet the net-path bracket; swapping the arguments of a
 Hausdorff distance must give the identical interval.  Images under affine
 maps are checked the same way, against oracles written from the mapped
-geometry.
+geometry.  The nearest-point index of a net is checked against brute
+force, and spaces with only an approximate distance oracle, whose answers
+sit at the edge of their contract, check the scanning branch.
 """
 
 from fractions import Fraction as F
@@ -20,6 +22,7 @@ from helpers import (
     affine_apply,
     bracket_holds_min_root,
     cantor_oracle_distance,
+    finite_hausdorff_1d,
     finite_hausdorff_leq,
     finite_hausdorff_sq,
     min_root_sign,
@@ -49,7 +52,8 @@ from overt.located import (
     segment_set,
     union_located,
 )
-from overt.metric import FormalBall
+from overt.metric import FormalBall, MetricSpace, PlaneMax
+from overt.reals import sqrt_bounds
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 NET_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -360,12 +364,177 @@ def test_plane_hausdorff_meets_net_path(case):
     assert width_ok(nets, eps) and meet(exact, nets)
 
 
+@pytest.mark.parametrize("k", range(1, 16))
+def test_net_hausdorff_pads_the_root_bracket(k):
+    # One point each, with nets at the edge of the contract: the net points
+    # lie delta beyond the set points along (3/5, 4/5), at (0, 0) and
+    # (1, 1), so the net distance sqrt(2) exceeds the true one by nearly
+    # 2 delta and has a root bracket as wide as the precision allows.  A
+    # lower end padded by 2 delta alone lies above the true distance for
+    # about half of these eps.
+    eps = F(1, 2**k)
+    d = eps / 6
+    a, b = (3 * d / 5, 4 * d / 5), (1 - 3 * d / 5, 1 - 4 * d / 5)
+    A = EpsilonNetFamily(PLANE, lambda e: [(a[0] - 3 * e / 5, a[1] - 4 * e / 5)])
+    B = EpsilonNetFamily(PLANE, lambda e: [(b[0] + 3 * e / 5, b[1] + 4 * e / 5)])
+    q = point_sq(a, b)
+    check_hausdorff(A, B, eps, lambda lo, hi: root_at_least(q, 0, lo) and root_at_most(q, 0, hi))
+
+
 def test_cantor_hausdorff_meets_net_path():
     A, C = interval_set(F(-1, 4), F(5, 4)), cantor_set()
     for eps in (F(1, 8), F(1, 64)):
         exact = hausdorff_distance(A, C).approximate(eps)
         nets = hausdorff_distance(net_only(A), net_only(C)).approximate(eps)
         assert meet(exact, nets)
+
+
+# ---------------------------------------------------------------------------
+# The nearest-point index of a net, against brute force.  The points are
+# spread over a range much wider than the cells, so searches cross many
+# empty rings, start outside the occupied cells and end by the
+# sparse-net scan as well as by the ring bound.
+# ---------------------------------------------------------------------------
+
+
+def index_of(space, pts, eps):
+    return EpsilonNetFamily(space, lambda e: list(pts), name="pts").net_index(eps)
+
+
+def max_sq(p, q):
+    return max(abs(p[0] - q[0]), abs(p[1] - q[1])) ** 2
+
+
+INDEX_EPS = st.sampled_from([F(1, 64), F(1, 8), F(1, 2)])
+SPACES_2D = [(PLANE, point_sq), (PlaneMax(), max_sq)]
+
+
+def wide_pt():
+    return st.tuples(rat(-4, 4, 16), rat(-4, 4, 16))
+
+
+@SETTINGS
+@given(st.lists(rat(-4, 4, 16), min_size=1, max_size=30), rat(-6, 6, 16), INDEX_EPS,
+       st.none() | rat(0, 4, 16))
+def test_line_index_min_sq_is_brute_force(pts, x, eps, floor):
+    m = min(point_sq((x, 0), (p, 0)) for p in pts)
+    index = index_of(LINE, pts, eps)
+    assert index.min_sq(x) == m
+    # With a floor the search may stop early, at a distance to a net point.
+    v = index.min_sq(x, floor)
+    assert v == m or m <= v <= floor
+
+
+@SETTINGS
+@given(st.sampled_from(SPACES_2D), st.lists(wide_pt(), min_size=1, max_size=30),
+       st.tuples(rat(-6, 6, 16), rat(-6, 6, 16)), INDEX_EPS, st.none() | rat(0, 4, 16))
+def test_plane_index_min_sq_is_brute_force(metric, pts, p, eps, floor):
+    space, dsq = metric
+    m = min(dsq(p, q) for q in pts)
+    index = index_of(space, pts, eps)
+    assert index.min_sq(p) == m
+    v = index.min_sq(p, floor)
+    assert v == m or m <= v <= floor
+
+
+@SETTINGS
+@given(st.lists(rat(-4, 4, 16), min_size=1, max_size=20),
+       st.lists(rat(-4, 4, 16), min_size=1, max_size=20), INDEX_EPS)
+def test_line_sweep_is_finite_hausdorff(P, Q, eps):
+    h = max(index_of(LINE, Q, eps).max_min_sq(P), index_of(LINE, P, eps).max_min_sq(Q))
+    assert h == finite_hausdorff_1d(P, Q) ** 2
+
+
+@SETTINGS
+@given(st.sampled_from(SPACES_2D), st.lists(wide_pt(), min_size=1, max_size=20),
+       st.lists(wide_pt(), min_size=1, max_size=20), INDEX_EPS)
+def test_plane_sweep_is_finite_hausdorff(metric, P, Q, eps):
+    space, dsq = metric
+    h = max(index_of(space, Q, eps).max_min_sq(P), index_of(space, P, eps).max_min_sq(Q))
+    if dsq is point_sq:
+        assert h == finite_hausdorff_sq(P, Q)
+    else:
+        assert h == max(max(min(dsq(p, q) for q in Q) for p in P),
+                        max(min(dsq(q, p) for p in P) for q in Q))
+
+
+class _ApproxOnly(MetricSpace):
+    """A space with only ``dist_approx``, whose answers sit near the edge
+    of their contract: about eps above the distance (``bias`` 1) or below
+    it (``bias`` -1).  It has no nearest-point index, so every net query
+    scans."""
+
+    name = "approx"
+
+    def __init__(self, bias):
+        self.bias = bias
+
+    def dist_approx(self, x, y, eps):
+        if not isinstance(x, tuple):
+            return max(F(0), abs(x - y) + self.bias * eps)
+        lo, hi = sqrt_bounds(point_sq(x, y), eps / 2)
+        return hi + eps / 2 if self.bias > 0 else max(F(0), lo - eps / 2)
+
+
+APPROX_SPACES = st.sampled_from([_ApproxOnly(1), _ApproxOnly(-1)])
+
+
+def on_approx(space, S):
+    """The same nets in an approximate space, with no exact comparison."""
+    return EpsilonNetFamily(space, S.net, name=f"approx({S.name})")
+
+
+@NET_SETTINGS
+@given(APPROX_SPACES, rat(-2, 2, 8), rat(0, 2, 8), rat(-4, 4, 16),
+       st.sampled_from([F(1, 4), F(1, 32)]))
+def test_approx_space_line_distance_contains_truth(space, a, length, x, eps):
+    S = on_approx(space, loose_interval(a, a + length))
+    assert S.net_index(eps) is None
+    bracket = distance_to_set(S, x).approximate(eps)
+    d = union_distance_1d(x, [(a, a + length)])
+    assert width_ok(bracket, eps) and bracket[0] <= d <= bracket[1]
+
+
+@NET_SETTINGS
+@given(APPROX_SPACES, plane_sets(), plane_pt(8), st.sampled_from([F(1, 2), F(1, 4)]))
+def test_approx_space_plane_distance_contains_truth(space, case, x, eps):
+    S, parts = case
+    bracket = distance_to_set(on_approx(space, S), x).approximate(eps)
+    assert width_ok(bracket, eps)
+    assert bracket_holds_min_root(*bracket, parts(x))
+
+
+@NET_SETTINGS
+@given(APPROX_SPACES, rat(-2, 2, 8), rat(0, 2, 8),
+       st.lists(rat(-3, 3, 16), min_size=1, max_size=4), st.sampled_from([F(1, 4), F(1, 16)]))
+def test_approx_space_line_hausdorff_contains_truth(space, a, length, pts, eps):
+    h = union_hausdorff_1d([(a, a + length)], [(p, p) for p in pts])
+    check_hausdorff(on_approx(space, loose_interval(a, a + length)),
+                    on_approx(space, point_set(pts)), eps, lambda lo, hi: lo <= h <= hi)
+
+
+@NET_SETTINGS
+@given(APPROX_SPACES, plane_pt(), plane_pt(), plane_pt(), plane_pt())
+def test_approx_space_plane_hausdorff_contains_truth(space, a1, b1, a2, b2):
+    # d(., segment) is convex, so the largest endpoint distance is H.
+    q = max(segment_dist_sq(a1, a2, b2), segment_dist_sq(b1, a2, b2),
+            segment_dist_sq(a2, a1, b1), segment_dist_sq(b2, a1, b1))
+    check_hausdorff(on_approx(space, loose_segment(a1, b1)), on_approx(space, loose_segment(a2, b2)),
+                    F(1, 2), lambda lo, hi: root_at_least(q, 0, lo) and root_at_most(q, 0, hi))
+
+
+@pytest.mark.parametrize("bias", [1, -1])
+@pytest.mark.parametrize("push", [1, -1])
+@pytest.mark.parametrize("k", range(1, 6))
+def test_approx_space_hausdorff_at_the_edge(bias, push, k):
+    # {0} and {1} with nets delta outwards (push 1) or inwards (push -1):
+    # the net distance is 1 + 2 delta or 1 - 2 delta, and every oracle
+    # answer errs by its full precision on top.
+    eps = F(1, 2**k)
+    space = _ApproxOnly(bias)
+    A = EpsilonNetFamily(space, lambda e: [-push * e])
+    B = EpsilonNetFamily(space, lambda e: [1 + push * e])
+    check_hausdorff(A, B, eps, lambda lo, hi: lo <= 1 <= hi)
 
 
 # ---------------------------------------------------------------------------

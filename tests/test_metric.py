@@ -266,7 +266,7 @@ class TestCompletionBase:
         for u in base.sample_elements(rng, 8):
             for name, fam in base.axiom_instances(u, 2)[:2]:
                 judgments.append((u, fam, kernel.Derivation(name, u, witness=fam)))
-        pos = kernel.PositivityPredicate("always", lambda u: True)
+        pos = kernel.SetPredicate("always", lambda u: True)
         report = kernel.check_positivity_axioms(base, pos, judgments, depth=2, budget=2)
         assert report.all_mon_ok and report.all_pos_found
 

@@ -160,16 +160,18 @@ def _space_base(name: str, budget: int):
     if s == "loc:q2":
         return metric.completion_base(metric.PlaneEuclid(), max(budget * 8, 16))
     if s.startswith("loc:seg:"):
-        parts = s[len("loc:seg:"):].split(",")
-        if len(parts) != 2:
-            raise ParseError("loc:seg needs two endpoints", 0)
-        seg = metric.LineSegment(parse_rational(parts[0]), parse_rational(parts[1]))
+        at = len(name) - len(name.lstrip()) + len("loc:seg:")
+        ends = parse_rational_list(s[len("loc:seg:"):], at, most=2)
+        if len(ends) < 2:
+            raise ParseError("loc:seg needs two endpoints", at)
+        seg = metric.LineSegment(*ends)
         return metric.completion_base(seg, 2 ** max(budget, 4) + 1)
     raise ParseError(f"unknown space {name!r}", 0)
 
 
-def _split_family(text: str) -> list[str]:
-    """Split on ';' outside parentheses (the ball syntax contains ';')."""
+def _split_family(text: str) -> list[tuple[int, str]]:
+    """Split on ';' outside parentheses (the ball syntax contains ';'), as
+    (offset in text, element) pairs."""
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch == "(":
@@ -177,16 +179,21 @@ def _split_family(text: str) -> list[str]:
         elif ch == ")":
             depth -= 1
         elif ch == ";" and depth == 0:
-            parts.append(text[start:i])
+            parts.append((start, text[start:i]))
             start = i + 1
-    parts.append(text[start:])
-    return [p for p in parts if p.strip()]
+    parts.append((start, text[start:]))
+    return [(at, p) for at, p in parts if p.strip()]
 
 
 def _cmd_cover(args) -> int:
     base = _space_base(args.space, args.budget)
     target = base.parse_element(args.target)
-    family = [base.parse_element(e) for e in _split_family(args.family)]
+    family = []
+    for at, text in _split_family(args.family):
+        try:
+            family.append(base.parse_element(text))
+        except ParseError as e:
+            raise e.shifted(at) from None
     d = kernel.derive_cover(base, target, family, args.depth, budget=args.budget)
     if d is None:
         print("unknown")

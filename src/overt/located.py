@@ -18,25 +18,17 @@ bounded".
 Builtin sets (closed intervals, finite point sets, the middle-thirds set,
 closed disks and segments in the plane, boxes, finite unions of these)
 carry an exact rational distance comparison, which is the located
-structure itself; a net is only one witness of it.  So every query asks
-the exact oracle first and falls back to nets only without one:
-
-* a dichotomy is one call of ``distance_compare``;
-* ``distance_to_set`` returns ``distance_value`` exactly, or bisects on
-  ``distance_compare``, and otherwise takes the minimum over a net;
-* each directed ``hausdorff_distance`` sweep takes the target's oracle
-  over the source's net when both sets have one, and otherwise compares
-  two nets.
-
-Affine images keep the exact comparison wherever the map carries it
-(:func:`affine_image`); images under other maps with a modulus carry nets
-only.  Distances and Hausdorff sweeps choose between the exact oracle and
-nets in one place, :func:`_exact_max_distance`.
-
-Every nearest-point search over a net, for a distance and for the max-min
-sweep of a Hausdorff distance alike, goes through one grid index built by
-``EpsilonNetFamily.net_index`` (:class:`_GridIndex`); only spaces outside
-its reach scan the net with ``dist_approx`` (:func:`_approx_min`).
+structure itself; a net is only one witness of it.  Affine images keep it
+wherever the map carries it (:func:`affine_image`); images under other
+maps with a modulus carry nets only.  A dichotomy on a set with a
+comparison is one call of ``distance_compare``.  Every distance bracket,
+of ``distance_to_set``, of a net-backed dichotomy and of each directed
+``hausdorff_distance`` sweep, comes from :func:`_max_distance`: exact from
+``distance_value``, bisected on ``distance_compare``, and otherwise from a
+net, searched by the grid index of ``EpsilonNetFamily.net_index``
+(:class:`_GridIndex`) or, outside its spaces, by ``dist_approx``.  A
+Hausdorff pair takes the exact sweeps only when both sets have a
+comparison, and compares nets both ways otherwise.
 
 Intersections of located sets are deliberately absent: locatedness is not
 preserved by intersection, and it depends on the metric presentation, not
@@ -274,12 +266,6 @@ class _GridIndex:
         return worst
 
 
-def _approx_min(space: MetricSpace, x, pts, eta: Fraction) -> Fraction:
-    """min over pts of ``dist_approx(x, p, eta)``: within eta of d(x, pts),
-    for spaces without a grid index."""
-    return min(space.dist_approx(x, p, eta) for p in pts)
-
-
 def _bracket_distance(cmp, p, lo: Fraction, width: Fraction) -> tuple:
     """Bracket of d(p) of width at most ``width``, given d(p) >= lo, by a
     gallop from lo and then bisection on ``cmp(p, t)``.  A probe that meets
@@ -300,22 +286,23 @@ def _bracket_distance(cmp, p, lo: Fraction, width: Fraction) -> tuple:
     return (lo, hi)
 
 
-def _exact_max_distance(S: EpsilonNetFamily, pts, width: Fraction) -> Optional[tuple]:
-    """Bracket of max over pts of d(p, S) of width at most ``width``, from
-    the set's exact oracle; None when the set has none and nets must answer.
+def _max_distance(S: EpsilonNetFamily, pts, width: Fraction) -> tuple:
+    """Bracket of max over pts of d(p, S) of width at most ``width``.
 
+    This is the one place that chooses how a distance is bracketed.  A
     ``distance_value`` gives the maximum exactly.  With ``distance_compare``
     only, each round brackets a few evenly spread points in play and then
     keeps just the points that lie beyond the largest upper end: no other
     point can carry the maximum.  When none is left beyond it, the largest
-    sample bracket is a bracket of the maximum.
+    sample bracket is a bracket of the maximum.  A set with neither answers
+    from its nets (:func:`_net_max_distance`).
     """
     if S.distance_value is not None:
         m = max(S.distance_value(p) for p in pts)
         return (m, m)
     cmp = S.distance_compare
     if cmp is None:
-        return None
+        return _net_max_distance(S, pts, width)
     lo, live = Fraction(0), list(pts)
     while True:
         slo = shi = lo
@@ -328,33 +315,40 @@ def _exact_max_distance(S: EpsilonNetFamily, pts, width: Fraction) -> Optional[t
         lo, live = shi, beyond
 
 
+def _net_max_distance(S: EpsilonNetFamily, pts, width: Fraction) -> tuple:
+    """Bracket of max over pts of d(p, S) of width at most ``width``, from
+    the net at delta = width/3 alone.
+
+    The max-min over the net is taken from its ``net_index`` (exact squared
+    distances and one square root to width/6), or by ``dist_approx`` at
+    width/6 in a space without an index.  The net moves each distance by at
+    most delta, so padding that bracket by delta gives width at most 5/6 of
+    ``width`` with an index, and ``width`` without.
+    """
+    delta, eta = width / 3, width / 6
+    index = S.net_index(delta)
+    if index is not None:
+        lo, hi = sqrt_bounds(index.max_min_sq(pts), eta)
+    else:
+        net = S.net(delta)
+        m = max(min(S.space.dist_approx(p, q, eta) for q in net) for p in pts)
+        lo, hi = m - eta, m + eta
+    return (max(Fraction(0), lo - delta), hi + delta)
+
+
 def distance_to_set(S: EpsilonNetFamily, x) -> DedekindReal:
     """Distance from a point to the set, as a Dedekind real.
 
-    A set with ``distance_value`` answers exactly, as ``[v, v]``; one with
+    Each precision eps is one call of :func:`_max_distance` on ``[x]``.  A
+    set with ``distance_value`` answers exactly, as ``[v, v]``; one with
     ``distance_compare`` only is bisected down to width eps, exactly again
-    when a probe meets the distance.  Without either, the minimum over the
-    net at eps/3 is taken from its ``net_index`` (an exact squared distance
-    and one square root to eps/6), or from ``dist_approx`` at eps/6 in a
-    space without an index; it is within eps/2 of the true infimum, which
-    gives an interval of width at most eps (clipped below at zero).
+    when a probe meets the distance.  Without either, the net at eps/3
+    answers, with width at most 5 eps/6 from a ``net_index`` and eps from a
+    ``dist_approx`` scan (clipped below at zero).
     """
     if not S.inhabited:
         raise EmptySetError(f"distance to possibly-empty set {S.name}")
-
-    def refine(eps: Fraction):
-        exact = _exact_max_distance(S, [x], eps)
-        if exact is not None:
-            return exact
-        index = S.net_index(eps / 3)
-        if index is not None:
-            slo, shi = sqrt_bounds(index.min_sq(x), eps / 6)
-            best = (slo + shi) / 2
-        else:
-            best = _approx_min(S.space, x, S.net(eps / 3), eps / 6)
-        return (max(Fraction(0), best - eps / 2), best + eps / 2)
-
-    return DedekindReal(refine, name=f"d({x}, {S.name})")
+    return DedekindReal(lambda eps: _max_distance(S, [x], eps), name=f"d({x}, {S.name})")
 
 
 def decide_located_pair(S, inner: FormalBall, outer: FormalBall) -> Decision:
@@ -362,8 +356,8 @@ def decide_located_pair(S, inner: FormalBall, outer: FormalBall) -> Decision:
 
     Exactly-backed sets answer POS_OUTER precisely when the set meets the
     outer ball, from one exact comparison.  Net-backed sets without one
-    evaluate the distance at a fraction of the certified gap margin and
-    compare against the inner radius.
+    bracket the distance of the inner centre to half the certified gap
+    margin and compare its lower end with the inner radius.
     """
     if isinstance(S, LocatedPredicate):
         return S.decide(inner, outer)
@@ -386,7 +380,7 @@ def decide_located_pair(S, inner: FormalBall, outer: FormalBall) -> Decision:
         if margin > 0:
             break
         eps /= 4
-    lo, hi = distance_to_set(S, inner.center).approximate(margin / 2)
+    lo, _ = _max_distance(S, [inner.center], margin / 2)
     if lo >= inner.radius:
         return Decision.NOT_POS_INNER
     return Decision.POS_OUTER
@@ -514,20 +508,16 @@ def union_located(A: EpsilonNetFamily, B: EpsilonNetFamily) -> EpsilonNetFamily:
 def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal:
     """Hausdorff distance between two inhabited sets, as a Dedekind real.
 
-    When both sets have an exact distance oracle, each directed sweep takes
-    the target's oracle over the source's net: d(., target) is 1-Lipschitz,
-    so its maximum over a delta-net is within delta of its supremum over
-    the source.  A target with ``distance_value`` gives that maximum
-    exactly over the net at eps/2; one with ``distance_compare`` only is
-    bisected to width eps/2 over the net at eps/4.
-
-    Otherwise both nets are taken at delta = eps/6; net replacement moves
-    the value by at most 2 delta.  Each directed max-min sweep runs over
-    the target's ``net_index`` on exact squared distances, and one square
-    root to eps/12 ends it; the pad is 2 delta plus the width of that root
-    bracket, so an exact root (always on the line) pads by 2 delta only.
-    In a space without an index both sweeps scan with ``dist_approx`` at
-    eps/12.
+    Each directed sweep brackets the maximum over the source's net at some
+    delta of the distance to the target, to width eps/2, and pads it by
+    delta: d(., target) is 1-Lipschitz, so that maximum is within delta of
+    its supremum over the source.  When both sets have an exact comparison
+    the bracket comes from :func:`_max_distance` on the target: over the net
+    at eps/2 for a target with ``distance_value`` (exact, width eps) and at
+    eps/4 for one with ``distance_compare`` only (width eps).  When either
+    set has none, both sweeps compare two nets (:func:`_net_max_distance`)
+    over source nets at eps/6, which gives width at most 3 eps/4 with a
+    ``net_index`` and 5 eps/6 without.
 
     The computation is literally symmetric in A and B, so swapping the
     arguments returns identical intervals.
@@ -536,32 +526,23 @@ def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal
         raise EmptySetError("hausdorff distance needs inhabited sets")
     if A.space is not B.space:
         raise AmbientMismatch(f"hausdorff over different spaces {A.space.name}, {B.space.name}")
-    space = A.space
     exact = A.distance_compare is not None and B.distance_compare is not None
+    sweep = _max_distance if exact else _net_max_distance
 
-    def refine_exact(eps: Fraction):
+    def refine(eps: Fraction):
         lo = hi = Fraction(0)
         for source, target in ((A, B), (B, A)):
-            delta = eps / 2 if target.distance_value is not None else eps / 4
-            mlo, mhi = _exact_max_distance(target, source.net(delta), eps - 2 * delta)
+            if not exact:
+                delta = eps / 6
+            elif target.distance_value is not None:
+                delta = eps / 2
+            else:
+                delta = eps / 4
+            mlo, mhi = sweep(target, source.net(delta), eps / 2)
             lo, hi = max(lo, mlo - delta), max(hi, mhi + delta)
         return (lo, hi)
 
-    def refine(eps: Fraction):
-        delta = eps / 6
-        na, nb = A.net(delta), B.net(delta)
-        ia, ib = A.net_index(delta), B.net_index(delta)
-        if ia is not None and ib is not None:
-            slo, shi = sqrt_bounds(max(ib.max_min_sq(na), ia.max_min_sq(nb)), eps / 12)
-            h, pad = (slo + shi) / 2, 2 * delta + (shi - slo)
-        else:
-            eta = eps / 12
-            h = max(max(_approx_min(space, a, nb, eta) for a in na),
-                    max(_approx_min(space, b, na, eta) for b in nb))
-            pad = 2 * delta + eta
-        return (max(Fraction(0), h - pad), h + pad)
-
-    return DedekindReal(refine_exact if exact else refine, name=f"H({A.name}, {B.name})")
+    return DedekindReal(refine, name=f"H({A.name}, {B.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from overt import kernel
 from overt.errors import ParseError, PreconditionFailed, UndecidableComparison
 from overt.kernel import TOP, Base
 from overt.rationals import format_rational, parse_rational, parse_rational_list
@@ -524,14 +523,9 @@ class BallBase(Base):
         s = text.strip()
         if s == "top":
             return TOP
-        return parse_ball(s)
+        return parse_ball(text)
 
 
 def completion_base(space: MetricSpace, point_budget: int, max_shrink: int = 6) -> BallBase:
     """The kernel base of the localic completion of the space."""
     return BallBase(space, point_budget, max_shrink)
-
-
-def always_positive() -> kernel.SetPredicate:
-    """The completion of a metric space is overt: everything is positive."""
-    return kernel.SetPredicate("always", lambda u: True)

@@ -69,7 +69,10 @@ class DedekindReal:
         return (lo, hi)
 
     def __repr__(self):
-        lo, hi = self.approximate(Fraction(1, 64))
+        """The name and the tightest bracket already computed; never refines."""
+        if not self._memo:
+            return f"DedekindReal({self._name})"
+        lo, hi = min(self._memo.values(), key=lambda b: b[1] - b[0])
         return f"DedekindReal({self._name} ~ {format_interval(lo, hi)})"
 
 

@@ -504,20 +504,6 @@ class Tile:
 class TileNormalForm:
     tiles: tuple
 
-    def as_term(self, L: Carrier):
-        if not self.tiles:
-            return TERM_ZERO
-        parts = []
-        for t in self.tiles:
-            term = Box(t.box)
-            for d in t.diamonds:
-                term = TermMeet(term, Dia(d))
-            parts.append(term)
-        out = parts[0]
-        for p in parts[1:]:
-            out = TermJoin(out, p)
-        return out
-
 
 def _tile_key(L: Carrier, t: Tile):
     return (L.format_element(t.box), tuple(L.format_element(d) for d in t.diamonds))

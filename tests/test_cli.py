@@ -203,7 +203,13 @@ class TestExitCodes:
          (["plot", "--set=disk:0,0,1", "--size=2x2", "--viewport=0,1,0,1,5"], 8),  # fifth value
          (["cover", "--space=loc:q", "--target=B(1/2; 0, x)", "--family=top", "--depth=1"], 10),
          (["cover", "--space=loc:q", "--target=B(1/2; 0, 1, 2)", "--family=top", "--depth=1"], 13),
-         (["cover", "--space=reals", "--target=(0,x)", "--family=top", "--depth=1"], 3)],
+         (["cover", "--space=reals", "--target=(0,x)", "--family=top", "--depth=1"], 3),
+         # the offset in the family value, not in the element that holds it
+         (["cover", "--space=loc:q", "--target=top", "--family=B(1;0);B(1;x)", "--depth=1"], 11),
+         (["cover", "--space=loc:q", "--target=top", "--family=B(1;0);  B(x;0)", "--depth=1"], 11),
+         (["cover", "--space=loc:seg:0,x", "--target=top", "--family=top", "--depth=1"], 10),
+         (["cover", "--space=loc:seg:0", "--target=top", "--family=top", "--depth=1"], 8),
+         (["cover", "--space=loc:seg:0,1,2", "--target=top", "--family=top", "--depth=1"], 12)],
     )
     def test_true_offsets(self, capsys, argv, offset):
         code, out, err = run(capsys, *argv)

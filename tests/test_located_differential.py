@@ -3,13 +3,16 @@
 Distances and Hausdorff distances answered from a set's exact comparison
 are checked against the independent oracles of ``helpers`` and against the
 net path, which is reached by wrapping the same net function without an
-exact comparison.  Every bracket must have width at most eps, contain the
-oracle value and meet the net-path bracket; swapping the arguments of a
-Hausdorff distance must give the identical interval.  Images under affine
-maps are checked the same way, against oracles written from the mapped
-geometry.  The nearest-point index of a net is checked against brute
-force, and spaces with only an approximate distance oracle, whose answers
-sit at the edge of their contract, check the scanning branch.
+exact comparison.  Every bracket must have width at most eps (net-path
+brackets on spaces with a grid index less), contain the oracle value and
+meet the net-path bracket; swapping the arguments of a Hausdorff distance
+must give the identical interval, and a pair with one net-only set must
+sweep nets both ways.  Net-only dichotomies must agree with the oracles.
+Images under affine maps are checked the same way, against oracles
+written from the mapped geometry.  The nearest-point index of a net is
+checked against brute force, and spaces with only an approximate distance
+oracle, whose answers sit at the edge of their contract, check the
+scanning branch.
 """
 
 from fractions import Fraction as F
@@ -39,6 +42,7 @@ from overt.errors import PreconditionFailed
 from overt.located import (
     LINE,
     PLANE,
+    Decision,
     EpsilonNetFamily,
     cantor_set,
     decide_located_pair,
@@ -111,6 +115,13 @@ def loose_segment(a, b):
 
     return EpsilonNetFamily(PLANE, net, distance_compare=segment_set(*a, *b).distance_compare,
                             name="loose-segment")
+
+
+# The net half of a distance bracket takes the net at eps/3 and one square
+# root to eps/6, so on spaces with a grid index its width is at most 5 eps/6;
+# a Hausdorff sweep over nets at eps/6 gives at most 3 eps/4.
+NET_DISTANCE_WIDTH = F(5, 6)
+NET_HAUSDORFF_WIDTH = F(3, 4)
 
 
 def width_ok(bracket, eps):
@@ -214,7 +225,7 @@ def test_line_distance_meets_net_path(case, x, eps):
     S, intervals, cantor = case
     exact = distance_to_set(S, x).approximate(eps)
     nets = distance_to_set(net_only(S), x).approximate(eps)
-    assert width_ok(nets, eps) and meet(exact, nets)
+    assert width_ok(nets, NET_DISTANCE_WIDTH * eps) and meet(exact, nets)
     lower, upper = line_distance_bounds(intervals, cantor, x)
     assert nets[0] <= upper and lower <= nets[1]
 
@@ -225,7 +236,7 @@ def test_plane_distance_meets_net_path(case, x, eps):
     S, parts = case
     exact = distance_to_set(S, x).approximate(eps)
     nets = distance_to_set(net_only(S), x).approximate(eps)
-    assert width_ok(nets, eps) and meet(exact, nets)
+    assert width_ok(nets, NET_DISTANCE_WIDTH * eps) and meet(exact, nets)
     assert bracket_holds_min_root(*nets, parts(x))
 
 
@@ -351,7 +362,7 @@ def test_plane_hausdorff_loose_nets(a1, b1, a2, b2, eps):
 def test_line_hausdorff_meets_net_path(ca, cb, eps):
     exact = hausdorff_distance(ca[0], cb[0]).approximate(eps)
     nets = hausdorff_distance(net_only(ca[0]), net_only(cb[0])).approximate(eps)
-    assert width_ok(nets, eps) and meet(exact, nets)
+    assert width_ok(nets, NET_HAUSDORFF_WIDTH * eps) and meet(exact, nets)
 
 
 @NET_SETTINGS
@@ -361,7 +372,21 @@ def test_plane_hausdorff_meets_net_path(case):
     eps = F(1, 4)
     exact = hausdorff_distance(A, Bs).approximate(eps)
     nets = hausdorff_distance(net_only(A), net_only(Bs)).approximate(eps)
-    assert width_ok(nets, eps) and meet(exact, nets)
+    assert width_ok(nets, NET_HAUSDORFF_WIDTH * eps) and meet(exact, nets)
+
+
+@NET_SETTINGS
+@given(plane_pairs(), st.booleans())
+def test_mixed_hausdorff_takes_nets_both_ways(case, swap):
+    # A pair where one set has no exact comparison sweeps nets in both
+    # directions, exactly as a pair of net-only sets does.
+    A, Bs, q, shift = case
+    if swap:
+        A, Bs = Bs, A
+    eps = F(1, 4)
+    mixed = check_hausdorff(A, net_only(Bs), eps,
+                            lambda lo, hi: root_at_least(q, shift, lo) and root_at_most(q, shift, hi))
+    assert mixed == hausdorff_distance(net_only(A), net_only(Bs)).approximate(eps)
 
 
 @pytest.mark.parametrize("k", range(1, 16))
@@ -538,8 +563,31 @@ def test_approx_space_hausdorff_at_the_edge(bias, push, k):
 
 
 # ---------------------------------------------------------------------------
-# Dichotomies through a predicate check the refinement exactly once.
+# Dichotomies: net-only answers against the oracles, and a predicate checks
+# the refinement exactly once.
 # ---------------------------------------------------------------------------
+
+
+@NET_SETTINGS
+@given(plane_sets(), plane_pt(8), rat(F(1, 8), F(1, 2), 8),
+       st.sampled_from([F(-1, 2), F(-1, 16), F(1, 32), F(1, 16), F(1, 2)]),
+       st.sampled_from([0, F(1, 4), F(1, 2)]))
+def test_net_dichotomy_is_sound(case, c, gap, k, shift):
+    # The inner radius sits k * gap from the distance of c to the set, so
+    # the distance often falls inside the gap, where only a sound bracket
+    # answers right.  The outer ball widens the inner one by gap and moves
+    # its centre by shift * gap, so the pair strictly refines.  POS_OUTER
+    # claims the set meets the outer ball, NOT_POS_INNER that it misses
+    # the inner one.
+    S, parts = case
+    d = min(max(F(0), sqrt_bounds(q, F(1, 256))[0] + sh) for q, sh in parts(c))
+    inner = FormalBall(c, max(gap / 64, d + k * gap))
+    outer = FormalBall((c[0] + shift * gap, c[1]), inner.radius + gap)
+    answer = decide_located_pair(net_only(S), inner, outer)
+    if answer is Decision.POS_OUTER:
+        assert min_root_sign(parts(outer.center), outer.radius) < 0
+    else:
+        assert min_root_sign(parts(inner.center), inner.radius) >= 0
 
 
 @pytest.mark.parametrize("S", [interval_set(0, 1), net_only(interval_set(0, 1))])
@@ -693,7 +741,7 @@ def test_image_distance_meets_net_path(case, p):
     eps = F(1, 4)
     exact = distance_to_set(img, p).approximate(eps)
     nets = distance_to_set(net_only(img), p).approximate(eps)
-    assert width_ok(nets, eps) and meet(exact, nets)
+    assert width_ok(nets, NET_DISTANCE_WIDTH * eps) and meet(exact, nets)
     assert bracket_holds_min_root(*nets, parts(p))
 
 

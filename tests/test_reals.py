@@ -127,6 +127,23 @@ class TestRefinementInvariants:
         with pytest.raises(PreconditionFailed):
             bad.approximate(F(1, 2))
 
+    def test_repr_never_refines(self):
+        def never(eps):
+            raise AssertionError(f"refined at {eps}")
+
+        assert repr(DedekindReal(never, name="x")) == "DedekindReal(x)"
+
+        asked = (F(1, 4), F(1, 64))
+
+        def only_asked(eps):
+            if eps not in asked:
+                never(eps)
+            return sqrt2_refiner(eps)
+
+        x = DedekindReal(only_asked, name="x")
+        _, fine = (x.approximate(eps) for eps in asked)
+        assert repr(x) == f"DedekindReal(x ~ {reals.format_interval(*fine)})"
+
 
 class TestScaleShift:
     def test_affine_of_sqrt2(self):

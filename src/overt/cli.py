@@ -166,7 +166,7 @@ def _space_base(name: str, budget: int):
             raise ParseError("loc:seg needs two endpoints", at)
         seg = metric.LineSegment(*ends)
         return metric.completion_base(seg, 2 ** max(budget, 4) + 1)
-    raise ParseError(f"unknown space {name!r}", 0)
+    raise ParseError(f"unknown space {name!r}", len(name) - len(name.lstrip()))
 
 
 def _split_family(text: str) -> list[tuple[int, str]]:
@@ -219,7 +219,7 @@ _LAWS = {
 
 def _cmd_spread(args) -> int:
     if args.law not in _LAWS:
-        raise ParseError(f"unknown law {args.law!r}", 0)
+        raise ParseError(f"unknown law {args.law!r}", len(args.law) - len(args.law.lstrip()))
     report = trees.check_spread_mon(_LAWS[args.law](), args.depth, args.budget)
     if report.ok:
         print(f"ok: {report.checked} admitted nodes to depth {report.depth}")

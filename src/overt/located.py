@@ -40,8 +40,10 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Optional, Sequence
 
 from overt.errors import (
@@ -416,24 +418,119 @@ def predicate_from_net(S: EpsilonNetFamily) -> LocatedPredicate:
     )
 
 
+def _meets_test(P) -> Optional[Callable]:
+    """``meets(c, s)``: does the set meet the open ball of radius s around c,
+    as one exact comparison; None when P has none.  A set's comparison
+    answers it, or a predicate's ``pos_exact``, whose contract makes it
+    agree with every POS_OUTER answer of ``decide``."""
+    if isinstance(P, EpsilonNetFamily):
+        if P.inhabited and P.distance_compare is not None:
+            cmp = P.distance_compare
+            return lambda c, s: cmp(c, s) < 0
+    elif isinstance(P, LocatedPredicate) and P.pos_exact is not None:
+        pos = P.pos_exact
+        return lambda c, s: pos(FormalBall(c, s))
+    return None
+
+
+# Cells of the descent with at most this many points decide each point.
+_LEAF = 4
+
+
+def _cell_filter(P, pts: list, inner: Fraction, outer: Fraction) -> bytearray:
+    """Which points x of pts the dichotomy of P answers POS_OUTER on the pair
+    (B(x, inner), B(x, outer)), as a mask in the order of pts.
+
+    With an exact ``meets`` test (:func:`_meets_test`) in one of
+    ``_GRID_SPACES``, the points descend through dyadic cells.  They are
+    held as integers over their common denominator; a line point x is
+    (x, 0).  A cell is the bounding box of its points, with centre C its
+    midpoint and rho at least the distance from C to any of them: 17/24 of
+    the longer side in the Euclidean plane, half of it otherwise.  With
+    t = ``outer``, a positive answer means d(x, S) < t, so a cell is kept
+    whole when d(C, S) < t - rho and dropped whole when d(C, S) >= t + rho;
+    otherwise it splits at the midpoint of its longer side.  The points of a
+    cell are kept sorted by x, so that its x-range is its ends and an x-split
+    is a bisection.  Only cells of at most ``_LEAF`` points, and every point
+    of a set without an exact test, take the per-point dichotomy, whose
+    answer each cell test agrees with.
+    """
+    n = len(pts)
+    mask = bytearray(n)
+
+    def decide(ids):
+        for i in ids:
+            x = pts[i]
+            if decide_located_pair(P, FormalBall(x, inner), FormalBall(x, outer)) is Decision.POS_OUTER:
+                mask[i] = 1
+
+    meets = _meets_test(P)
+    plane = meets is not None and isinstance(P.space, (PlaneEuclid, PlaneMax))
+    if (
+        meets is None
+        or not isinstance(P.space, _GRID_SPACES)
+        or not pts
+        or any(isinstance(p, tuple) != plane for p in pts)
+    ):
+        decide(range(n))
+        return mask
+    coords = pts if plane else [(x, 0) for x in pts]
+    den = math.lcm(*{c.denominator for p in coords for c in p})
+    xs = [x.numerator * (den // x.denominator) for x, _ in coords]
+    ys = [y.numerator * (den // y.denominator) for _, y in coords]
+    # rho = a * side / (b * den); t -+ rho = (tb -+ a * side * td) / rd.
+    a, b = (17, 24) if isinstance(P.space, PlaneEuclid) else (1, 2)
+    td = outer.denominator
+    tb, rd = outer.numerator * b * den, b * den * td
+    ids = sorted(range(n), key=xs.__getitem__)
+    stack = [([xs[i] for i in ids], [ys[i] for i in ids], ids)]
+    while stack:
+        cx, cy, ids = stack.pop()
+        x0, x1, y0, y1 = cx[0], cx[-1], min(cy), max(cy)
+        side = max(x1 - x0, y1 - y0)
+        arho = a * side * td
+        c = Fraction(x0 + x1, 2 * den)
+        if plane:
+            c = (c, Fraction(y0 + y1, 2 * den))
+        if arho < tb and meets(c, Fraction(tb - arho, rd)):
+            for i in ids:
+                mask[i] = 1
+            continue
+        if not meets(c, Fraction(tb + arho, rd)):
+            continue
+        if len(ids) <= _LEAF:
+            decide(ids)
+            continue
+        if x1 - x0 == side:
+            k = bisect_right(cx, (x0 + x1) // 2)
+            stack.append((cx[k:], cy[k:], ids[k:]))
+            stack.append((cx[:k], cy[:k], ids[:k]))
+        else:
+            mid = (y0 + y1) // 2
+            low = [v <= mid for v in cy]
+            for sel in ([not s for s in low], low):
+                stack.append((list(compress(cx, sel)), list(compress(cy, sel)), list(compress(ids, sel))))
+    return mask
+
+
 def net_from_located(ambient: EpsilonNetFamily, P, eps: Fraction) -> tuple:
     """Filter an ambient net down to a two-sided eps-net of the located set.
 
-    Each ambient net point at eps/3 is probed with the nested pair
-    (eps/3, 2*eps/3); the kept points are those certified to be within
-    2*eps/3 of the set.  An empty result means nothing was certified (the
-    set may be empty).
+    Each ambient net point x at eps/3 is kept when the dichotomy on the
+    nested pair (B(x, eps/3), B(x, 2*eps/3)) answers POS_OUTER, i.e. when x
+    is certified to lie within 2*eps/3 of the set.  The answers come from
+    :func:`_cell_filter`: a set with an exact comparison, or a predicate
+    with ``pos_exact``, decides whole cells of ambient points by one
+    comparison at the cell centre, and only the points of small cells on the
+    set's edge are probed one by one.  The kept points are those of the
+    point-by-point filter, in ambient-net order.  An empty result means
+    nothing was certified (the set may be empty).
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise PreconditionFailed("net precision must be positive")
-    kept = []
-    for x in ambient.net(eps / 3):
-        inner = FormalBall(x, eps / 3)
-        outer = FormalBall(x, 2 * eps / 3)
-        if decide_located_pair(P, inner, outer) is Decision.POS_OUTER:
-            kept.append(x)
-    return tuple(kept)
+    net = ambient.net(eps / 3)
+    return tuple(compress(net, _cell_filter(P, net, eps / 3, 2 * eps / 3)))
 
 
 def spot_check_dichotomy(
@@ -615,6 +712,18 @@ def _sq_sign(dsq: Fraction, t: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _grid_coords(a: Fraction, h: Fraction, ks: range) -> list:
+    """a + k h for k in ks, from integer numerators over one denominator."""
+    d = math.lcm(a.denominator, h.denominator)
+    an, hn = a.numerator * (d // a.denominator), h.numerator * (d // h.denominator)
+    return [Fraction(an + k * hn, d) for k in ks]
+
+
+def _grid_line(a: Fraction, b: Fraction, h: Fraction) -> list:
+    """a, a + h, a + 2h, ... while below b, then b itself, for a <= b."""
+    return _grid_coords(a, h, range(math.ceil((b - a) / h))) + [b]
+
+
 def interval_set(a, b, space: Optional[MetricSpace] = None) -> EpsilonNetFamily:
     """The closed interval [a, b] on the line."""
     a, b = Fraction(a), Fraction(b)
@@ -622,19 +731,12 @@ def interval_set(a, b, space: Optional[MetricSpace] = None) -> EpsilonNetFamily:
         raise PreconditionFailed(f"empty interval [{a}, {b}]")
     space = space or LINE
 
-    def net(eps):
-        pts = []
-        x = a
-        while x < b:
-            pts.append(x)
-            x += eps
-        pts.append(b)
-        return pts
-
     def dist(x):
         return max(Fraction(0), a - x, x - b)
 
-    return EpsilonNetFamily(space, net, distance_value=dist, name=f"[{a},{b}]")
+    return EpsilonNetFamily(
+        space, lambda eps: _grid_line(a, b, eps), distance_value=dist, name=f"[{a},{b}]"
+    )
 
 
 def point_set(points, space: Optional[MetricSpace] = None) -> EpsilonNetFamily:
@@ -693,14 +795,23 @@ def disk_set(cx, cy, r) -> EpsilonNetFamily:
     rsq = r * r
 
     def net(eps):
+        # The grid points (cx + i h, cy + j h), i and j from -steps to steps,
+        # with i^2 + j^2 <= (r/h)^2 = (qn/qd)^2: row i holds the |j| up to
+        # isqrt((qn^2 - i^2 qd^2) // qd^2).  The centre comes first.
         h = eps / 2
+        q = r / h
+        qn, qd = q.numerator, q.denominator
+        steps = qn // qd + 1
+        ks = range(-steps, steps + 1)
+        xs, ys = _grid_coords(cx, h, ks), _grid_coords(cy, h, ks)
         pts = [(cx, cy)]
-        steps = int(r / h) + 1
-        for i in range(-steps, steps + 1):
-            for j in range(-steps, steps + 1):
-                x, y = cx + i * h, cy + j * h
-                if (x - cx) ** 2 + (y - cy) ** 2 <= rsq and (x, y) != (cx, cy):
-                    pts.append((x, y))
+        for i in ks:
+            rem = qn * qn - i * i * qd * qd
+            if rem < 0:
+                continue
+            m = math.isqrt(rem // (qd * qd))
+            x = xs[i + steps]
+            pts.extend((x, ys[j + steps]) for j in range(-m, m + 1) if i or j)
         return pts
 
     def cmp(p, t):
@@ -749,18 +860,7 @@ def box_set(x0, x1, y0, y1) -> EpsilonNetFamily:
         raise PreconditionFailed("degenerate box")
 
     def net(eps):
-        h = eps / 2
-        xs, ys = [], []
-        x = x0
-        while x < x1:
-            xs.append(x)
-            x += h
-        xs.append(x1)
-        y = y0
-        while y < y1:
-            ys.append(y)
-            y += h
-        ys.append(y1)
+        xs, ys = _grid_line(x0, x1, eps / 2), _grid_line(y0, y1, eps / 2)
         return [(x, y) for x in xs for y in ys]
 
     def cmp(p, t):

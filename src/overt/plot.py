@@ -1,11 +1,16 @@
 """Exact rasterizer for planar located sets.
 
-Each pixel asks the set's dichotomy one nested-ball question: the inner
-ball has the pixel's half-diagonal radius (so it covers the pixel), the
-outer ball twice that.  A positive answer paints the pixel black (the set
-certifiably meets the outer ball), a negative one white (the set certifiably
-misses the inner ball, hence the pixel).  Every decision is rational
-arithmetic, so repeated runs are byte-identical.
+Each pixel stands for one nested-ball question to the set's dichotomy: the
+inner ball has the pixel's half-diagonal radius (so it covers the pixel),
+the outer ball twice that.  A positive answer paints the pixel black (the
+set certifiably meets the outer ball), a negative one white (the set
+certifiably misses the inner ball, hence the pixel).  The pixel centres go
+through the cell descent of ``located._cell_filter``: a set with an exact
+comparison settles whole blocks of pixels by one comparison at the block
+centre, and only small blocks on the set's edge ask pixel by pixel; a set
+without one asks every pixel.  Either way each pixel gets the answer of its
+own question, every decision is rational arithmetic, and repeated runs are
+byte-identical.
 
 Output is plain-text PGM (P2, maxval 255) with values 0 and 255; the value
 128 is reserved for three-valued backends and is never produced here.
@@ -17,14 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from overt.errors import EmptySetError, PreconditionFailed
-from overt.located import (
-    Decision,
-    EpsilonNetFamily,
-    PLANE,
-    decide_located_pair,
-    promote_to_plane,
-)
-from overt.metric import FormalBall
+from overt.located import EpsilonNetFamily, _cell_filter, promote_to_plane
 from overt.reals import sqrt_bounds
 
 MAX_PIXELS = 1 << 20
@@ -62,15 +60,10 @@ def render_plot(spec: PlotSpec) -> str:
     w, h = spec.width, spec.height
     pw, ph = (xmax - xmin) / w, (ymax - ymin) / h
     r = pixel_radius(pw, ph)
-    rows = []
-    for i in range(h):
-        cy = ymax - (2 * i + 1) * ph / 2
-        row = []
-        for j in range(w):
-            cx = xmin + (2 * j + 1) * pw / 2
-            inner = FormalBall((cx, cy), r)
-            outer = FormalBall((cx, cy), 2 * r)
-            ans = decide_located_pair(S, inner, outer)
-            row.append("0" if ans is Decision.POS_OUTER else "255")
-        rows.append(" ".join(row))
+    xs = [xmin + (2 * j + 1) * pw / 2 for j in range(w)]
+    ys = [ymax - (2 * i + 1) * ph / 2 for i in range(h)]
+    mask = _cell_filter(S, [(x, y) for y in ys for x in xs], r, 2 * r)
+    rows = [
+        " ".join("0" if b else "255" for b in mask[i * w:(i + 1) * w]) for i in range(h)
+    ]
     return "\n".join(["P2", f"{w} {h}", "255", *rows]) + "\n"

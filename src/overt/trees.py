@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from overt.errors import PreconditionFailed
+from overt.errors import ParseError, PreconditionFailed
 
 Node = tuple[int, ...]
 
@@ -34,10 +34,20 @@ def format_node(node: Node) -> str:
 
 
 def parse_node(text: str) -> Node:
+    """``()`` or a comma list of integers; a bad part raises a ParseError at
+    its first non-blank byte in text."""
     s = text.strip()
     if s in ("()", ""):
         return ()
-    return tuple(int(p) for p in s.split(","))
+    node, at = [], len(text) - len(text.lstrip())
+    for part in s.split(","):
+        try:
+            node.append(int(part))
+        except ValueError:
+            raise ParseError(f"bad node digit {part.strip()!r}",
+                             at + len(part) - len(part.lstrip())) from None
+        at += len(part) + 1
+    return tuple(node)
 
 
 # ---------------------------------------------------------------------------
@@ -97,22 +107,23 @@ def check_spread_mon(law: SpreadLaw, depth: int, branch_budget: int) -> SpreadRe
     if budget <= 0:
         raise PreconditionFailed("branch budget must be positive")
     report = SpreadReport(law.name, depth, branch_budget, 0, [])
-    frontier = [()]
     if not law.admits(()):
         report.violations.append(SpreadViolation((), "root not admitted"))
         return report
-    for _ in range(depth + 1):
-        nxt = []
-        for node in frontier:
-            report.checked += 1
-            children = [node + (d,) for d in range(budget)]
-            admitted = [c for c in children if law.admits(c)]
-            if not admitted:
-                report.violations.append(
-                    SpreadViolation(node, "no admitted successor within budget")
-                )
-            nxt.extend(admitted)
-        frontier = nxt
+    # Depth first: the stack holds the admitted children of each node on the
+    # current path, at most depth * budget nodes.
+    stack = [()]
+    while stack:
+        node = stack.pop()
+        report.checked += 1
+        admitted = [c for c in (node + (d,) for d in range(budget)) if law.admits(c)]
+        if not admitted:
+            report.violations.append(
+                SpreadViolation(node, "no admitted successor within budget")
+            )
+        if len(node) < depth:
+            stack.extend(admitted)
+    report.violations.sort(key=lambda v: (len(v.node), v.node))
     return report
 
 
@@ -188,15 +199,33 @@ def parse_removal_spec(text: str) -> RemovalSet:
     ``alpha:<bits>`` the pair-indexed generator, ``alpharun:<bits>`` the
     zero-run generator (the two documented readings of the same family)."""
     s = text.strip()
+    lead = len(text) - len(text.lstrip())
     if s.startswith("nodes:"):
-        body = s[len("nodes:"):]
-        nodes = [parse_node(c) for c in body.split(";") if c.strip()]
+        nodes, at = [], lead + len("nodes:")
+        for part in s[len("nodes:"):].split(";"):
+            if part.strip():
+                try:
+                    nodes.append(parse_node(part))
+                except ParseError as e:
+                    raise e.shifted(at) from None
+            at += len(part) + 1
         return removal_from_nodes(nodes)
-    if s.startswith("alpharun:"):
-        return zero_run_removals([int(b) for b in s[len("alpharun:"):]])
-    if s.startswith("alpha:"):
-        return zero_pair_removals([int(b) for b in s[len("alpha:"):]])
+    for prefix, make in (("alpharun:", zero_run_removals), ("alpha:", zero_pair_removals)):
+        if s.startswith(prefix):
+            return make(_parse_bits(s[len(prefix):], lead + len(prefix)))
     raise PreconditionFailed(f"unknown removal spec {text!r}")
+
+
+def _parse_bits(text: str, at: int) -> list:
+    """Each character of text as an integer; a bad one raises a ParseError
+    at its offset, ``at`` plus its index."""
+    bits = []
+    for i, ch in enumerate(text):
+        try:
+            bits.append(int(ch))
+        except ValueError:
+            raise ParseError(f"bad bit {ch!r}", at + i) from None
+    return bits
 
 
 def closed_from_open_pos(

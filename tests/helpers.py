@@ -5,8 +5,9 @@ against the library: bisection for square roots, triadic interval lists for
 the middle-thirds set, endpoint sweeps for interval covers, bucketed
 integer arithmetic for exact finite Hausdorff bounds, every subset of a
 finite carrier for its positivity models, a scan of every listed point
-for the balls near a center, and affine maps applied coordinate by
-coordinate.
+for the balls near a center, affine maps applied coordinate by
+coordinate, nets built by repeated addition over the full grid, and spread
+laws checked level by level.
 """
 
 from fractions import Fraction
@@ -338,3 +339,55 @@ def subset_models(L):
 def points_within(points, c, r):
     """The points y with |y - c| < r, in the order given."""
     return [y for y in points if abs(y - c) < r]
+
+
+def grid_line_net(a, b, h):
+    """a, a + h, a + 2h, ... while below b, then b: the interval net, and
+    each axis of the box net, by repeated addition."""
+    pts, x = [], Fraction(a)
+    while x < b:
+        pts.append(x)
+        x += h
+    pts.append(Fraction(b))
+    return pts
+
+
+def box_net(x0, x1, y0, y1, eps):
+    """The box net at eps: the grid of step eps/2, x-major."""
+    xs, ys = grid_line_net(x0, x1, eps / 2), grid_line_net(y0, y1, eps / 2)
+    return [(x, y) for x in xs for y in ys]
+
+
+def disk_net(cx, cy, r, eps):
+    """The disk net at eps: the centre, then every point of the grid of step
+    h = eps/2 around it, i = -steps..steps, j = -steps..steps, whose squared
+    offset is at most r^2."""
+    cx, cy, r = Fraction(cx), Fraction(cy), Fraction(r)
+    h = eps / 2
+    pts = [(cx, cy)]
+    steps = int(r / h) + 1
+    for i in range(-steps, steps + 1):
+        for j in range(-steps, steps + 1):
+            x, y = cx + i * h, cy + j * h
+            if (x - cx) ** 2 + (y - cy) ** 2 <= r * r and (x, y) != (cx, cy):
+                pts.append((x, y))
+    return pts
+
+
+def spread_check_bfs(admits, depth, budget):
+    """(checked, violating nodes) of the successor check of a spread law,
+    level by level from the root: every admitted node of length at most
+    depth needs an admitted child among its first ``budget``."""
+    if not admits(()):
+        return 0, [()]
+    checked, bad, level = 0, [], [()]
+    for _ in range(depth + 1):
+        nxt = []
+        for node in level:
+            checked += 1
+            kids = [node + (d,) for d in range(budget) if admits(node + (d,))]
+            if not kids:
+                bad.append(node)
+            nxt.extend(kids)
+        level = nxt
+    return checked, bad

@@ -209,7 +209,10 @@ class TestExitCodes:
          (["cover", "--space=loc:q", "--target=top", "--family=B(1;0);  B(x;0)", "--depth=1"], 11),
          (["cover", "--space=loc:seg:0,x", "--target=top", "--family=top", "--depth=1"], 10),
          (["cover", "--space=loc:seg:0", "--target=top", "--family=top", "--depth=1"], 8),
-         (["cover", "--space=loc:seg:0,1,2", "--target=top", "--family=top", "--depth=1"], 12)],
+         (["cover", "--space=loc:seg:0,1,2", "--target=top", "--family=top", "--depth=1"], 12),
+         # an unknown name: its first non-blank byte
+         (["cover", "--space=  loc:zz", "--target=top", "--family=top", "--depth=1"], 2),
+         (["spread", "--law= full3", "--depth=1"], 1)],
     )
     def test_true_offsets(self, capsys, argv, offset):
         code, out, err = run(capsys, *argv)

@@ -163,6 +163,11 @@ class TestNetFromLocated:
         kept = net_from_located(interval_set(0, 1), never, F(1, 4))
         assert kept == ()
 
+    def test_empty_ambient_keeps_nothing(self):
+        empty = EpsilonNetFamily(LINE, lambda eps: [], inhabited=False)
+        for P in (point_set([0]), predicate_from_net(point_set([0]))):
+            assert net_from_located(empty, P, F(1, 4)) == ()
+
     def test_round_trip_net_is_close(self):
         # located -> net: the filtered net is 2-eps-close to the set.
         for S in (interval_set(0, 1), cantor_set(), point_set([0, 1])):

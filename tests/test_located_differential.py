@@ -23,11 +23,14 @@ from hypothesis import strategies as st
 
 from helpers import (
     affine_apply,
+    box_net,
     bracket_holds_min_root,
     cantor_oracle_distance,
+    disk_net,
     finite_hausdorff_1d,
     finite_hausdorff_leq,
     finite_hausdorff_sq,
+    grid_line_net,
     min_root_sign,
     point_sq,
     root_at_least,
@@ -44,19 +47,23 @@ from overt.located import (
     PLANE,
     Decision,
     EpsilonNetFamily,
+    LocatedPredicate,
+    box_set,
     cantor_set,
     decide_located_pair,
     disk_set,
     distance_to_set,
     hausdorff_distance,
     interval_set,
+    net_from_located,
     plane_point_set,
     point_set,
     predicate_from_net,
     segment_set,
     union_located,
 )
-from overt.metric import FormalBall, MetricSpace, PlaneMax
+from overt.metric import FormalBall, LineSegment, MetricSpace, PlaneMax
+from overt.plot import PlotSpec, pixel_radius, render_plot
 from overt.reals import sqrt_bounds
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -840,3 +847,170 @@ def test_shear_point_nets_are_the_mapped_points(m, pts, eps):
     img = image(plane_point_set(pts), m)
     assert img.distance_compare is None
     assert finite_hausdorff_leq(img.net(eps), [affine_apply(m, p) for p in pts], 0, plane=True)
+
+
+# ---------------------------------------------------------------------------
+# Nets from a dichotomy, and plots, by cell descent.  The oracle is the flat
+# loop: one dichotomy per ambient net point or pixel.  A set with an exact
+# comparison or a predicate with ``pos_exact`` decides whole cells at once,
+# and must keep exactly the points the flat loop keeps, in the same order;
+# ties at the decision radius must fall the same way.
+# ---------------------------------------------------------------------------
+
+
+def flat_net_from_located(ambient, P, eps):
+    inner, outer = eps / 3, 2 * eps / 3
+    return tuple(x for x in ambient.net(eps / 3)
+                 if decide_located_pair(P, FormalBall(x, inner), FormalBall(x, outer))
+                 is Decision.POS_OUTER)
+
+
+def flat_plot(S, viewport, w, h):
+    S = located.promote_to_plane(S)
+    xmin, xmax, ymin, ymax = (F(v) for v in viewport)
+    pw, ph = (xmax - xmin) / w, (ymax - ymin) / h
+    r = pixel_radius(pw, ph)
+    rows = []
+    for i in range(h):
+        cy = ymax - (2 * i + 1) * ph / 2
+        row = []
+        for j in range(w):
+            c = (xmin + (2 * j + 1) * pw / 2, cy)
+            ans = decide_located_pair(S, FormalBall(c, r), FormalBall(c, 2 * r))
+            row.append("0" if ans is Decision.POS_OUTER else "255")
+        rows.append(" ".join(row))
+    return "\n".join(["P2", f"{w} {h}", "255", *rows]) + "\n"
+
+
+def max_metric_points(pts):
+    """Finite plane points under the max metric, with the exact comparison
+    min over the points of max(|dx|, |dy|) against t."""
+    space = PlaneMax()
+
+    def cmp(p, t):
+        d = min(max(abs(p[0] - q[0]), abs(p[1] - q[1])) for q in pts)
+        return (d > t) - (d < t)
+
+    return EpsilonNetFamily(space, lambda eps: list(pts), distance_compare=cmp, name="max-points")
+
+
+def as_queried(S, how):
+    """S itself, its predicate (answered by ``pos_exact``), or a predicate
+    without ``pos_exact`` whose every answer is the per-point dichotomy."""
+    if how == "set":
+        return S
+    if how == "predicate":
+        return predicate_from_net(S)
+    return LocatedPredicate(S.space, lambda i, o: decide_located_pair(S, i, o))
+
+
+HOW = st.sampled_from(["set", "predicate", "no-pos-exact"])
+CELL_EPS = st.sampled_from([F(1), F(3, 4), F(1, 2), F(3, 8)])
+
+
+@NET_SETTINGS
+@given(line_sets(), HOW, st.sampled_from([F(1, 4), F(3, 16), F(1, 8), F(1, 16)]),
+       st.booleans())
+def test_line_cell_round_trip_is_the_flat_loop(case, how, eps, segment):
+    S, _, _ = case
+    ambient = interval_set(-4, 3)
+    if segment:
+        space = LineSegment(F(-4), F(3))
+        S = EpsilonNetFamily(space, S.net, distance_compare=S.distance_compare, name=S.name)
+        ambient = interval_set(-4, 3, space=space)
+    P = as_queried(S, how)
+    assert net_from_located(ambient, P, eps) == flat_net_from_located(ambient, P, eps)
+
+
+@NET_SETTINGS
+@given(st.one_of(plane_sets(), similar_plane_images(), line_images()), HOW, CELL_EPS)
+def test_plane_cell_round_trip_is_the_flat_loop(case, how, eps):
+    P = as_queried(case[0], how)
+    ambient = box_set(-2, 2, -2, 2)
+    assert net_from_located(ambient, P, eps) == flat_net_from_located(ambient, P, eps)
+
+
+@NET_SETTINGS
+@given(st.lists(plane_pt(8), min_size=1, max_size=4), HOW, CELL_EPS)
+def test_max_metric_cell_round_trip_is_the_flat_loop(pts, how, eps):
+    P = as_queried(max_metric_points(pts), how)
+    ambient = box_set(-2, 2, -2, 2)
+    assert net_from_located(ambient, P, eps) == flat_net_from_located(ambient, P, eps)
+
+
+@NET_SETTINGS
+@given(st.one_of(plane_sets(), similar_plane_images(), line_images(),
+                 line_sets().map(lambda c: c[:1])),
+       st.tuples(rat(-2, 0, 4), rat(F(1, 4), 2, 4), rat(-2, 0, 4), rat(F(1, 4), 2, 4)),
+       st.integers(1, 16), st.integers(1, 16))
+def test_cell_plot_is_the_flat_loop(case, box, w, h):
+    S = case[0]
+    viewport = (box[0], box[0] + box[1], box[2], box[2] + box[3])
+    assert render_plot(PlotSpec(S, viewport, w, h)) == flat_plot(S, viewport, w, h)
+
+
+def test_cell_round_trip_ties_fall_as_the_flat_loop():
+    # 1/4 = 2 eps/3 from 0 on the line, and (1, 0) at 1/2 = 2 eps/3 from the
+    # disk of radius 1/2: both are ambient net points, and neither is kept.
+    for S, ambient, eps, tie, near in [
+        (point_set([0]), interval_set(-1, 1), F(3, 8), F(1, 4), F(1, 8)),
+        (disk_set(0, 0, F(1, 2)), box_set(-1, 1, -1, 1), F(3, 4), (F(1), F(0)), (F(7, 8), F(0))),
+    ]:
+        for P in (S, predicate_from_net(S)):
+            kept = net_from_located(ambient, P, eps)
+            assert kept == flat_net_from_located(ambient, P, eps)
+            assert tie in ambient.net(eps / 3) and tie not in kept and near in kept
+
+
+def test_cell_plot_ties_fall_as_the_flat_loop():
+    # The top left pixel centre of an 8x8 plot of the unit box lies exactly
+    # 2r from the point: the question asks for less than 2r, so it is white.
+    pw = F(1, 8)
+    r = pixel_radius(pw, pw)
+    c = (pw / 2, 1 - pw / 2)
+    S = plane_point_set([(c[0] + 2 * r, c[1])])
+    text = render_plot(PlotSpec(S, (0, 1, 0, 1), 8, 8))
+    assert text == flat_plot(S, (0, 1, 0, 1), 8, 8)
+    assert text.split("\n")[3].split()[0] == "255"
+
+
+def test_cell_round_trip_compares_few_cells():
+    # The disk round trip at 1/64 has 148,225 ambient points; the descent
+    # must settle most of them by cells, not by one comparison each.  The
+    # kept points are those within r + 2 eps/3 = 100/384 of the centre,
+    # in integer units of the ambient step 1/384.
+    D = disk_set(F(1, 2), F(1, 2), F(1, 4))
+    calls = []
+
+    def cmp(p, t):
+        calls.append(p)
+        return D.distance_compare(p, t)
+
+    S = EpsilonNetFamily(PLANE, D.net, distance_compare=cmp, name="counted-disk")
+    ambient = box_set(0, 1, 0, 1)
+    kept = net_from_located(ambient, predicate_from_net(S), F(1, 64))
+    n = len(ambient.net(F(1, 192)))
+    assert n == 148225 and len(calls) < n // 4
+    assert kept == tuple((F(i, 384), F(j, 384)) for i in range(385) for j in range(385)
+                         if (i - 192) ** 2 + (j - 192) ** 2 < 100 ** 2)
+
+
+# ---------------------------------------------------------------------------
+# Builtin nets against their constructions by repeated addition.
+# ---------------------------------------------------------------------------
+
+NET_EPS = st.sampled_from([F(1), F(1, 2), F(2, 3), F(1, 5), F(3, 16), F(1, 64)])
+
+
+@SETTINGS
+@given(plane_pt(6), rat(F(1, 16), 1, 48), st.sampled_from([F(1), F(2, 3), F(1, 5), F(3, 16), F(1, 24)]))
+def test_disk_net_is_the_grid_construction(c, r, eps):
+    assert disk_set(c[0], c[1], r).net(eps) == disk_net(c[0], c[1], r, eps)
+
+
+@SETTINGS
+@given(plane_pt(6), rat(0, 2, 7), rat(0, 2, 5), NET_EPS)
+def test_box_and_interval_nets_are_the_grid_construction(a, w, h, eps):
+    x0, y0 = a
+    assert box_set(x0, x0 + w, y0, y0 + h).net(eps) == box_net(x0, x0 + w, y0, y0 + h, eps)
+    assert interval_set(x0, x0 + w).net(eps) == grid_line_net(x0, x0 + w, eps)

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from overt.errors import PreconditionFailed
+from helpers import spread_check_bfs
+from overt.errors import ParseError, PreconditionFailed
 from overt.trees import (
     Positivity,
     PrefixTooShort,
@@ -14,6 +17,7 @@ from overt.trees import (
     full_binary_law,
     middle_thirds_law,
     parse_node,
+    parse_removal_spec,
     removal_from_nodes,
     zero_pair_removals,
     zero_run_removals,
@@ -50,6 +54,40 @@ class TestSpreadLaws:
         for prefix in [(0,), (2,), (0, 2)]:
             sub = SpreadLaw("sub", lambda n, p=prefix: law.admits(p + n), arity=3)
             assert check_spread_mon(sub, 3, 3).ok
+
+
+def hashed_law(seed, mod, arity):
+    """A law admitting the root and each other node unless a hash of its
+    digits is divisible by mod: dead ends appear at every depth."""
+
+    def admits(node):
+        h = seed
+        for d in node:
+            h = (h * 1000003 + d + 1) % 2**31
+        return not node or h % mod != 0
+
+    return SpreadLaw("hashed", admits, arity=arity)
+
+
+class TestSpreadDepthFirst:
+    def test_two_and_two_has_dead_ends(self):
+        # At most two 0s and two 1s: every node with both is a dead end.
+        law = SpreadLaw("two-two", lambda n: n.count(0) <= 2 and n.count(1) <= 2, arity=2)
+        report = check_spread_mon(law, 5, 2)
+        checked, bad = spread_check_bfs(law.admits, 5, 2)
+        assert len(bad) == 6
+        assert (report.checked, [v.node for v in report.violations]) == (checked, bad)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**31), st.integers(2, 4), st.integers(1, 3),
+           st.sampled_from([None, 1, 2, 3]), st.integers(0, 6))
+    def test_matches_breadth_first(self, seed, mod, budget, arity, depth):
+        law = hashed_law(seed, mod, arity)
+        report = check_spread_mon(law, depth, budget)
+        width = budget if arity is None else min(budget, arity)
+        checked, bad = spread_check_bfs(law.admits, depth, width)
+        assert report.checked == checked
+        assert [v.node for v in report.violations] == bad
 
 
 class TestClosedPositivity:
@@ -140,8 +178,6 @@ class TestNodeSyntax:
             assert parse_node(format_node(node)) == node
 
     def test_removal_specs(self):
-        from overt.trees import parse_removal_spec
-
         rem = parse_removal_spec("nodes:0,0;1")
         assert rem.removed((0, 0)) and rem.removed((1, 5)) and not rem.removed((0, 1))
         pair = parse_removal_spec("alpha:0010")
@@ -150,3 +186,19 @@ class TestNodeSyntax:
         assert run.removed_at((0,)) and not run.removed_at((0, 0))
         with pytest.raises(PreconditionFailed):
             parse_removal_spec("blob:1")
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("nodes:0,x", 8), (" nodes:0,0; 1,y", 14), ("nodes:0;;1,,2", 11),
+         ("alpha:01x0", 8), ("alpharun:1 1", 10), ("  alpha:0-", 9)],
+    )
+    def test_removal_spec_offsets(self, text, offset):
+        with pytest.raises(ParseError) as e:
+            parse_removal_spec(text)
+        assert e.value.offset == offset
+
+    @pytest.mark.parametrize("text, offset", [("x", 0), ("0,1,y", 4), (" 3, z", 4), ("1,", 2)])
+    def test_node_offsets(self, text, offset):
+        with pytest.raises(ParseError) as e:
+            parse_node(text)
+        assert e.value.offset == offset

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from overt import kernel, located, metric, plot, setspec, trees, vietoris
 from overt.errors import (
@@ -20,7 +19,7 @@ from overt.errors import (
     PreconditionFailed,
     UndecidableComparison,
 )
-from overt.rationals import format_interval, parse_rational, parse_rational_list
+from overt.rationals import Cursor, format_interval, parse_rational, parse_rational_list
 
 USAGE_EXIT = 1
 PARSE_EXIT = 2
@@ -31,9 +30,8 @@ INTERNAL_EXIT = 4
 def _is_rational_list(text: str) -> bool:
     """True for a rational or a comma list of rationals, e.g. ``-3/2,0``."""
     try:
-        for part in text.split(","):
-            Fraction(part)
-    except (ValueError, ZeroDivisionError):
+        parse_rational_list(text)
+    except ParseError:
         return False
     return True
 
@@ -91,32 +89,17 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _parse_size(text: str) -> tuple[int, int]:
-    """``WxH``; a malformed part is reported at its offset."""
-    parts = text.lower().split("x")
-    if len(parts) < 2:
-        raise ParseError("size must be WxH, missing 'x'", len(text))
-    if len(parts) > 2:
-        at = len(parts[0]) + 1 + len(parts[1])
-        raise ParseError(f"size must be WxH, trailing input {text[at:]!r}", at)
-    dims, at = [], 0
-    for part in parts:
-        try:
-            dims.append(int(part))
-        except ValueError:
-            lead = at + len(part) - len(part.lstrip())
-            raise ParseError(f"malformed size {part!r}", lead) from None
-        at += len(part) + 1
-    return dims[0], dims[1]
-
-
 def _cmd_plot(args) -> int:
     family = setspec.parse_set_spec(args.set_spec)
     vp = parse_rational_list(args.viewport, most=4)
     if len(vp) < 4:
         raise ParseError("viewport needs xmin,xmax,ymin,ymax", len(args.viewport))
-    spec = plot.PlotSpec(family, tuple(vp), *_parse_size(args.size))
-    text = plot.render_plot(spec)
+    cur = Cursor(args.size)
+    width = cur.integer()
+    if not (cur.match("x") or cur.match("X")):
+        raise cur.error("size must be WxH, missing 'x'")
+    height = cur.finish(cur.integer())
+    text = plot.render_plot(plot.PlotSpec(family, tuple(vp), width, height))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -152,48 +135,33 @@ def _cmd_hausdorff(args) -> int:
 
 
 def _space_base(name: str, budget: int):
-    s = name.strip()
-    if s == "reals":
-        return kernel.FormalRealsBase()
-    if s == "loc:q":
-        return metric.completion_base(metric.RationalLine(), max(budget * 8, 16))
-    if s == "loc:q2":
-        return metric.completion_base(metric.PlaneEuclid(), max(budget * 8, 16))
-    if s.startswith("loc:seg:"):
-        at = len(name) - len(name.lstrip()) + len("loc:seg:")
-        ends = parse_rational_list(s[len("loc:seg:"):], at, most=2)
+    cur = Cursor(name)
+    at = cur.skip()
+    if cur.match("reals"):
+        return cur.finish(kernel.FormalRealsBase())
+    for prefix, space in (("loc:q2", metric.PlaneEuclid), ("loc:q", metric.RationalLine)):
+        if cur.match(prefix):
+            return metric.completion_base(cur.finish(space()), max(budget * 8, 16))
+    if cur.match("loc:seg:"):
+        at = cur.skip()
+        ends = cur.finish(cur.rational_list(most=2))
         if len(ends) < 2:
-            raise ParseError("loc:seg needs two endpoints", at)
-        seg = metric.LineSegment(*ends)
-        return metric.completion_base(seg, 2 ** max(budget, 4) + 1)
-    raise ParseError(f"unknown space {name!r}", len(name) - len(name.lstrip()))
-
-
-def _split_family(text: str) -> list[tuple[int, str]]:
-    """Split on ';' outside parentheses (the ball syntax contains ';'), as
-    (offset in text, element) pairs."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == ";" and depth == 0:
-            parts.append((start, text[start:i]))
-            start = i + 1
-    parts.append((start, text[start:]))
-    return [(at, p) for at, p in parts if p.strip()]
+            raise cur.error("loc:seg needs two endpoints", at)
+        k = max(budget, 4)
+        if k > metric.MAX_BALL_POINTS.bit_length():  # checked before 2**k is
+            raise PreconditionFailed(
+                f"loc:seg at budget {budget} needs 2**{k} + 1 ball points, "
+                f"over the cap of {metric.MAX_BALL_POINTS}"
+            )
+        return metric.completion_base(metric.LineSegment(*ends), 2**k + 1)
+    raise cur.error(f"unknown space {name!r}", at)
 
 
 def _cmd_cover(args) -> int:
     base = _space_base(args.space, args.budget)
     target = base.parse_element(args.target)
-    family = []
-    for at, text in _split_family(args.family):
-        try:
-            family.append(base.parse_element(text))
-        except ParseError as e:
-            raise e.shifted(at) from None
+    cur = Cursor(args.family)
+    family = cur.finish(cur.separated(base.read_element, ";"))
     d = kernel.derive_cover(base, target, family, args.depth, budget=args.budget)
     if d is None:
         print("unknown")
@@ -218,9 +186,12 @@ _LAWS = {
 
 
 def _cmd_spread(args) -> int:
-    if args.law not in _LAWS:
-        raise ParseError(f"unknown law {args.law!r}", len(args.law) - len(args.law.lstrip()))
-    report = trees.check_spread_mon(_LAWS[args.law](), args.depth, args.budget)
+    cur = Cursor(args.law)
+    at = cur.skip()
+    law = _LAWS.get(cur.finish(cur.word()))
+    if law is None:
+        raise cur.error(f"unknown law {args.law!r}", at)
+    report = trees.check_spread_mon(law(), args.depth, args.budget)
     if report.ok:
         print(f"ok: {report.checked} admitted nodes to depth {report.depth}")
     else:

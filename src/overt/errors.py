@@ -32,7 +32,3 @@ class ParseError(ValueError):
         self.message = message
         self.offset = offset
 
-    def shifted(self, by: int) -> "ParseError":
-        """The same error with its offset moved by ``by`` bytes, for a parser
-        that handed a slice of its input to another."""
-        return ParseError(self.message, self.offset + by)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from overt.errors import AmbientMismatch, InvariantViolation, ParseError, PreconditionFailed
-from overt.rationals import format_rational, parse_rational
+from overt.errors import AmbientMismatch, InvariantViolation, PreconditionFailed
+from overt.rationals import Cursor, format_rational
 
 Part = tuple[Fraction, Fraction]
 
@@ -287,26 +287,17 @@ def finite_cover_decide(u: IntervalElement, family: Sequence[IntervalElement]) -
 # ---------------------------------------------------------------------------
 
 
-def parse_element(text: str, ambient: Part) -> IntervalElement:
-    s = text.strip()
-    if s == "0":
+def read_element(cur: Cursor, ambient: Part) -> IntervalElement:
+    if cur.match("0"):
         return IntervalElement.zero(ambient)
-    if s == "1":
+    if cur.match("1"):
         return IntervalElement.one(ambient)
-    parts = []
-    offset = 0
-    for chunk in text.split("|"):
-        c = chunk.strip()
-        at = offset + len(chunk) - len(chunk.lstrip())
-        if not (c.startswith("(") and c.endswith(")")):
-            raise ParseError(f"expected (p,q), got {chunk!r}", at)
-        halves = c[1:-1].split(",")
-        if len(halves) != 2:
-            raise ParseError(f"expected two endpoints in {chunk!r}", at)
-        p = parse_rational(halves[0], at + 1)
-        q = parse_rational(halves[1], at + len(halves[0]) + 2)
-        if p >= q:
-            raise ParseError(f"empty interval ({p},{q})", at)
-        parts.append((p, q))
-        offset += len(chunk) + 1
+    parts = [cur.interval()]
+    while cur.match("|"):
+        parts.append(cur.interval())
     return IntervalElement.make(ambient, parts)
+
+
+def parse_element(text: str, ambient: Part) -> IntervalElement:
+    cur = Cursor(text)
+    return cur.finish(read_element(cur, ambient))

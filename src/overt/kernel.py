@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from overt.errors import ParseError, PreconditionFailed
-from overt.rationals import format_rational, parse_rational
+from overt.errors import PreconditionFailed
+from overt.rationals import Cursor, format_rational
 
 
 class _Top:
@@ -211,8 +211,13 @@ class Base:
     def format_element(self, u) -> str:
         raise NotImplementedError
 
-    def parse_element(self, text: str):
+    def read_element(self, cur: Cursor):
+        """Read one element at the cursor."""
         raise NotImplementedError
+
+    def parse_element(self, text: str):
+        cur = Cursor(text)
+        return cur.finish(self.read_element(cur))
 
 
 class FormalRealsBase(Base):
@@ -324,21 +329,8 @@ class FormalRealsBase(Base):
             return "top"
         return f"({format_rational(u[0])},{format_rational(u[1])})"
 
-    def parse_element(self, text: str):
-        s = text.strip()
-        if s == "top":
-            return TOP
-        at = len(text) - len(text.lstrip())
-        if not (s.startswith("(") and s.endswith(")")):
-            raise ParseError(f"expected (p,q), got {text!r}", at)
-        halves = s[1:-1].split(",")
-        if len(halves) != 2:
-            raise ParseError(f"expected two endpoints in {text!r}", at)
-        p = parse_rational(halves[0], at + 1)
-        q = parse_rational(halves[1], at + len(halves[0]) + 2)
-        if p >= q:
-            raise ParseError(f"empty interval ({p},{q})", at)
-        return (p, q)
+    def read_element(self, cur: Cursor):
+        return TOP if cur.match("top") else cur.interval()
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +339,14 @@ class FormalRealsBase(Base):
 
 
 class _Searcher:
-    def __init__(self, base: Base, target: EltSet, budget: int, sublocale, axiom_filter):
+    def __init__(self, base: Base, target: EltSet, budget: int, sublocale):
         self.base = base
         self.target = target
         self.budget = budget
         self.posclosed = sublocale if isinstance(sublocale, PosClosedSub) else None
-        self.axiom_filter = axiom_filter
         self.found: dict = {}  # element -> (derivation, tree_depth)
         self.failed_at: dict = {}  # element -> highest depth that failed
-        self.instances: dict = {}  # element -> filtered non-empty instances
+        self.instances: dict = {}  # element -> non-empty instances
 
     def deepen(self, u, depth: int) -> Optional[Derivation]:
         """Iterative deepening: found derivations stay as shallow as
@@ -367,15 +358,14 @@ class _Searcher:
         return None
 
     def _instances(self, u) -> list:
-        """The non-empty candidate instances of u that pass the filter, built
-        once: they depend on (u, budget, target) only, all fixed here."""
+        """The non-empty candidate instances of u, built once: they depend on
+        (u, budget, target) only, all fixed here."""
         out = self.instances.get(u)
         if out is None:
-            keep = self.axiom_filter
             out = [
                 (axiom, family)
                 for axiom, family in self.base.candidate_instances(u, self.budget, self.target)
-                if family and (keep is None or keep(axiom, u, family))
+                if family
             ]
             self.instances[u] = out
         return out
@@ -423,38 +413,25 @@ class _Searcher:
         return None
 
 
-def derive_cover(
-    base: Base,
-    u,
-    family,
-    depth: int,
-    budget: int = 4,
-    axiom_filter: Optional[Callable[[str, object, tuple], bool]] = None,
-) -> Optional[Derivation]:
+def derive_cover(base: Base, u, family, depth: int, budget: int = 4) -> Optional[Derivation]:
     """Search for a derivation of ``u below family``; None means Unknown.
 
     Iterative deepening keeps found derivations as shallow as possible;
     success at a depth implies success at every larger depth.
     """
-    return _Searcher(base, as_target(family), budget, None, axiom_filter).deepen(u, depth)
+    return _Searcher(base, as_target(family), budget, None).deepen(u, depth)
 
 
 def sublocale_cover(
-    base: Base,
-    spec,
-    u,
-    family,
-    depth: int,
-    budget: int = 4,
-    axiom_filter: Optional[Callable[[str, object, tuple], bool]] = None,
+    base: Base, spec, u, family, depth: int, budget: int = 4
 ) -> Optional[Derivation]:
     """Derivation search in the extended system of the given sublocale."""
     target = as_target(family)
     if isinstance(spec, ClosedSub):
         target = target.extend(listed=spec.listed, predicates=spec.predicates)
-        return derive_cover(base, u, target, depth, budget, axiom_filter)
+        return derive_cover(base, u, target, depth, budget)
     if isinstance(spec, PosClosedSub):
-        return _Searcher(base, target, budget, spec, axiom_filter).deepen(u, depth)
+        return _Searcher(base, target, budget, spec).deepen(u, depth)
     if isinstance(spec, OpenSub):
         if depth <= 0:
             return None
@@ -463,7 +440,7 @@ def sublocale_cover(
             m = base.meet(u, w)
             if m is None:
                 continue
-            sub = derive_cover(base, m, target, depth - 1, budget, axiom_filter)
+            sub = derive_cover(base, m, target, depth - 1, budget)
             if sub is None:
                 return None
             premises.append(sub)
@@ -626,8 +603,8 @@ def check_positivity_axioms(
 #           | (open ELT FAMILY (node ...))
 #   FAMILY := (ELT ELT ...)
 #
-# Elements are printed by the base without internal whitespace, e.g. (0,3)
-# or B(1/2;0); `top` denotes the synthetic top.
+# ELT is whatever the base's own element reader reads at that point, blanks
+# included, e.g. (0,3) or B(1/2; 0); `top` denotes the synthetic top.
 # ---------------------------------------------------------------------------
 
 
@@ -650,101 +627,39 @@ def serialize_derivation(base: Base, node: Derivation) -> str:
     return f"({rule} {f(node.element)} ({fam}))"
 
 
-def _lex_sexp(text: str, pos: int):
-    """Parse one item; returns (item, next_pos).  Items are atoms (strings)
-    or lists.  A parenthesized run with no whitespace and no inner parens is
-    an element atom, not a list."""
-    n = len(text)
-    while pos < n and text[pos].isspace():
-        pos += 1
-    if pos >= n:
-        raise ParseError("unexpected end of derivation text", pos)
-    if text[pos] != "(":
-        start = pos
-        depth = 0
-        while pos < n:
-            c = text[pos]
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif c.isspace() and depth == 0:
-                break
-            pos += 1
-        return text[start:pos], pos
-    # Find the matching paren.
-    depth = 0
-    end = pos
-    while end < n:
-        if text[end] == "(":
-            depth += 1
-        elif text[end] == ")":
-            depth -= 1
-            if depth == 0:
-                break
-        end += 1
-    if depth != 0:
-        raise ParseError("unbalanced parentheses", pos)
-    inner = text[pos + 1 : end]
-    if inner and not any(c.isspace() for c in inner) and "(" not in inner:
-        return text[pos : end + 1], end + 1  # element atom like (0,3)
-    items = []
-    q = 0
-    while True:
-        while q < len(inner) and inner[q].isspace():
-            q += 1
-        if q >= len(inner):
-            break
-        item, q = _lex_sexp(inner, q)
-        items.append(item)
-    return items, end + 1
-
-
 def parse_derivation(base: Base, text: str) -> Derivation:
-    item, pos = _lex_sexp(text, 0)
-    rest = text[pos:].strip()
-    if rest:
-        raise ParseError(f"trailing text {rest!r}", pos)
-    return _node_from_item(base, item)
+    cur = Cursor(text)
+    return cur.finish(_read_node(base, cur))
 
 
-def _node_from_item(base: Base, item) -> Derivation:
-    if not isinstance(item, list) or not item:
-        raise ParseError(f"expected a derivation node, got {item!r}", 0)
-    rule = item[0]
-    if not isinstance(rule, str):
-        raise ParseError("node must start with a rule name", 0)
-    if rule in ("ref", "poshyp"):
-        if len(item) != 2:
-            raise ParseError(f"{rule} takes one element", 0)
-        return Derivation(rule, _elt(base, item[1]))
-    if rule == "ext":
-        if len(item) != 3:
-            raise ParseError("ext takes two elements", 0)
-        return Derivation("ext", _elt(base, item[1]), witness=_elt(base, item[2]))
+def _read_node(base: Base, cur: Cursor) -> Derivation:
+    cur.expect("(")
+    at = cur.skip()
+    rule = cur.word()
+    if not rule:
+        raise cur.error("expected a rule name", at)
     if rule == "tra":
-        if len(item) != 3 or not isinstance(item[2], list):
-            raise ParseError("tra takes a head node and a premise list", 0)
-        head = _node_from_item(base, item[1])
-        subs = tuple(_node_from_item(base, s) for s in item[2])
-        return Derivation("tra", head.element, premises=(head, *subs))
-    if rule == "open":
-        if len(item) != 4 or not isinstance(item[2], list) or not isinstance(item[3], list):
-            raise ParseError("open takes an element, a family and premises", 0)
-        fam = tuple(_elt(base, e) for e in item[2])
-        subs = tuple(_node_from_item(base, s) for s in item[3])
-        return Derivation("open", _elt(base, item[1]), witness=fam, premises=subs)
-    if len(item) != 3 or not isinstance(item[2], list):
-        raise ParseError(f"axiom {rule} takes an element and a family", 0)
-    fam = tuple(_elt(base, e) for e in item[2])
-    return Derivation(rule, _elt(base, item[1]), witness=fam)
+        head = _read_node(base, cur)
+        subs = _read_group(cur, lambda c: _read_node(base, c))
+        node = Derivation("tra", head.element, premises=(head, *subs))
+    else:
+        u = base.read_element(cur)
+        if rule in ("ref", "poshyp"):
+            node = Derivation(rule, u)
+        elif rule == "ext":
+            node = Derivation("ext", u, witness=base.read_element(cur))
+        else:
+            fam = _read_group(cur, base.read_element)
+            subs = _read_group(cur, lambda c: _read_node(base, c)) if rule == "open" else ()
+            node = Derivation(rule, u, witness=fam, premises=subs)
+    cur.expect(")")
+    return node
 
 
-def _elt(base: Base, item):
-    if isinstance(item, list):
-        if len(item) == 1 and isinstance(item[0], str):
-            return base.parse_element(f"({item[0]})")
-        raise ParseError(f"expected an element, got a list {item!r}", 0)
-    return base.parse_element(item)
+def _read_group(cur: Cursor, read) -> tuple:
+    """``(`` then values read by ``read`` up to the matching ``)``."""
+    cur.expect("(")
+    out = []
+    while not cur.match(")"):
+        out.append(read(cur))
+    return tuple(out)

@@ -63,6 +63,7 @@ from overt.kernel import (
     sublocale_cover,
 )
 from overt.metric import (
+    CompleteUniformBase,
     FormalBall,
     LineSegment,
     MetricSpace,
@@ -70,7 +71,6 @@ from overt.metric import (
     PlaneMax,
     RationalLine,
     ball_lt,
-    completion_base,
 )
 from overt.reals import DedekindReal, sqrt_bounds
 
@@ -652,7 +652,7 @@ _CANTOR_MEMO: dict[Fraction, Fraction] = {}
 def cantor_distance(x) -> Fraction:
     """Exact distance from a rational to the middle-thirds set in [0, 1].
 
-    Scaling by 3 maps the set onto two shifted copies of itself, so the
+    Scaling by 3 maps the set onto two translated copies of itself, so the
     distance satisfies d(x) = min(d(3x), d(3x - 2)) / 3 inside (0, 1).  The
     orbit of a rational under these maps is finite; a revisited state means
     a periodic digit expansion avoiding the middle digit, i.e. the state is
@@ -1111,27 +1111,20 @@ def tvd_check(
     """Check both directions of the located-sublocale containment statement.
 
     Only axiom families known to be semantically complete covers are used
-    (uniform families over a grid fine enough for their radius), so a found
+    (the uniform families of ``CompleteUniformBase``, over a grid fine
+    enough for their radius), so a found
     derivation is true of the space itself, never an artifact of the
     truncation; the shrink families are excluded for the same reason.
     """
     if P.pos_exact is None:
         raise PreconditionFailed("tvd_check needs an exactly decidable predicate")
     Z = tuple(Z)
-    base = completion_base(P.space, budget)
-
-    def axiom_filter(name, u, family):
-        if name not in ("m2", "m2loc"):
-            return False
-        margin = family[0].radius
-        k = margin.denominator.bit_length() - 1
-        return base.m2_complete(k)
-
+    base = CompleteUniformBase(P.space, budget)
     notpos = SetPredicate(
         "notpos", lambda ball: ball is not TOP and not P.pos_exact(ball)
     )
     target = EltSet(listed=Z, predicates=(notpos,))
-    cover = derive_cover(base, TOP, target, depth, budget=budget, axiom_filter=axiom_filter)
+    cover = derive_cover(base, TOP, target, depth, budget=budget)
 
     pos_pred = SetPredicate("pos", lambda ball: ball is TOP or P.pos_exact(ball))
     subl = PosClosedSub(pos_pred)
@@ -1143,7 +1136,6 @@ def tvd_check(
         sampled = list(samples)
     results = []
     for u in sampled:
-        d = sublocale_cover(base, subl, u, EltSet(listed=Z), depth, budget=budget,
-                            axiom_filter=axiom_filter)
+        d = sublocale_cover(base, subl, u, EltSet(listed=Z), depth, budget=budget)
         results.append((u, d))
     return TvdReport(Z, cover, tuple(results))

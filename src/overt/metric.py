@@ -20,8 +20,10 @@ truncated to listed centers and dyadic shrink margins) and the uniform-size
 families (the whole space is covered by balls of size 2**-k).  Truncations
 are honest: a family is only as good as its declaration, and judgments
 derived from them live in the truncated presentation.  Segment spaces know
-when a uniform family is a genuinely complete cover (``m2_complete``),
-which consumers needing semantic ground truth use as a filter.
+when a uniform family is a genuinely complete cover (``m2_complete``), and
+``CompleteUniformBase`` offers only those families, for consumers needing
+semantic ground truth.  A ball base holds at most ``MAX_BALL_POINTS``
+points.
 """
 
 from __future__ import annotations
@@ -33,12 +35,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from overt.errors import ParseError, PreconditionFailed, UndecidableComparison
+from overt.errors import PreconditionFailed, UndecidableComparison
 from overt.kernel import TOP, Base
-from overt.rationals import format_rational, parse_rational, parse_rational_list
+from overt.rationals import Cursor, format_rational
 from overt.reals import sqrt_bounds
 
 PRECISION_FLOOR = Fraction(1, 2**64)
+
+# A ball base lists at most this many points; a larger point budget is
+# refused before any point is built.
+MAX_BALL_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -59,21 +65,20 @@ def format_ball(b: FormalBall) -> str:
     return f"B({format_rational(b.radius)}; {coords})"
 
 
+def read_ball(cur: Cursor) -> FormalBall:
+    """``B(r; x)`` or ``B(r; x, y)`` at the cursor."""
+    cur.expect("B(")
+    radius = cur.rational()
+    cur.expect(";")
+    coords = cur.rational_list(most=2)
+    cur.expect(")")
+    return FormalBall(coords[0] if len(coords) == 1 else tuple(coords), radius)
+
+
 def parse_ball(text: str) -> FormalBall:
-    """``B(r; x)`` or ``B(r; x, y)``; errors carry the byte offset in text."""
-    s = text.strip()
-    at = len(text) - len(text.lstrip())
-    if not (s.startswith("B(") and s.endswith(")")):
-        raise ParseError(f"expected B(r; center), got {text!r}", at)
-    body = s[2:-1]
-    if ";" not in body:
-        raise ParseError("missing ';' in ball", at + 2 + len(body))
-    rad_txt, center_txt = body.split(";", 1)
-    radius = parse_rational(rad_txt, at + 2)
-    coords = parse_rational_list(center_txt, at + 3 + len(rad_txt), most=2)
-    if len(coords) == 1:
-        return FormalBall(coords[0], radius)
-    return FormalBall((coords[0], coords[1]), radius)
+    """A whole text holding one ball; errors carry the byte offset in text."""
+    cur = Cursor(text)
+    return cur.finish(read_ball(cur))
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +406,10 @@ class BallBase(Base):
     """
 
     def __init__(self, space: MetricSpace, point_budget: int, max_shrink: int = 6):
+        if point_budget > MAX_BALL_POINTS:
+            raise PreconditionFailed(
+                f"a ball base of {point_budget} points exceeds the cap of {MAX_BALL_POINTS}"
+            )
         self.space = space
         self.point_budget = point_budget
         self.max_shrink = max_shrink
@@ -519,11 +528,24 @@ class BallBase(Base):
             return "top"
         return format_ball(u)
 
-    def parse_element(self, text: str):
-        s = text.strip()
-        if s == "top":
-            return TOP
-        return parse_ball(text)
+    def read_element(self, cur: Cursor):
+        return TOP if cur.match("top") else read_ball(cur)
+
+
+class CompleteUniformBase(BallBase):
+    """The ball base restricted to the uniform families that are complete
+    covers of the space itself (``m2_complete``): ``m2`` for the top and
+    ``m2loc`` for a ball, in order of k.  A derivation from these families
+    is true of the space, never an artifact of the truncation."""
+
+    def axiom_instances(self, u, budget: int) -> list[tuple[str, tuple]]:
+        axiom, ball = ("m2", None) if u is TOP else ("m2loc", u)
+        out = []
+        for k in range(1, min(max(1, budget), self.max_shrink) + 1):
+            fam = self._uniform_family(ball, k) if self.m2_complete(k) else ()
+            if fam:
+                out.append((axiom, fam))
+        return out
 
 
 def completion_base(space: MetricSpace, point_budget: int, max_shrink: int = 6) -> BallBase:

@@ -18,7 +18,8 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from overt.errors import ParseError, PreconditionFailed
+from overt.errors import PreconditionFailed
+from overt.rationals import Cursor
 
 Node = tuple[int, ...]
 
@@ -33,21 +34,21 @@ def format_node(node: Node) -> str:
     return ",".join(str(k) for k in node)
 
 
-def parse_node(text: str) -> Node:
-    """``()`` or a comma list of integers; a bad part raises a ParseError at
-    its first non-blank byte in text."""
-    s = text.strip()
-    if s in ("()", ""):
+def _read_node(cur: Cursor) -> Node:
+    if cur.match("("):
+        cur.expect(")")
         return ()
-    node, at = [], len(text) - len(text.lstrip())
-    for part in s.split(","):
-        try:
-            node.append(int(part))
-        except ValueError:
-            raise ParseError(f"bad node digit {part.strip()!r}",
-                             at + len(part) - len(part.lstrip())) from None
-        at += len(part) + 1
+    node = [cur.integer()]
+    while cur.match(","):
+        node.append(cur.integer())
     return tuple(node)
+
+
+def parse_node(text: str) -> Node:
+    """``()``, a blank text, or a comma list of integers; a bad part raises a
+    ParseError at its first non-blank byte in text."""
+    cur = Cursor(text)
+    return cur.finish(() if cur.at_end() else _read_node(cur))
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +95,15 @@ class SpreadReport:
         return not self.violations
 
 
+MAX_SPREAD_NODES = 1 << 20
+
+
 def check_spread_mon(law: SpreadLaw, depth: int, branch_budget: int) -> SpreadReport:
     """Verify that every admitted node up to the depth has an admitted
     successor within the branch budget.
+
+    Refused up front, with PreconditionFailed, when the full tree of the
+    branch width to that depth has more than ``MAX_SPREAD_NODES`` nodes.
 
     For a declared arity not exceeding the budget the successor sweep is
     exhaustive and the check is complete; otherwise a missing successor
@@ -106,6 +113,17 @@ def check_spread_mon(law: SpreadLaw, depth: int, branch_budget: int) -> SpreadRe
     budget = branch_budget if law.arity is None else min(branch_budget, law.arity)
     if budget <= 0:
         raise PreconditionFailed("branch budget must be positive")
+    # The admitted nodes lie in the full tree of this width and depth; its
+    # size is checked against the cap before any node is.
+    size = level = 1
+    for _ in range(depth):
+        level *= budget
+        size += level
+        if size > MAX_SPREAD_NODES:
+            raise PreconditionFailed(
+                f"a spread check to depth {depth} with {budget} children per node "
+                f"may check more than the cap of {MAX_SPREAD_NODES} nodes"
+            )
     report = SpreadReport(law.name, depth, branch_budget, 0, [])
     if not law.admits(()):
         report.violations.append(SpreadViolation((), "root not admitted"))
@@ -198,33 +216,22 @@ def parse_removal_spec(text: str) -> RemovalSet:
     """Removal sets from text: ``nodes:0,0;1`` lists removed nodes,
     ``alpha:<bits>`` the pair-indexed generator, ``alpharun:<bits>`` the
     zero-run generator (the two documented readings of the same family)."""
-    s = text.strip()
-    lead = len(text) - len(text.lstrip())
-    if s.startswith("nodes:"):
-        nodes, at = [], lead + len("nodes:")
-        for part in s[len("nodes:"):].split(";"):
-            if part.strip():
-                try:
-                    nodes.append(parse_node(part))
-                except ParseError as e:
-                    raise e.shifted(at) from None
-            at += len(part) + 1
-        return removal_from_nodes(nodes)
+    cur = Cursor(text)
+    if cur.match("nodes:"):
+        return removal_from_nodes(cur.finish(cur.separated(_read_node, ";")))
     for prefix, make in (("alpharun:", zero_run_removals), ("alpha:", zero_pair_removals)):
-        if s.startswith(prefix):
-            return make(_parse_bits(s[len(prefix):], lead + len(prefix)))
+        if cur.match(prefix):
+            return make(_read_bits(cur))
     raise PreconditionFailed(f"unknown removal spec {text!r}")
 
 
-def _parse_bits(text: str, at: int) -> list:
-    """Each character of text as an integer; a bad one raises a ParseError
-    at its offset, ``at`` plus its index."""
-    bits = []
-    for i, ch in enumerate(text):
-        try:
-            bits.append(int(ch))
-        except ValueError:
-            raise ParseError(f"bad bit {ch!r}", at + i) from None
+def _read_bits(cur: Cursor) -> list:
+    """The digits up to the end of the text, one bit each.  They form one
+    token, so a blank between two of them is a bad bit."""
+    bits = [int(ch) for ch in cur.digits()]
+    rest = cur.text[cur.pos:]
+    if rest.strip():
+        raise cur.error(f"bad bit {rest[0]!r}")
     return bits
 
 

@@ -32,9 +32,9 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from overt import intervals as ilat
-from overt.errors import InvariantViolation, ParseError, PreconditionFailed
+from overt.errors import InvariantViolation, PreconditionFailed
 from overt.intervals import IntervalElement
-from overt.rationals import parse_rational
+from overt.rationals import Cursor
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +72,13 @@ class Carrier:
     def format_element(self, u) -> str:
         raise NotImplementedError
 
-    def parse_element(self, text: str):
+    def read_element(self, cur: Cursor):
+        """Read one element at the cursor."""
         raise NotImplementedError
+
+    def parse_element(self, text: str):
+        cur = Cursor(text)
+        return cur.finish(self.read_element(cur))
 
 
 MAX_CARRIER_ELEMENTS = 1024
@@ -94,7 +99,7 @@ class FiniteCarrier(Carrier):
     Boolean lattices and grids are distributive.
     """
 
-    def __init__(self, name, elems, leq_fn, meet_fn, join_fn, bot, top, fmt, parse):
+    def __init__(self, name, elems, leq_fn, meet_fn, join_fn, bot, top, fmt, read):
         self.name = name
         self._elems = tuple(elems)
         self._leq = leq_fn
@@ -103,7 +108,7 @@ class FiniteCarrier(Carrier):
         self._bot = bot
         self._top = top
         self._fmt = fmt
-        self._parse = parse
+        self._read = read
 
     def elements(self):
         return self._elems
@@ -135,11 +140,8 @@ class FiniteCarrier(Carrier):
     def format_element(self, u):
         return self._fmt(u)
 
-    def parse_element(self, text):
-        try:
-            return self._parse(text.strip())
-        except ParseError as e:
-            raise e.shifted(_lead(text, 0)) from None
+    def read_element(self, cur):
+        return self._read(cur)
 
 
 def chain(n: int) -> FiniteCarrier:
@@ -156,23 +158,15 @@ def chain(n: int) -> FiniteCarrier:
         0,
         n - 1,
         str,
-        lambda t: _parse_index(t, n),
+        lambda cur: _read_index(cur, n),
     )
 
 
-def _lead(text: str, offset: int) -> int:
-    """The offset of the first non-blank character of text at offset."""
-    return offset + len(text) - len(text.lstrip())
-
-
-def _parse_index(text: str, n: int, offset: int = 0) -> int:
-    offset = _lead(text, offset)
-    try:
-        k = int(text)
-    except ValueError:
-        raise ParseError(f"expected a chain element index, got {text!r}", offset) from None
-    if not 0 <= k < n:
-        raise ParseError(f"chain index {k} out of range 0..{n - 1}", offset)
+def _read_index(cur: Cursor, n: int) -> int:
+    at = cur.skip()
+    k = cur.integer()
+    if k >= n:
+        raise cur.error(f"chain index {k} out of range 0..{n - 1}", at)
     return k
 
 
@@ -189,15 +183,17 @@ def boolean(n: int) -> FiniteCarrier:
             return "{}"
         return "".join(_ATOMS[i] for i in range(n) if mask >> i & 1)
 
-    def parse(text: str) -> int:
-        if text == "{}":
+    def read(cur: Cursor) -> int:
+        if cur.match("{}"):
             return 0
-        if not text:
-            raise ParseError("expected atoms or {}", 0)
+        at = cur.skip()
+        atoms = cur.word()
+        if not atoms:
+            raise cur.error("expected atoms or {}", at)
         mask = 0
-        for i, ch in enumerate(text):
+        for i, ch in enumerate(atoms):
             if ch not in _ATOMS[:n]:
-                raise ParseError(f"unknown atom {ch!r}", i)
+                raise cur.error(f"unknown atom {ch!r}", at + i)
             mask |= 1 << _ATOMS.index(ch)
         return mask
 
@@ -211,7 +207,7 @@ def boolean(n: int) -> FiniteCarrier:
         0,
         full,
         fmt,
-        parse,
+        read,
     )
 
 
@@ -222,13 +218,10 @@ def grid(m: int, n: int) -> FiniteCarrier:
     _check_carrier_size(m * n)
     elems = [(i, j) for i in range(m) for j in range(n)]
 
-    def parse(text: str):
-        halves = text.split(",")
-        if len(halves) != 2:
-            raise ParseError(f"expected i,j got {text!r}", 0)
-        i = _parse_index(halves[0], m)
-        j = _parse_index(halves[1], n, len(halves[0]) + 1)
-        return (i, j)
+    def read(cur: Cursor):
+        i = _read_index(cur, m)
+        cur.expect(",")
+        return (i, _read_index(cur, n))
 
     return FiniteCarrier(
         f"grid:{m},{n}",
@@ -239,7 +232,7 @@ def grid(m: int, n: int) -> FiniteCarrier:
         (0, 0),
         (m - 1, n - 1),
         lambda u: f"{u[0]},{u[1]}",
-        parse,
+        read,
     )
 
 
@@ -277,8 +270,8 @@ class IntervalCarrier(Carrier):
     def format_element(self, u):
         return str(u)
 
-    def parse_element(self, text):
-        return ilat.parse_element(text, self.ambient)
+    def read_element(self, cur):
+        return ilat.read_element(cur, self.ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -632,88 +625,42 @@ def term_leq(s, t, L: Carrier) -> Optional[bool]:
 
 
 def parse_term(text: str, L: Carrier):
-    parser = _TermParser(text, L)
-    t = parser.parse_expr()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise ParseError(f"trailing input {text[parser.pos:]!r}", parser.pos)
+    cur = Cursor(text)
+    return cur.finish(_read_join(cur, L))
+
+
+def _read_join(cur: Cursor, L: Carrier):
+    t = _read_meet(cur, L)
+    while cur.match("|"):
+        t = TermJoin(t, _read_meet(cur, L))
     return t
 
 
-class _TermParser:
-    def __init__(self, text: str, L: Carrier):
-        self.text = text
-        self.L = L
-        self.pos = 0
+def _read_meet(cur: Cursor, L: Carrier):
+    t = _read_factor(cur, L)
+    while cur.match("&"):
+        t = TermMeet(t, _read_factor(cur, L))
+    return t
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def parse_expr(self):
-        t = self.parse_meet()
-        while True:
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == "|":
-                self.pos += 1
-                t = TermJoin(t, self.parse_meet())
-            else:
-                return t
-
-    def parse_meet(self):
-        t = self.parse_factor()
-        while True:
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == "&":
-                self.pos += 1
-                t = TermMeet(t, self.parse_factor())
-            else:
-                return t
-
-    def parse_factor(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            raise ParseError("unexpected end of term", self.pos)
-        c = self.text[self.pos]
-        if c == "0":
-            self.pos += 1
-            return TERM_ZERO
-        if c == "1":
-            self.pos += 1
-            return TERM_ONE
-        if c == "(":
-            self.pos += 1
-            t = self.parse_expr()
-            self.skip_ws()
-            if self.pos >= len(self.text) or self.text[self.pos] != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
-            return t
-        for kw, ctor in (("dia", Dia), ("box", Box)):
-            if self.text.startswith(kw, self.pos):
-                self.pos += len(kw)
-                self.skip_ws()
-                if self.pos >= len(self.text) or self.text[self.pos] != "(":
-                    raise ParseError(f"expected '(' after {kw}", self.pos)
-                start = self.pos
-                depth = 0
-                while self.pos < len(self.text):
-                    if self.text[self.pos] == "(":
-                        depth += 1
-                    elif self.text[self.pos] == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    self.pos += 1
-                if depth != 0:
-                    raise ParseError("unbalanced parentheses in generator", start)
-                inner = self.text[start + 1 : self.pos]
-                self.pos += 1
-                try:
-                    return ctor(self.L.parse_element(inner))
-                except ParseError as e:
-                    raise e.shifted(start + 1) from None
-        raise ParseError(f"unexpected character {c!r}", self.pos)
+def _read_factor(cur: Cursor, L: Carrier):
+    if cur.match("0"):
+        return TERM_ZERO
+    if cur.match("1"):
+        return TERM_ONE
+    if cur.match("("):
+        t = _read_join(cur, L)
+        cur.expect(")")
+        return t
+    for kw, ctor in (("dia", Dia), ("box", Box)):
+        if cur.match(kw):
+            cur.expect("(")
+            u = L.read_element(cur)
+            cur.expect(")")
+            return ctor(u)
+    if cur.at_end():
+        raise cur.error("unexpected end of term")
+    raise cur.error(f"unexpected character {cur.peek()!r}")
 
 
 def parse_carrier(name: str) -> Carrier:
@@ -722,34 +669,19 @@ def parse_carrier(name: str) -> Carrier:
     Finite carriers are capped at ``MAX_CARRIER_ELEMENTS`` elements; the cap
     is checked from the sizes, before any element is built.
     """
-    kind, _, body = name.strip().partition(":")
-    at = _lead(name, len(kind) + 1)
-    if kind == "chain":
-        return chain(_parse_size(body, at))
-    if kind == "bool":
-        return boolean(_parse_size(body, at))
-    if kind == "grid":
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"grid needs two sizes, got {name!r}", at)
-        m = _parse_size(parts[0], at)
-        return grid(m, _parse_size(parts[1], at + len(parts[0]) + 1))
+    cur = Cursor(name)
+    at = cur.skip()
+    kind = cur.word()
+    if kind not in ("chain", "bool", "grid", "intervals"):
+        raise cur.error(f"unknown carrier {name!r}", at)
+    cur.expect(":")
     if kind == "intervals":
-        at = _lead(body, at)
-        body = body.strip()
-        if not (body.startswith("(") and body.endswith(")")):
-            raise ParseError(f"intervals carrier needs (a,b), got {name!r}", at)
-        halves = body[1:-1].split(",")
-        if len(halves) != 2:
-            raise ParseError("intervals carrier needs two endpoints", at)
-        lo = parse_rational(halves[0], at + 1)
-        hi = parse_rational(halves[1], at + len(halves[0]) + 2)
-        return IntervalCarrier((lo, hi))
-    raise ParseError(f"unknown carrier {name!r}", 0)
-
-
-def _parse_size(text: str, offset: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"expected a size, got {text!r}", _lead(text, offset)) from None
+        return IntervalCarrier(cur.finish(cur.interval()))
+    at = cur.skip()
+    sizes = [cur.integer()]
+    if kind == "grid":
+        if not cur.match(","):
+            raise cur.error(f"grid needs two sizes, got {name!r}", at)
+        sizes.append(cur.integer())
+    cur.finish(None)
+    return {"chain": chain, "bool": boolean, "grid": grid}[kind](*sizes)

@@ -140,7 +140,12 @@ def finite_hausdorff_leq(A, B, bound, plane=False):
 
         return directed(a, b) and directed(b, a)
 
-    cell = int(lim) + 1
+    # Cells of side c with (c - 1) * sqrt 2 < lim, so any two points of one
+    # cell are within lim: a point whose own cell holds a point of the other
+    # list passes at once, and only the others scan the cells within reach.
+    lim = int(lim)
+    cell = max(1, 2 * lim // 3)
+    reach = -(-lim // cell)
 
     def to_int(pts):
         return [(int(p[0] * den), int(p[1] * den)) for p in pts]
@@ -152,22 +157,18 @@ def finite_hausdorff_leq(A, B, bound, plane=False):
         return d
 
     ai, bi = to_int(A), to_int(B)
+    near = [(dx, dy) for dx in range(-reach, reach + 1) for dy in range(-reach, reach + 1)]
 
     def directed(pts, buckets):
         for x, y in pts:
             cx, cy = x // cell, y // cell
-            ok = False
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for bx, by in buckets.get((cx + dx, cy + dy), ()):
-                        if (x - bx) ** 2 + (y - by) ** 2 <= lim_sq:
-                            ok = True
-                            break
-                    if ok:
-                        break
-                if ok:
-                    break
-            if not ok:
+            if (cx, cy) in buckets:
+                continue
+            if not any(
+                (x - bx) ** 2 + (y - by) ** 2 <= lim_sq
+                for dx, dy in near
+                for bx, by in buckets.get((cx + dx, cy + dy), ())
+            ):
                 return False
         return True
 

@@ -1014,3 +1014,24 @@ def test_box_and_interval_nets_are_the_grid_construction(a, w, h, eps):
     x0, y0 = a
     assert box_set(x0, x0 + w, y0, y0 + h).net(eps) == box_net(x0, x0 + w, y0, y0 + h, eps)
     assert interval_set(x0, x0 + w).net(eps) == grid_line_net(x0, x0 + w, eps)
+
+
+# ---------------------------------------------------------------------------
+# The bucketed finite Hausdorff check of ``helpers`` against a double loop.
+# ---------------------------------------------------------------------------
+
+
+def _brute_hausdorff_leq(A, B, bound):
+    def near(p, Q):
+        return any((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= bound * bound for q in Q)
+
+    return all(near(a, B) for a in A) and all(near(b, A) for b in B)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(plane_pt(6), min_size=1, max_size=4), rat(F(1, 16), 1, 16),
+       st.lists(st.tuples(rat(-1, 1, 6), rat(-1, 1, 6)), min_size=1, max_size=4))
+def test_finite_hausdorff_leq_is_the_double_loop(A, bound, offsets):
+    # B moves points of A by up to bound * sqrt 2, so distances straddle bound.
+    B = [(a[0] + bound * dx, a[1] + bound * dy) for a, (dx, dy) in zip(A * 4, offsets)]
+    assert finite_hausdorff_leq(A, B, bound, plane=True) == _brute_hausdorff_leq(A, B, bound)

@@ -299,5 +299,4 @@ def read_element(cur: Cursor, ambient: Part) -> IntervalElement:
 
 
 def parse_element(text: str, ambient: Part) -> IntervalElement:
-    cur = Cursor(text)
-    return cur.finish(read_element(cur, ambient))
+    return Cursor(text).parse(lambda cur: read_element(cur, ambient))

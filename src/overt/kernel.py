@@ -216,8 +216,7 @@ class Base:
         raise NotImplementedError
 
     def parse_element(self, text: str):
-        cur = Cursor(text)
-        return cur.finish(self.read_element(cur))
+        return Cursor(text).parse(self.read_element)
 
 
 class FormalRealsBase(Base):
@@ -628,8 +627,7 @@ def serialize_derivation(base: Base, node: Derivation) -> str:
 
 
 def parse_derivation(base: Base, text: str) -> Derivation:
-    cur = Cursor(text)
-    return cur.finish(_read_node(base, cur))
+    return Cursor(text).parse(lambda cur: _read_node(base, cur))
 
 
 def _read_node(base: Base, cur: Cursor) -> Derivation:

@@ -77,8 +77,7 @@ def read_ball(cur: Cursor) -> FormalBall:
 
 def parse_ball(text: str) -> FormalBall:
     """A whole text holding one ball; errors carry the byte offset in text."""
-    cur = Cursor(text)
-    return cur.finish(read_ball(cur))
+    return Cursor(text).parse(read_ball)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ Tokens (blanks may stand between tokens, never inside one):
 
 Every reader takes a :class:`Cursor`, reads its value at the cursor's
 position and leaves the cursor after it, so a reader of a larger form reads
-its parts from the same cursor.  A ParseError carries the absolute byte
-offset of the first byte that does not fit.
+its parts from the same cursor; ``Cursor.parse`` reads a whole text with
+one reader.  A ParseError carries the absolute byte offset of the first
+byte that does not fit.
 """
 
 from __future__ import annotations
@@ -83,6 +84,15 @@ class Cursor:
         if not self.at_end():
             raise self.error(f"trailing input {self.text[self.pos:]!r}")
         return value
+
+    def parse(self, read: Callable[["Cursor"], object]):
+        """The value ``read`` reads from the whole text.  A text nested too
+        deep for the interpreter's stack is a ParseError at the byte reached."""
+        try:
+            value = read(self)
+        except RecursionError:
+            raise self.error("nesting too deep") from None
+        return self.finish(value)
 
     def _run(self, chars: frozenset) -> str:
         start, text = self.pos, self.text
@@ -173,12 +183,10 @@ class Cursor:
 def parse_rational(text: str, offset: int = 0) -> Fraction:
     """``p`` or ``p/q`` and nothing else; raises ParseError with the byte
     offset, counting ``offset`` as where text starts in the caller's input."""
-    cur = Cursor(text, offset)
-    return cur.finish(cur.rational())
+    return Cursor(text, offset).parse(Cursor.rational)
 
 
 def parse_rational_list(text: str, offset: int = 0, most: Optional[int] = None) -> list:
     """Comma-separated rationals, e.g. ``-3/2,0``.  A malformed value is
     reported at its offset, and so is the first value beyond ``most``."""
-    cur = Cursor(text, offset)
-    return cur.finish(cur.rational_list(most))
+    return Cursor(text, offset).parse(lambda cur: cur.rational_list(most))

@@ -24,8 +24,7 @@ from overt.rationals import Cursor
 
 
 def parse_set_spec(text: str) -> EpsilonNetFamily:
-    cur = Cursor(text)
-    return cur.finish(_read_spec(cur))
+    return Cursor(text).parse(_read_spec)
 
 
 def _read_spec(cur: Cursor) -> EpsilonNetFamily:

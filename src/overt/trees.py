@@ -47,8 +47,7 @@ def _read_node(cur: Cursor) -> Node:
 def parse_node(text: str) -> Node:
     """``()``, a blank text, or a comma list of integers; a bad part raises a
     ParseError at its first non-blank byte in text."""
-    cur = Cursor(text)
-    return cur.finish(() if cur.at_end() else _read_node(cur))
+    return Cursor(text).parse(lambda cur: () if cur.at_end() else _read_node(cur))
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,7 @@ class Carrier:
         raise NotImplementedError
 
     def parse_element(self, text: str):
-        cur = Cursor(text)
-        return cur.finish(self.read_element(cur))
+        return Cursor(text).parse(self.read_element)
 
 
 MAX_CARRIER_ELEMENTS = 1024
@@ -625,8 +624,7 @@ def term_leq(s, t, L: Carrier) -> Optional[bool]:
 
 
 def parse_term(text: str, L: Carrier):
-    cur = Cursor(text)
-    return cur.finish(_read_join(cur, L))
+    return Cursor(text).parse(lambda cur: _read_join(cur, L))
 
 
 def _read_join(cur: Cursor, L: Carrier):

@@ -237,6 +237,17 @@ def test_derivation_offsets(base, text, offset):
     assert e.value.offset == offset
 
 
+@pytest.mark.parametrize("name, text", [
+    ("term_chain", "(" * 2000 + "1" + ")" * 2000),
+    ("derivation_reals", "(tra " * 2000),
+    ("set_spec", "union(" * 2000),
+])
+def test_deep_nesting_is_a_parse_error(name, text):
+    with pytest.raises(ParseError) as e:
+        ENTRY_POINTS[name][0](text)
+    assert 0 <= e.value.offset <= len(text)
+
+
 def test_elements_in_derivations_accept_blanks():
     d = kernel.parse_derivation(REALS, "(split ( 0 , 3 ) ((0,2) (1, 3)))")
     assert d == Derivation("split", (F(0), F(3)), witness=((F(0), F(2)), (F(1), F(3))))

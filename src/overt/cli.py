@@ -75,8 +75,8 @@ def _build_parser() -> _Parser:
     co.add_argument("--space", required=True, help="reals | loc:q | loc:q2 | loc:seg:a,b")
     co.add_argument("--target", required=True)
     co.add_argument("--family", required=True, help="';'-separated elements")
-    co.add_argument("--depth", type=int, required=True)
-    co.add_argument("--budget", type=int, default=4)
+    co.add_argument("--depth", required=True)
+    co.add_argument("--budget", default="4")
 
     vi = sub.add_parser("vietoris", help="modal-lattice inequality")
     vi.add_argument("--carrier", required=True)
@@ -84,8 +84,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("spread", help="spread-law successor check")
     sp.add_argument("--law", required=True, help="full2 | cantor3")
-    sp.add_argument("--depth", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=8)
+    sp.add_argument("--depth", required=True)
+    sp.add_argument("--budget", default="8")
     return p
 
 
@@ -157,12 +157,18 @@ def _space_base(name: str, budget: int):
     raise cur.error(f"unknown space {name!r}", at)
 
 
+def _integer(text: str) -> int:
+    """ASCII digits and nothing else, the one integer token."""
+    return Cursor(text).parse(Cursor.integer)
+
+
 def _cmd_cover(args) -> int:
-    base = _space_base(args.space, args.budget)
+    depth, budget = _integer(args.depth), _integer(args.budget)
+    base = _space_base(args.space, budget)
     target = base.parse_element(args.target)
     cur = Cursor(args.family)
     family = cur.finish(cur.separated(base.read_element, ";"))
-    d = kernel.derive_cover(base, target, family, args.depth, budget=args.budget)
+    d = kernel.derive_cover(base, target, family, depth, budget=budget)
     if d is None:
         print("unknown")
     else:
@@ -186,12 +192,13 @@ _LAWS = {
 
 
 def _cmd_spread(args) -> int:
+    depth, budget = _integer(args.depth), _integer(args.budget)
     cur = Cursor(args.law)
     at = cur.skip()
     law = _LAWS.get(cur.finish(cur.word()))
     if law is None:
         raise cur.error(f"unknown law {args.law!r}", at)
-    report = trees.check_spread_mon(law(), args.depth, args.budget)
+    report = trees.check_spread_mon(law(), depth, budget)
     if report.ok:
         print(f"ok: {report.checked} admitted nodes to depth {report.depth}")
     else:

@@ -22,13 +22,15 @@ structure itself; a net is only one witness of it.  Affine images keep it
 wherever the map carries it (:func:`affine_image`); images under other
 maps with a modulus carry nets only.  A dichotomy on a set with a
 comparison is one call of ``distance_compare``.  Every distance bracket,
-of ``distance_to_set``, of a net-backed dichotomy and of each directed
-``hausdorff_distance`` sweep, comes from :func:`_max_distance`: exact from
+of ``distance_to_set``, of a net-backed dichotomy and of each cell of a
+Hausdorff descent, comes from :func:`_distance_bracket`: exact from
 ``distance_value``, bisected on ``distance_compare``, and otherwise from a
 net, searched by the grid index of ``EpsilonNetFamily.net_index``
 (:class:`_GridIndex`) or, outside its spaces, by ``dist_approx``.  A
-Hausdorff pair takes the exact sweeps only when both sets have a
-comparison, and compares nets both ways otherwise.
+Hausdorff pair in which both sets have a comparison takes both directed
+suprema from one branch-and-bound descent over dyadic cells
+(:func:`_hausdorff_descent`); a pair with a net-only set compares nets
+both ways.
 
 Intersections of located sets are deliberately absent: locatedness is not
 preserved by intersection, and it depends on the metric presentation, not
@@ -39,6 +41,8 @@ itself rather than of this module.
 from __future__ import annotations
 
 import enum
+import heapq
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -104,7 +108,8 @@ class EpsilonNetFamily:
     within eps of the set and every set point within eps of some net point
     (strictly, with slack, for the builtin constructions).  When the set
     admits exact rational distance comparison, ``distance_compare(x, t)``
-    returns the sign of d(x, set) - t.
+    returns the sign of d(x, set) - t.  ``points`` is the whole set as a
+    tuple when it is finite, else None.
     """
 
     def __init__(
@@ -115,6 +120,7 @@ class EpsilonNetFamily:
         distance_compare: Optional[Callable[[object, Fraction], int]] = None,
         distance_value: Optional[Callable[[object], Fraction]] = None,
         name: str = "set",
+        points: Optional[tuple] = None,
     ):
         self.space = space
         self._net_fn = net_fn
@@ -124,6 +130,7 @@ class EpsilonNetFamily:
             distance_compare = lambda x, t: _sign(distance_value(x), t)
         self.distance_compare = distance_compare
         self.name = name
+        self.points = points
         self._memo: dict[Fraction, tuple] = {}
         self._indexes: dict[Fraction, _GridIndex] = {}
 
@@ -268,11 +275,14 @@ class _GridIndex:
         return worst
 
 
-def _bracket_distance(cmp, p, lo: Fraction, width: Fraction) -> tuple:
-    """Bracket of d(p) of width at most ``width``, given d(p) >= lo, by a
-    gallop from lo and then bisection on ``cmp(p, t)``.  A probe that meets
-    the distance exactly ends the search with an exact value."""
-    hi, t, step = None, lo, width
+def _bracket_distance(
+    cmp, p, lo: Fraction, width: Fraction, hi: Optional[Fraction] = None
+) -> tuple:
+    """Bracket of d(p) of width at most ``width``, given d(p) >= lo, by
+    bisection on ``cmp(p, t)``; without a known upper bound ``hi`` a gallop
+    from lo finds one first.  A probe that meets the distance exactly ends
+    the search with an exact value."""
+    t, step = (lo if hi is None else (lo + hi) / 2), width
     while hi is None or hi - lo > width:
         sign = cmp(p, t)
         if sign == 0:
@@ -288,33 +298,24 @@ def _bracket_distance(cmp, p, lo: Fraction, width: Fraction) -> tuple:
     return (lo, hi)
 
 
-def _max_distance(S: EpsilonNetFamily, pts, width: Fraction) -> tuple:
-    """Bracket of max over pts of d(p, S) of width at most ``width``.
+def _distance_bracket(
+    S: EpsilonNetFamily, x, width: Fraction, hint: Optional[tuple] = None
+) -> tuple:
+    """Bracket of d(x, S) of width at most ``width``.
 
     This is the one place that chooses how a distance is bracketed.  A
-    ``distance_value`` gives the maximum exactly.  With ``distance_compare``
-    only, each round brackets a few evenly spread points in play and then
-    keeps just the points that lie beyond the largest upper end: no other
-    point can carry the maximum.  When none is left beyond it, the largest
-    sample bracket is a bracket of the maximum.  A set with neither answers
+    ``distance_value`` gives it exactly; ``distance_compare`` alone is
+    bisected (:func:`_bracket_distance`), inside ``hint`` = (lo, hi) when
+    the caller knows the distance lies there; a set with neither answers
     from its nets (:func:`_net_max_distance`).
     """
     if S.distance_value is not None:
-        m = max(S.distance_value(p) for p in pts)
-        return (m, m)
-    cmp = S.distance_compare
-    if cmp is None:
-        return _net_max_distance(S, pts, width)
-    lo, live = Fraction(0), list(pts)
-    while True:
-        slo = shi = lo
-        for p in live[:: max(1, len(live) // 8)]:
-            plo, phi = _bracket_distance(cmp, p, lo, width)
-            slo, shi = max(slo, plo), max(shi, phi)
-        beyond = [p for p in live if cmp(p, shi) > 0]
-        if not beyond:
-            return (slo, shi)
-        lo, live = shi, beyond
+        v = S.distance_value(x)
+        return (v, v)
+    if S.distance_compare is not None:
+        lo, hi = hint if hint is not None else (Fraction(0), None)
+        return _bracket_distance(S.distance_compare, x, lo, width, hi)
+    return _net_max_distance(S, [x], width)
 
 
 def _net_max_distance(S: EpsilonNetFamily, pts, width: Fraction) -> tuple:
@@ -341,8 +342,8 @@ def _net_max_distance(S: EpsilonNetFamily, pts, width: Fraction) -> tuple:
 def distance_to_set(S: EpsilonNetFamily, x) -> DedekindReal:
     """Distance from a point to the set, as a Dedekind real.
 
-    Each precision eps is one call of :func:`_max_distance` on ``[x]``.  A
-    set with ``distance_value`` answers exactly, as ``[v, v]``; one with
+    Each precision eps is one call of :func:`_distance_bracket`.  A set
+    with ``distance_value`` answers exactly, as ``[v, v]``; one with
     ``distance_compare`` only is bisected down to width eps, exactly again
     when a probe meets the distance.  Without either, the net at eps/3
     answers, with width at most 5 eps/6 from a ``net_index`` and eps from a
@@ -350,7 +351,7 @@ def distance_to_set(S: EpsilonNetFamily, x) -> DedekindReal:
     """
     if not S.inhabited:
         raise EmptySetError(f"distance to possibly-empty set {S.name}")
-    return DedekindReal(lambda eps: _max_distance(S, [x], eps), name=f"d({x}, {S.name})")
+    return DedekindReal(lambda eps: _distance_bracket(S, x, eps), name=f"d({x}, {S.name})")
 
 
 def decide_located_pair(S, inner: FormalBall, outer: FormalBall) -> Decision:
@@ -382,7 +383,7 @@ def decide_located_pair(S, inner: FormalBall, outer: FormalBall) -> Decision:
         if margin > 0:
             break
         eps /= 4
-    lo, _ = _max_distance(S, [inner.center], margin / 2)
+    lo, _ = _distance_bracket(S, inner.center, margin / 2)
     if lo >= inner.radius:
         return Decision.NOT_POS_INNER
     return Decision.POS_OUTER
@@ -433,6 +434,14 @@ def _meets_test(P) -> Optional[Callable]:
     return None
 
 
+def _cell_rho(space: MetricSpace) -> tuple:
+    """(a, b) such that rho = a/b times the side of a square cell (an
+    interval on the line) is at least the distance from its centre to any
+    of its points: 17/24 > 1/sqrt 2 in the Euclidean plane, 1/2 on the line
+    and in the max metric."""
+    return (17, 24) if isinstance(space, PlaneEuclid) else (1, 2)
+
+
 # Cells of the descent with at most this many points decide each point.
 _LEAF = 4
 
@@ -479,7 +488,7 @@ def _cell_filter(P, pts: list, inner: Fraction, outer: Fraction) -> bytearray:
     xs = [x.numerator * (den // x.denominator) for x, _ in coords]
     ys = [y.numerator * (den // y.denominator) for _, y in coords]
     # rho = a * side / (b * den); t -+ rho = (tb -+ a * side * td) / rd.
-    a, b = (17, 24) if isinstance(P.space, PlaneEuclid) else (1, 2)
+    a, b = _cell_rho(P.space)
     td = outer.denominator
     tb, rd = outer.numerator * b * den, b * den * td
     ids = sorted(range(n), key=xs.__getitem__)
@@ -592,6 +601,9 @@ def union_located(A: EpsilonNetFamily, B: EpsilonNetFamily) -> EpsilonNetFamily:
             pts.extend(B.net(eps))
         return pts
 
+    points = None
+    if A.points is not None and B.points is not None:
+        points = A.points + B.points
     return EpsilonNetFamily(
         A.space,
         net,
@@ -599,22 +611,22 @@ def union_located(A: EpsilonNetFamily, B: EpsilonNetFamily) -> EpsilonNetFamily:
         distance_compare=dc,
         distance_value=dv,
         name=f"{A.name}|{B.name}",
+        points=points,
     )
 
 
 def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal:
     """Hausdorff distance between two inhabited sets, as a Dedekind real.
 
-    Each directed sweep brackets the maximum over the source's net at some
-    delta of the distance to the target, to width eps/2, and pads it by
-    delta: d(., target) is 1-Lipschitz, so that maximum is within delta of
-    its supremum over the source.  When both sets have an exact comparison
-    the bracket comes from :func:`_max_distance` on the target: over the net
-    at eps/2 for a target with ``distance_value`` (exact, width eps) and at
-    eps/4 for one with ``distance_compare`` only (width eps).  When either
-    set has none, both sweeps compare two nets (:func:`_net_max_distance`)
-    over source nets at eps/6, which gives width at most 3 eps/4 with a
-    ``net_index`` and 5 eps/6 without.
+    When both sets have an exact comparison, in one of ``_GRID_SPACES``,
+    both directed suprema come from one best-first descent over cells
+    (:func:`_hausdorff_descent`), which refines only where the supremum
+    can still be attained.  When either set has none, each directed sweep
+    compares two nets (:func:`_net_max_distance`): the maximum over the
+    source's net at delta = eps/6 of the distance to the target, bracketed
+    to width eps/2 and padded by delta, since d(., target) is 1-Lipschitz.
+    That gives width at most 3 eps/4 with a ``net_index`` and 5 eps/6
+    without.
 
     The computation is literally symmetric in A and B, so swapping the
     arguments returns identical intervals.
@@ -623,77 +635,146 @@ def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal
         raise EmptySetError("hausdorff distance needs inhabited sets")
     if A.space is not B.space:
         raise AmbientMismatch(f"hausdorff over different spaces {A.space.name}, {B.space.name}")
-    exact = A.distance_compare is not None and B.distance_compare is not None
-    sweep = _max_distance if exact else _net_max_distance
+    name = f"H({A.name}, {B.name})"
+    if (
+        A.distance_compare is not None
+        and B.distance_compare is not None
+        and isinstance(A.space, _GRID_SPACES)
+    ):
+        return DedekindReal(lambda eps: _hausdorff_descent(A, B, eps), name=name)
 
     def refine(eps: Fraction):
         lo = hi = Fraction(0)
+        delta = eps / 6
         for source, target in ((A, B), (B, A)):
-            if not exact:
-                delta = eps / 6
-            elif target.distance_value is not None:
-                delta = eps / 2
-            else:
-                delta = eps / 4
-            mlo, mhi = sweep(target, source.net(delta), eps / 2)
+            mlo, mhi = _net_max_distance(target, source.net(delta), eps / 2)
             lo, hi = max(lo, mlo - delta), max(hi, mhi + delta)
         return (lo, hi)
 
-    return DedekindReal(refine, name=f"H({A.name}, {B.name})")
+    return DedekindReal(refine, name=name)
+
+
+# The root box of a descent is refined until its widening is at most a
+# quarter of it (``_root_cells``): with 4 or more, the haus-segments and
+# haus-diameter ops of the located-exact benchmark make about a quarter
+# fewer comparisons than from the box of net(1).
+_ROOT_K = 8
+
+
+def _root_cells(S: EpsilonNetFamily, eps: Fraction) -> list:
+    """(centre, side) of the cells that hold every point of S: one of side
+    0 per point of a finite set, else one square (an interval on the line)
+    over the box of ``net(e)`` widened by e.  e starts at 1 and halves, down
+    to eps, while the widening is more than a quarter of the box."""
+    if S.points is not None:
+        return [(p, Fraction(0)) for p in S.points]
+    e = Fraction(1)
+    while True:
+        net = S.net(e)
+        if isinstance(net[0], tuple):
+            xs, ys = [p[0] for p in net], [p[1] for p in net]
+            x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+            c, side = ((x0 + x1) / 2, (y0 + y1) / 2), max(x1 - x0, y1 - y0)
+        else:
+            x0, x1 = min(net), max(net)
+            c, side = (x0 + x1) / 2, x1 - x0
+        if side >= _ROOT_K * e or e <= eps:
+            return [(c, side + 2 * e)]
+        e /= 2
+
+
+def _hausdorff_descent(A: EpsilonNetFamily, B: EpsilonNetFamily, eps: Fraction) -> tuple:
+    """Bracket of H(A, B) of width at most eps, by branch and bound over
+    cells of both sets at once.
+
+    A cell of a source S, with centre c, side s and rho = ``_cell_rho`` of
+    s, holds every point of S it may meet within rho of c.  It is dropped
+    when d(c, S) > rho.  Otherwise d(c, T) to the other set T is bracketed
+    as [dlo, dhi] to width max(rho/2, eps/4), inside the parent's bracket
+    widened by rho, since the centres lie within rho of each other: a point
+    of S within rho of c gives the lower bound dlo - rho of H, and dhi + rho
+    bounds d(., T) over the cell.  Every cell tied for the largest upper
+    bound U is split, into 4 children in the plane and 2 on the line, until
+    U is within eps of the largest lower bound L.  A cell of side 0, a point
+    of a finite set, is bracketed to width eps at once, so it never ties
+    before the end; it is never dropped or split.  Both directions
+    share L, so a direction with a plateau below L, such as a small disk
+    inside a large one, is never refined; and splitting all tied cells at
+    once makes the answer independent of the order of A and B.
+    """
+    a, b = _cell_rho(A.space)
+    lower = Fraction(0)
+    heap: list = []
+    tick = itertools.count()
+
+    def visit(source, target, c, side, hint):
+        nonlocal lower
+        rho = a * side / b
+        if side and source.distance_compare(c, rho) > 0:
+            return
+        width = max(rho / 2, eps / 4) if side else eps
+        dlo, dhi = _distance_bracket(target, c, width, hint)
+        lower = max(lower, dlo - rho)
+        heapq.heappush(heap, (-(dhi + rho), next(tick), source, target, c, side, dlo, dhi))
+
+    for source, target in ((A, B), (B, A)):
+        for c, side in _root_cells(source, eps):
+            visit(source, target, c, side, None)
+    while True:
+        upper = -heap[0][0]
+        if upper - lower <= eps:
+            return (lower, max(lower, upper))
+        tied = []
+        while heap and -heap[0][0] == upper:
+            tied.append(heapq.heappop(heap))
+        for _, _, source, target, c, side, dlo, dhi in tied:
+            half = side / 2
+            rho = a * half / b
+            hint = (max(Fraction(0), dlo - rho), dhi + rho)
+            q = half / 2
+            if isinstance(c, tuple):
+                children = [(c[0] + i, c[1] + j) for i in (-q, q) for j in (-q, q)]
+            else:
+                children = [c - q, c + q]
+            for child in children:
+                visit(source, target, child, half, hint)
 
 
 # ---------------------------------------------------------------------------
 # Exact distance oracles for the builtin sets.
 # ---------------------------------------------------------------------------
 
-_CANTOR_MEMO: dict[Fraction, Fraction] = {}
-
 
 def cantor_distance(x) -> Fraction:
     """Exact distance from a rational to the middle-thirds set in [0, 1].
 
     Scaling by 3 maps the set onto two translated copies of itself, so the
-    distance satisfies d(x) = min(d(3x), d(3x - 2)) / 3 inside (0, 1).  The
-    orbit of a rational under these maps is finite; a revisited state means
-    a periodic digit expansion avoiding the middle digit, i.e. the state is
-    itself a set point at distance zero.
+    distance satisfies d(x) = min(d(3x), d(3x - 2)) / 3 inside (0, 1).  Only
+    one of 3x and 3x - 2 stays in (0, 1), and only while x lies outside the
+    middle third [1/3, 2/3], where d(x) = min(x - 1/3, 2/3 - x).  The orbit
+    of x = n/d under these maps is a path of numerators over the fixed
+    denominator d, so it is finite; a revisited state means a periodic digit
+    expansion avoiding the middle digit, i.e. the state is itself a set
+    point at distance zero.  The visited numerators are kept for this call
+    only.
     """
     x = Fraction(x)
     if x <= 0:
         return -x
     if x >= 1:
         return x - 1
-    memo = _CANTOR_MEMO
-    if x in memo:
-        return memo[x]
-    onpath: set = set()
-    stack: list[list] = [[x, 0]]
-    while stack:
-        s, phase = stack[-1]
-        if phase == 0:
-            if s in memo:
-                stack.pop()
-                continue
-            onpath.add(s)
-            stack[-1][1] = 1
-            for t in (3 * s, 3 * s - 2):
-                if 0 < t < 1 and t not in memo and t not in onpath:
-                    stack.append([t, 0])
-        else:
-            vals = []
-            for t in (3 * s, 3 * s - 2):
-                if t <= 0:
-                    vals.append(-t)
-                elif t >= 1:
-                    vals.append(t - 1)
-                elif t in memo:
-                    vals.append(memo[t])
-                else:
-                    vals.append(Fraction(0))  # revisit: periodic expansion, in the set
-            memo[s] = min(vals) / 3
-            onpath.discard(s)
-            stack.pop()
-    return memo[x]
+    n, d = x.numerator, x.denominator
+    seen: set = set()
+    scale = 3 * d
+    while n not in seen:
+        seen.add(n)
+        n *= 3
+        if n > 2 * d:
+            n -= 2 * d
+        elif n >= d:
+            return Fraction(min(n - d, 2 * d - n), scale)
+        scale *= 3
+    return Fraction(0)
 
 
 def _sign(d: Fraction, t: Fraction) -> int:
@@ -750,7 +831,7 @@ def point_set(points, space: Optional[MetricSpace] = None) -> EpsilonNetFamily:
         return min(abs(x - p) for p in pts)
 
     return EpsilonNetFamily(
-        space, lambda eps: list(pts), distance_value=dist, name=f"points{list(pts)}"
+        space, lambda eps: list(pts), distance_value=dist, name=f"points{list(pts)}", points=pts
     )
 
 
@@ -765,7 +846,7 @@ def plane_point_set(points) -> EpsilonNetFamily:
         return _sq_sign(dsq, t)
 
     return EpsilonNetFamily(
-        PLANE, lambda eps: list(pts), distance_compare=cmp, name="points2d"
+        PLANE, lambda eps: list(pts), distance_compare=cmp, name="points2d", points=pts
     )
 
 
@@ -843,11 +924,18 @@ def segment_set(x1, y1, x2, y2) -> EpsilonNetFamily:
         ]
 
     def cmp(p, t):
-        # Projection parameter clamped to [0, 1]; all arithmetic on squares.
-        s = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / len_sq
-        s = min(Fraction(1), max(Fraction(0), s))
-        qx, qy = a[0] + s * dx, a[1] + s * dy
-        dsq = (p[0] - qx) ** 2 + (p[1] - qy) ** 2
+        # With w = p - a and u = b - a: the nearest point is a when w.u <= 0,
+        # b when w.u >= |u|^2, else the foot at height |w x u| / |u|.
+        wx, wy = p[0] - a[0], p[1] - a[1]
+        wu = wx * dx + wy * dy
+        if wu <= 0:
+            dsq = wx * wx + wy * wy
+        elif wu >= len_sq:
+            wx, wy = wx - dx, wy - dy
+            dsq = wx * wx + wy * wy
+        else:
+            cross = wx * dy - wy * dx
+            dsq = cross * cross / len_sq
         return _sq_sign(dsq, t)
 
     return EpsilonNetFamily(PLANE, net, distance_compare=cmp, name="segment")
@@ -888,12 +976,16 @@ def promote_to_plane(S: EpsilonNetFamily) -> EpsilonNetFamily:
             d1 = dv(p[0])
             return _sq_sign(d1 * d1 + p[1] * p[1], t)
 
+    points = None
+    if S.points is not None:
+        points = tuple((x, Fraction(0)) for x in S.points)
     return EpsilonNetFamily(
         PLANE,
         lambda eps: [(x, Fraction(0)) for x in S.net(eps)],
         inhabited=S.inhabited,
         distance_compare=cmp,
         name=f"plane({S.name})",
+        points=points,
     )
 
 

@@ -268,10 +268,13 @@ class PlaneEuclid(MetricSpace):
 
 
 def ball_lt(space: MetricSpace, a: FormalBall, b: FormalBall) -> bool:
-    """Strict refinement: d(centers) < radius(b) - radius(a)."""
+    """Strict refinement: d(centers) < radius(b) - radius(a).  Concentric
+    balls refine iff the margin is positive, without a distance query."""
     margin = b.radius - a.radius
     if margin <= 0:
         return False
+    if a.center == b.center:
+        return True
     cmp = space.compare_distance(a.center, b.center, margin)
     if cmp is None:
         raise UndecidableComparison(

@@ -1,3 +1,5 @@
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -77,6 +79,16 @@ class TestCommands:
 
         lo, hi = out.strip()[1:-1].split(", ")
         assert F(lo) <= 1 <= F(hi)
+
+    @pytest.mark.parametrize("prec, seconds", [("1/64", 1), ("1/1024", 10)])
+    def test_hausdorff_disk_and_diameter_in_time(self, capsys, prec, seconds):
+        # H(unit disk, diameter) = 1, from cells near where it is attained.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "hausdorff", "--a=disk:0,0,1", "--b=segment:-1,0,1,0", f"--prec={prec}")
+        elapsed = time.perf_counter() - start
+        lo, hi = (Fraction(v) for v in out.strip()[1:-1].split(", "))
+        assert code == 0 and lo <= 1 <= hi and hi - lo <= Fraction(prec)
+        assert elapsed < seconds
 
     def test_cover_derivation(self, capsys):
         code, out, _ = run(
@@ -212,7 +224,15 @@ class TestExitCodes:
          (["cover", "--space=loc:seg:0,1,2", "--target=top", "--family=top", "--depth=1"], 12),
          # an unknown name: its first non-blank byte
          (["cover", "--space=  loc:zz", "--target=top", "--family=top", "--depth=1"], 2),
-         (["spread", "--law= full3", "--depth=1"], 1)],
+         (["spread", "--law= full3", "--depth=1"], 1),
+         # depth and budget: the one integer token, ASCII digits only
+         (["spread", "--law=full2", "--depth=1_0"], 1),
+         (["spread", "--law=full2", "--depth= +3"], 1),
+         (["spread", "--law=full2", "--depth=3", "--budget=-2"], 0),
+         (["spread", "--law=full2", "--depth=", "--budget=2"], 0),
+         (["cover", "--space=reals", "--target=(0,3)", "--family=(0,2);(1,3)", "--depth=2x"], 1),
+         (["cover", "--space=reals", "--target=(0,3)", "--family=(0,2);(1,3)", "--depth=2",
+           "--budget=  4.0"], 3)],
     )
     def test_true_offsets(self, capsys, argv, offset):
         code, out, err = run(capsys, *argv)

@@ -246,6 +246,22 @@ class TestImagesAndUnions:
             union_located(interval_set(0, 1), disk_set(0, 0, 1))
 
 
+class TestFinitePoints:
+    def test_finite_sets_carry_their_points(self):
+        assert point_set([1, 0, 1]).points == (F(1), F(0), F(1))
+        assert plane_point_set([(0, 1)]).points == ((F(0), F(1)),)
+        assert segment_set(1, 2, 1, 2).points == ((F(1), F(2)),)  # degenerate
+        assert union_located(point_set([0]), point_set([2])).points == (F(0), F(2))
+        assert promote_to_plane(point_set([3])).points == ((F(3), F(0)),)
+
+    def test_other_sets_have_none(self):
+        shear = affine_plane_map(1, F(1, 2), 0, 0, 1, 0)
+        for S in (interval_set(0, 1), cantor_set(), disk_set(0, 0, 1), segment_set(0, 0, 1, 1),
+                  box_set(0, 1, 0, 1), union_located(point_set([0]), interval_set(1, 2)),
+                  located.affine_image(plane_point_set([(0, 1)]), shear)):
+            assert S.points is None
+
+
 class TestHausdorff:
     def test_nested_intervals(self):
         lo, hi = hausdorff_distance(interval_set(0, 1), interval_set(0, 2)).approximate(F(1, 16))

@@ -7,7 +7,9 @@ exact comparison.  Every bracket must have width at most eps (net-path
 brackets on spaces with a grid index less), contain the oracle value and
 meet the net-path bracket; swapping the arguments of a Hausdorff distance
 must give the identical interval, and a pair with one net-only set must
-sweep nets both ways.  Net-only dichotomies must agree with the oracles.
+sweep nets both ways.  The cell descent of exact pairs is checked against
+closed forms down to fine precisions, plateaus included, and by a count of
+its comparisons.  Net-only dichotomies must agree with the oracles.
 Images under affine maps are checked the same way, against oracles
 written from the mapped geometry.  The nearest-point index of a net is
 checked against brute force, and spaces with only an approximate distance
@@ -327,8 +329,8 @@ def plane_pairs(draw):
         q = max(segment_dist_sq(a1, a2, b2), segment_dist_sq(b1, a2, b2),
                 segment_dist_sq(a2, a1, b1), segment_dist_sq(b2, a1, b1))
         return segment_set(*a1, *b1), segment_set(*a2, *b2), q, 0
-    # Many source points: the sweep must not lose the farthest one when it
-    # drops the points that cannot carry the maximum.
+    # Many source points, each a cell of its own: the descent must not lose
+    # the farthest one.
     P = draw(st.lists(plane_pt(8), min_size=1, max_size=40))
     Q = draw(st.lists(plane_pt(8), min_size=1, max_size=5))
     return plane_point_set(P), plane_point_set(Q), finite_hausdorff_sq(P, Q), 0
@@ -419,6 +421,152 @@ def test_cantor_hausdorff_meets_net_path():
         exact = hausdorff_distance(A, C).approximate(eps)
         nets = hausdorff_distance(net_only(A), net_only(C)).approximate(eps)
         assert meet(exact, nets)
+
+
+# ---------------------------------------------------------------------------
+# The cell descent of exact pairs, against closed forms: every bracket holds
+# the value, is at most eps wide and is the same with the arguments swapped
+# (``check_hausdorff``).  The precisions reach well below the sets' sizes,
+# so that the descent runs many levels deep.
+# ---------------------------------------------------------------------------
+
+DESCENT = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+DESCENT_EPS = st.sampled_from([F(1, 16), F(1, 64), F(1, 256)])
+
+
+def holds_root(q, shift):
+    return lambda lo, hi: root_at_least(q, shift, lo) and root_at_most(q, shift, hi)
+
+
+@DESCENT
+@given(plane_pt(), rat(F(1, 8), 1, 8), st.sampled_from(DIRECTIONS), DESCENT_EPS)
+def test_descent_disk_and_diameter(c, r, u, eps):
+    seg = segment_set(c[0] - r * u[0], c[1] - r * u[1], c[0] + r * u[0], c[1] + r * u[1])
+    check_hausdorff(disk_set(c[0], c[1], r), seg, eps, lambda lo, hi: lo <= r <= hi)
+
+
+@DESCENT
+@given(plane_pt(), plane_pt(8), rat(F(1, 8), 1, 8), rat(F(1, 16), 1, 16), DESCENT_EPS)
+def test_descent_disks(c1, c2, r1, r2, eps):
+    # H(D(c1, r1), D(c2, r2)) = |c1 - c2| + |r1 - r2|; with c2 near c1 and
+    # r2 small, often a small disk inside a large one: the small disk's
+    # direction is a plateau at 0 below the other's supremum.
+    check_hausdorff(disk_set(c1[0], c1[1], r1), disk_set(c2[0], c2[1], r2), eps,
+                    holds_root(point_sq(c1, c2), abs(r1 - r2)))
+
+
+@DESCENT
+@given(plane_pt(), plane_pt(), plane_pt(), plane_pt(), DESCENT_EPS)
+def test_descent_segments(a1, b1, a2, b2, eps):
+    # d(., segment) is convex, so the largest endpoint distance is H.
+    q = max(segment_dist_sq(a1, a2, b2), segment_dist_sq(b1, a2, b2),
+            segment_dist_sq(a2, a1, b1), segment_dist_sq(b2, a1, b1))
+    check_hausdorff(segment_set(*a1, *b1), segment_set(*a2, *b2), eps, holds_root(q, 0))
+
+
+@DESCENT
+@given(st.lists(plane_pt(16), min_size=1, max_size=12),
+       st.lists(plane_pt(16), min_size=1, max_size=12), DESCENT_EPS)
+def test_descent_finite_plane_sets(P, Q, eps):
+    check_hausdorff(plane_point_set(P), plane_point_set(Q), eps,
+                    holds_root(finite_hausdorff_sq(P, Q), 0))
+
+
+@DESCENT
+@given(st.lists(rat(-2, 2, 64), min_size=1, max_size=12),
+       st.lists(rat(-2, 2, 64), min_size=1, max_size=12), DESCENT_EPS)
+def test_descent_finite_line_sets(P, Q, eps):
+    h = finite_hausdorff_1d(P, Q)
+    assert check_hausdorff(point_set(P), point_set(Q), eps, lambda lo, hi: lo <= h <= hi) == (h, h)
+    # On the x-axis of the plane the points keep their finite structure.
+    A, B = located.promote_to_plane(point_set(P)), located.promote_to_plane(point_set(Q))
+    check_hausdorff(A, B, eps, lambda lo, hi: lo <= h <= hi)
+
+
+@st.composite
+def interval_unions(draw):
+    """(set, intervals): a union of up to three closed intervals, some of
+    them points."""
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(rat(-2, 2, 16))
+        parts.append((a, a + draw(st.sampled_from([F(0), F(1, 16), F(1, 2), F(3, 2)]))))
+    S = interval_set(*parts[0])
+    for p in parts[1:]:
+        S = union_located(S, interval_set(*p))
+    return S, parts
+
+
+@DESCENT
+@given(interval_unions(), interval_unions(), DESCENT_EPS)
+def test_descent_line_unions(ca, cb, eps):
+    h = union_hausdorff_1d(ca[1], cb[1])
+    check_hausdorff(ca[0], cb[0], eps, lambda lo, hi: lo <= h <= hi)
+
+
+@DESCENT
+@given(rat(-1, 0, 16), rat(1, 2, 16), st.sampled_from([F(1, 64), F(1, 1024)]))
+def test_descent_interval_and_cantor(a, b, eps):
+    h = max(-a, b - 1, F(1, 6))
+    check_hausdorff(interval_set(a, b), cantor_set(), eps, lambda lo, hi: lo <= h <= hi)
+
+
+MAX_PLANE = PlaneMax()
+
+
+def max_metric_box(x0, x1, y0, y1):
+    """A box under the max metric: d(p, box) = max of the axis distances."""
+
+    def cmp(p, t):
+        d = max(F(0), x0 - p[0], p[0] - x1, y0 - p[1], p[1] - y1)
+        return (d > t) - (d < t)
+
+    return EpsilonNetFamily(MAX_PLANE, box_set(x0, x1, y0, y1).net, distance_compare=cmp,
+                            name="max-box")
+
+
+@DESCENT
+@given(st.tuples(rat(-1, 1, 8), rat(0, 1, 8), rat(-1, 1, 8), rat(0, 1, 8)),
+       st.tuples(rat(-1, 1, 8), rat(0, 1, 8), rat(-1, 1, 8), rat(0, 1, 8)),
+       st.sampled_from([F(1, 16), F(1, 64)]))
+def test_descent_max_metric_boxes(b1, b2, eps):
+    # Under the max metric a box is a product of intervals, and H of
+    # products is the larger H of the factors.  The supremum is often
+    # attained along a whole edge, which the descent refines end to end.
+    e1 = (b1[0], b1[0] + b1[1], b1[2], b1[2] + b1[3])
+    e2 = (b2[0], b2[0] + b2[1], b2[2], b2[2] + b2[3])
+    h = max(abs(u - v) for u, v in zip(e1, e2))
+    check_hausdorff(max_metric_box(*e1), max_metric_box(*e2), eps, lambda lo, hi: lo <= h <= hi)
+
+
+@DESCENT
+@given(st.one_of(plane_sets(), line_sets().map(lambda c: c[:1]),
+                 st.deferred(lambda: similar_plane_images())),
+       st.sampled_from([F(1, 8), F(1, 32)]))
+def test_descent_plateau_at_zero(case, eps):
+    # H(A, A) = 0 is a plateau over all of A: the lower end must be 0
+    # itself, which a lower bound without its -rho would overshoot.
+    S = case[0]
+    assert check_hausdorff(S, S, eps, lambda lo, hi: lo == 0)[1] <= eps
+
+
+def test_descent_compares_few_cells():
+    # H(disk, diameter) at 1/64 settles by cells near the two points where
+    # the supremum is attained; a sweep over a source net at eps/4 compares
+    # some 200,000 points.
+    calls = []
+
+    def counted(S):
+        def cmp(p, t):
+            calls.append(p)
+            return S.distance_compare(p, t)
+
+        return EpsilonNetFamily(PLANE, S.net, distance_compare=cmp, name=S.name)
+
+    A, B = counted(disk_set(0, 0, 1)), counted(segment_set(-1, 0, 1, 0))
+    lo, hi = hausdorff_distance(A, B).approximate(F(1, 64))
+    assert lo <= 1 <= hi and hi - lo <= F(1, 64)
+    assert len(calls) < 2000
 
 
 # ---------------------------------------------------------------------------

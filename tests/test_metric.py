@@ -38,6 +38,21 @@ class TestBallOrder:
         assert ball_lt(LINE, B(1, 0), B(2, 0))  # concentric shrink
         assert not ball_lt(LINE, B(1, 0), B(2, 1))  # boundary d = 1 = margin
 
+    def test_lt_concentric_asks_no_distance(self):
+        # Concentric pairs, which every cell-filter leaf asks, are decided
+        # by their radii alone.
+        class NoDistance(RationalLine):
+            def compare_distance(self, x, y, t):
+                raise AssertionError("distance queried")
+
+        space = NoDistance()
+        for c in (F(0), F(-3, 7), (F(1, 2), F(5))):
+            assert ball_lt(space, B(1, c), B(2, c))
+            assert not ball_lt(space, B(2, c), B(2, c))
+            assert not ball_lt(space, B(3, c), B(2, c))
+        with pytest.raises(AssertionError):
+            ball_lt(space, B(1, 0), B(2, 1))
+
     def test_leq_examples(self):
         assert ball_leq(LINE, B(1, 0), B(1, 0))
         assert ball_leq(LINE, B(1, 0), B(2, 1))  # exact tie decidable

@@ -39,7 +39,6 @@ from overt.errors import (
     InvariantViolation,
     ParseError,
     PreconditionFailed,
-    UndecidableComparison,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "InvariantViolation",
     "ParseError",
     "PreconditionFailed",
-    "UndecidableComparison",
 ]
 
 __version__ = "0.1.0"

@@ -17,7 +17,6 @@ from overt.errors import (
     InvariantViolation,
     ParseError,
     PreconditionFailed,
-    UndecidableComparison,
 )
 from overt.rationals import Cursor, format_interval, parse_rational, parse_rational_list
 
@@ -230,7 +229,7 @@ def main(argv=None) -> int:
     except (EmptySetError, PreconditionFailed, AmbientMismatch) as e:
         print(f"precondition failed: {e}", file=sys.stderr)
         return PRECONDITION_EXIT
-    except (InvariantViolation, UndecidableComparison) as e:
+    except InvariantViolation as e:
         print(f"internal invariant breach: {e}", file=sys.stderr)
         return INTERNAL_EXIT
 

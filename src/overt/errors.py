@@ -13,10 +13,6 @@ class AmbientMismatch(ValueError):
     """Two lattice elements or net families live over different ambients."""
 
 
-class UndecidableComparison(RuntimeError):
-    """A strict comparison could not be certified above the precision floor."""
-
-
 class InvariantViolation(RuntimeError):
     """An internal soundness invariant was observed to fail."""
 

@@ -21,12 +21,13 @@ carry an exact rational distance comparison, which is the located
 structure itself; a net is only one witness of it.  Affine images keep it
 wherever the map carries it (:func:`affine_image`); images under other
 maps with a modulus carry nets only.  A dichotomy on a set with a
-comparison is one call of ``distance_compare``.  Every distance bracket,
-of ``distance_to_set``, of a net-backed dichotomy and of each cell of a
-Hausdorff descent, comes from :func:`_distance_bracket`: exact from
-``distance_value``, bisected on ``distance_compare``, and otherwise from a
-net, searched by the grid index of ``EpsilonNetFamily.net_index``
-(:class:`_GridIndex`) or, outside its spaces, by ``dist_approx``.  A
+comparison is one call of its ``meets`` test (:func:`_meets_test`).
+Every distance bracket, of ``distance_to_set``, of a net-backed dichotomy
+and of each cell of a Hausdorff descent, comes from
+:func:`_distance_bracket`: exact from ``distance_value``, bisected on
+``distance_compare``, and otherwise from a net, searched by the grid index
+of ``EpsilonNetFamily.net_index`` (:class:`_GridIndex`) or, outside its
+spaces, by a scan of exact squared distances.  A
 Hausdorff pair in which both sets have a comparison takes both directed
 suprema from one branch-and-bound descent over dyadic cells
 (:func:`_hausdorff_descent`); a pair with a net-only set compares nets
@@ -75,6 +76,7 @@ from overt.metric import (
     PlaneMax,
     RationalLine,
     ball_lt,
+    distance_below,
 )
 from overt.reals import DedekindReal, sqrt_bounds
 
@@ -153,7 +155,7 @@ class EpsilonNetFamily:
             return None
         eps = Fraction(eps)
         if eps not in self._indexes:
-            self._indexes[eps] = _GridIndex(self.space.dist_sq_exact, self.net(eps), _CELL * eps)
+            self._indexes[eps] = _GridIndex(self.space.dist_sq, self.net(eps), _CELL * eps)
         return self._indexes[eps]
 
     def __repr__(self):
@@ -318,24 +320,40 @@ def _distance_bracket(
     return _net_max_distance(S, [x], width)
 
 
+def _meets_test(P) -> Optional[Callable]:
+    """``meets(c, s)``: does the set meet the open ball of radius s around c,
+    as one exact comparison; None when P has none.  A set's comparison
+    answers it, or a predicate's ``pos_exact``, whose contract makes it
+    agree with every POS_OUTER answer of ``decide``.  This is the one place
+    that chooses between an exact dichotomy and one from nets."""
+    if isinstance(P, EpsilonNetFamily):
+        if P.inhabited and P.distance_compare is not None:
+            cmp = P.distance_compare
+            return lambda c, s: cmp(c, s) < 0
+    elif isinstance(P, LocatedPredicate) and P.pos_exact is not None:
+        pos = P.pos_exact
+        return lambda c, s: pos(FormalBall(c, s))
+    return None
+
+
 def _net_max_distance(S: EpsilonNetFamily, pts, width: Fraction) -> tuple:
     """Bracket of max over pts of d(p, S) of width at most ``width``, from
     the net at delta = width/3 alone.
 
-    The max-min over the net is taken from its ``net_index`` (exact squared
-    distances and one square root to width/6), or by ``dist_approx`` at
-    width/6 in a space without an index.  The net moves each distance by at
-    most delta, so padding that bracket by delta gives width at most 5/6 of
-    ``width`` with an index, and ``width`` without.
+    The largest least squared distance from pts to the net is exact, from
+    its ``net_index`` or, in a space without an index, from a scan of the
+    net; one square root brackets it to width/6.  The net moves each
+    distance by at most delta, so padding that bracket by delta gives width
+    at most 5/6 of ``width``.
     """
-    delta, eta = width / 3, width / 6
+    delta = width / 3
     index = S.net_index(delta)
     if index is not None:
-        lo, hi = sqrt_bounds(index.max_min_sq(pts), eta)
+        m = index.max_min_sq(pts)
     else:
-        net = S.net(delta)
-        m = max(min(S.space.dist_approx(p, q, eta) for q in net) for p in pts)
-        lo, hi = m - eta, m + eta
+        net, dsq = S.net(delta), S.space.dist_sq
+        m = max(min(dsq(p, q) for q in net) for p in pts)
+    lo, hi = sqrt_bounds(m, width / 6)
     return (max(Fraction(0), lo - delta), hi + delta)
 
 
@@ -346,8 +364,7 @@ def distance_to_set(S: EpsilonNetFamily, x) -> DedekindReal:
     with ``distance_value`` answers exactly, as ``[v, v]``; one with
     ``distance_compare`` only is bisected down to width eps, exactly again
     when a probe meets the distance.  Without either, the net at eps/3
-    answers, with width at most 5 eps/6 from a ``net_index`` and eps from a
-    ``dist_approx`` scan (clipped below at zero).
+    answers, with width at most 5 eps/6 (clipped below at zero).
     """
     if not S.inhabited:
         raise EmptySetError(f"distance to possibly-empty set {S.name}")
@@ -371,18 +388,13 @@ def decide_located_pair(S, inner: FormalBall, outer: FormalBall) -> Decision:
     space = S.space
     if not ball_lt(space, inner, outer):
         raise PreconditionFailed("decide needs strictly refining balls")
-    if S.distance_compare is not None:
-        cmp = S.distance_compare(outer.center, outer.radius)
-        return Decision.POS_OUTER if cmp < 0 else Decision.NOT_POS_INNER
+    meets = _meets_test(S)
+    if meets is not None:
+        return Decision.POS_OUTER if meets(outer.center, outer.radius) else Decision.NOT_POS_INNER
     # Certified lower bound on the gap margin s - r - d(centers), from a
-    # rational upper bound q + eps on d(centers).
+    # rational upper bound on d(centers).
     gap = outer.radius - inner.radius
-    eps = gap / 8
-    while True:
-        margin = gap - space.dist_approx(inner.center, outer.center, eps) - eps
-        if margin > 0:
-            break
-        eps /= 4
+    margin = gap - distance_below(space, inner.center, outer.center, gap)
     lo, _ = _distance_bracket(S, inner.center, margin / 2)
     if lo >= inner.radius:
         return Decision.NOT_POS_INNER
@@ -406,32 +418,15 @@ class _NetPredicate(LocatedPredicate):
 def predicate_from_net(S: EpsilonNetFamily) -> LocatedPredicate:
     """The located predicate of a net-backed set."""
     pos = None
-    if S.distance_compare is not None:
-        cmp = S.distance_compare
+    meets = _meets_test(S)
+    if meets is not None:
 
         def pos(ball: FormalBall) -> bool:
-            if ball is TOP:
-                return S.inhabited
-            return cmp(ball.center, ball.radius) < 0
+            return True if ball is TOP else meets(ball.center, ball.radius)
 
     return _NetPredicate(
         S.space, lambda i, o: decide_located_pair(S, i, o), pos_exact=pos, name=S.name
     )
-
-
-def _meets_test(P) -> Optional[Callable]:
-    """``meets(c, s)``: does the set meet the open ball of radius s around c,
-    as one exact comparison; None when P has none.  A set's comparison
-    answers it, or a predicate's ``pos_exact``, whose contract makes it
-    agree with every POS_OUTER answer of ``decide``."""
-    if isinstance(P, EpsilonNetFamily):
-        if P.inhabited and P.distance_compare is not None:
-            cmp = P.distance_compare
-            return lambda c, s: cmp(c, s) < 0
-    elif isinstance(P, LocatedPredicate) and P.pos_exact is not None:
-        pos = P.pos_exact
-        return lambda c, s: pos(FormalBall(c, s))
-    return None
 
 
 def _cell_rho(space: MetricSpace) -> tuple:
@@ -624,9 +619,8 @@ def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal
     can still be attained.  When either set has none, each directed sweep
     compares two nets (:func:`_net_max_distance`): the maximum over the
     source's net at delta = eps/6 of the distance to the target, bracketed
-    to width eps/2 and padded by delta, since d(., target) is 1-Lipschitz.
-    That gives width at most 3 eps/4 with a ``net_index`` and 5 eps/6
-    without.
+    to width 5 eps/12 and padded by delta, since d(., target) is
+    1-Lipschitz.  That gives width at most 3 eps/4.
 
     The computation is literally symmetric in A and B, so swapping the
     arguments returns identical intervals.
@@ -1150,12 +1144,12 @@ def meets_oracle(S: EpsilonNetFamily, ambient: tuple) -> Callable[[IntervalEleme
     Meeting an open interval is a strict distance comparison against its
     midpoint, which the builtin sets decide exactly.
     """
-    if S.distance_compare is None:
+    meets = _meets_test(S)
+    if meets is None:
         raise PreconditionFailed(f"{S.name} has no exact distance comparison")
-    cmp = S.distance_compare
 
     def pos(e: IntervalElement) -> bool:
-        return any(cmp((p + q) / 2, (q - p) / 2) < 0 for p, q in e.parts)
+        return any(meets((p + q) / 2, (q - p) / 2) for p, q in e.parts)
 
     return pos
 

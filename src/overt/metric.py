@@ -1,18 +1,15 @@
 """Formal balls over rational metric spaces and their cover base.
 
-A metric space here is a set of rational-coordinate points with a distance
-oracle ``dist_approx(x, y, eps)`` accurate to eps.  The builtin spaces are
-exact wherever possible: the rational line and the max-metric plane compare
-distances exactly, the Euclidean plane compares *squared* distances exactly
-and only approximates the distance value itself (via integer square roots).
+A metric space here is a set of rational-coordinate points whose squared
+distance ``dist_sq(x, y)`` is an exact rational.  The rational line, its
+segments and the plane under the max metric and the Euclidean metric are
+all of this kind, so "is d(x, y) below t?" is decided exactly, on
+squares, by ``compare_distance``; a distance value itself, which may be
+irrational, is only ever bracketed (``distance_below``).
 
 Formal balls are pairs (center, positive radius).  The strict refinement
-``ball_lt`` asks d(x, y) < s - r and is decided with an exact gap whenever
-the space supports it; a space with only an approximate oracle is refined
-down to a precision floor of 2**-64, below which a strict comparison raises
-:class:`UndecidableComparison` rather than guess.  The non-strict
-``ball_leq`` decides d(x, y) <= s - r, with boundary ties resolved to True
-when every tested precision is consistent with equality.
+``ball_lt`` decides d(x, y) < s - r and the non-strict ``ball_leq``
+decides d(x, y) <= s - r, both with one exact comparison.
 
 ``completion_base`` packages a space as a kernel base whose declared axioms
 are the shrink families (every ball is covered by balls strictly inside it;
@@ -35,12 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from overt.errors import PreconditionFailed, UndecidableComparison
+from overt.errors import PreconditionFailed
 from overt.kernel import TOP, Base
 from overt.rationals import Cursor, format_rational
 from overt.reals import sqrt_bounds
-
-PRECISION_FLOOR = Fraction(1, 2**64)
 
 # A ball base lists at most this many points; a larger point budget is
 # refused before any point is built.
@@ -91,41 +86,17 @@ class MetricSpace:
     def enumerate_points(self, count: int) -> list:
         raise NotImplementedError
 
-    def dist_approx(self, x, y, eps: Fraction) -> Fraction:
+    def dist_sq(self, x, y) -> Fraction:
+        """The squared distance d(x, y)**2, exactly."""
         raise NotImplementedError
 
-    def dist_exact(self, x, y) -> Optional[Fraction]:
-        """Exact distance when representable, else None."""
-        return None
-
-    def dist_sq_exact(self, x, y) -> Optional[Fraction]:
-        """Exact squared distance when representable, else None."""
-        d = self.dist_exact(x, y)
-        return None if d is None else d * d
-
-    def compare_distance(self, x, y, threshold: Fraction) -> Optional[int]:
-        """Sign of d(x, y) - threshold: -1, 0, +1, or None at the floor."""
+    def compare_distance(self, x, y, threshold: Fraction) -> int:
+        """Sign of d(x, y) - threshold: -1, 0 or +1, compared on squares."""
         t = Fraction(threshold)
-        d = self.dist_exact(x, y)
-        if d is not None:
-            return (d > t) - (d < t)
-        dsq = self.dist_sq_exact(x, y)
-        if dsq is not None:
-            if t < 0:
-                return 1
-            tsq = t * t
-            return (dsq > tsq) - (dsq < tsq)
         if t < 0:
             return 1
-        eps = max(abs(t), Fraction(1)) / 4
-        while eps >= PRECISION_FLOOR:
-            q = self.dist_approx(x, y, eps)
-            if q + eps < t:
-                return -1
-            if q - eps > t:
-                return 1
-            eps /= 4
-        return None
+        dsq, tsq = self.dist_sq(x, y), t * t
+        return (dsq > tsq) - (dsq < tsq)
 
     def is_grid_complete(self, k: int, point_budget: int) -> bool:
         """Whether the first point_budget points contain a grid so fine that
@@ -157,11 +128,9 @@ class RationalLine(MetricSpace):
                         return out
         return out
 
-    def dist_exact(self, x, y):
-        return abs(Fraction(x) - Fraction(y))
-
-    def dist_approx(self, x, y, eps):
-        return self.dist_exact(x, y)
+    def dist_sq(self, x, y):
+        d = Fraction(x) - Fraction(y)
+        return d * d
 
 
 class LineSegment(MetricSpace):
@@ -206,11 +175,9 @@ class LineSegment(MetricSpace):
             and abs(ball.center - self.hi) < ball.radius
         )
 
-    def dist_exact(self, x, y):
-        return abs(Fraction(x) - Fraction(y))
-
-    def dist_approx(self, x, y, eps):
-        return self.dist_exact(x, y)
+    def dist_sq(self, x, y):
+        d = Fraction(x) - Fraction(y)
+        return d * d
 
 
 def _pair_enumeration(count: int) -> list:
@@ -231,18 +198,16 @@ class PlaneMax(MetricSpace):
     def enumerate_points(self, count: int) -> list:
         return _pair_enumeration(count)
 
-    def dist_exact(self, x, y):
-        return max(abs(x[0] - y[0]), abs(x[1] - y[1]))
-
-    def dist_approx(self, x, y, eps):
-        return self.dist_exact(x, y)
+    def dist_sq(self, x, y):
+        d = max(abs(x[0] - y[0]), abs(x[1] - y[1]))
+        return d * d
 
 
 class PlaneEuclid(MetricSpace):
     """The rational plane with the Euclidean metric.
 
-    Distances are irrational in general; squared distances are exact, so
-    comparisons against rational thresholds are still exact.
+    Distances are irrational in general, but squared distances are
+    rational, so comparisons against rational thresholds are exact.
     """
 
     name = "q2"
@@ -250,16 +215,9 @@ class PlaneEuclid(MetricSpace):
     def enumerate_points(self, count: int) -> list:
         return _pair_enumeration(count)
 
-    def dist_exact(self, x, y):
-        return None
-
-    def dist_sq_exact(self, x, y):
+    def dist_sq(self, x, y):
         dx, dy = x[0] - y[0], x[1] - y[1]
         return dx * dx + dy * dy
-
-    def dist_approx(self, x, y, eps):
-        lo, hi = sqrt_bounds(self.dist_sq_exact(x, y), eps)
-        return (lo + hi) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -275,27 +233,29 @@ def ball_lt(space: MetricSpace, a: FormalBall, b: FormalBall) -> bool:
         return False
     if a.center == b.center:
         return True
-    cmp = space.compare_distance(a.center, b.center, margin)
-    if cmp is None:
-        raise UndecidableComparison(
-            f"d{a.center, b.center} vs {margin} undecided at the precision floor"
-        )
-    return cmp < 0
+    return space.compare_distance(a.center, b.center, margin) < 0
 
 
 def ball_leq(space: MetricSpace, a: FormalBall, b: FormalBall) -> bool:
-    """Non-strict refinement: d(centers) <= radius(b) - radius(a).
-
-    With only an approximate oracle, a query that stays consistent with
-    equality at every precision down to the floor is answered True.
-    """
+    """Non-strict refinement: d(centers) <= radius(b) - radius(a)."""
     margin = b.radius - a.radius
     if margin < 0:
         return False
-    cmp = space.compare_distance(a.center, b.center, margin)
-    if cmp is None:
-        return True
-    return cmp <= 0
+    return space.compare_distance(a.center, b.center, margin) <= 0
+
+
+def distance_below(space: MetricSpace, x, y, bound: Fraction) -> Fraction:
+    """A rational upper bound on d(x, y) that is less than ``bound``, given
+    d(x, y) < bound: the upper end of ``sqrt_bounds`` of the squared
+    distance at width bound/8, then a quarter of that, and so on.  It is
+    d(x, y) itself when that is rational."""
+    dsq = space.dist_sq(x, y)
+    eps = bound / 8
+    while True:
+        _, hi = sqrt_bounds(dsq, eps)
+        if hi < bound:
+            return hi
+        eps /= 4
 
 
 def refine_between(space: MetricSpace, a: FormalBall, b: FormalBall) -> FormalBall:
@@ -303,19 +263,7 @@ def refine_between(space: MetricSpace, a: FormalBall, b: FormalBall) -> FormalBa
     if not ball_lt(space, a, b):
         raise PreconditionFailed("refine_between needs ball_lt(a, b)")
     gap = b.radius - a.radius
-    d = space.dist_exact(a.center, b.center)
-    if d is None:
-        eps = gap / 8
-        while True:
-            q = space.dist_approx(a.center, b.center, eps)
-            slack = gap - (q + eps)
-            if slack > 0:
-                break
-            eps /= 4
-            if eps < PRECISION_FLOOR:
-                raise UndecidableComparison("no certified margin for interpolation")
-    else:
-        slack = gap - d
+    slack = gap - distance_below(space, a.center, b.center, gap)
     return FormalBall(b.center, b.radius - slack / 2)
 
 
@@ -354,8 +302,8 @@ def filter_stage_refine(
     """Extend the chain until its last radius is at most the target.
 
     The chooser proposes, for a ball and a tolerance, a point within that
-    tolerance of the ball's center; the proposal is certified with the
-    distance oracle and rejected if uncertifiable.
+    tolerance of the ball's center; the proposal is checked with
+    ``compare_distance`` and rejected if it lies farther.
     """
     target = Fraction(target_precision)
     if target <= 0:
@@ -366,8 +314,7 @@ def filter_stage_refine(
         new_radius = max(cur.radius / 2, target)
         tol = min(new_radius, cur.radius - new_radius) / 4
         y = chooser(cur, tol)
-        cmp = space.compare_distance(cur.center, y, tol)
-        if cmp is None or cmp > 0:
+        if space.compare_distance(cur.center, y, tol) > 0:
             raise PreconditionFailed("chooser returned an uncertifiable point")
         nxt = FormalBall(y, new_radius)
         if not ball_lt(space, nxt, cur):
@@ -441,12 +388,8 @@ class BallBase(Base):
     def _near(self, c, r: Fraction) -> list:
         """The listed points y with d(y, c) < r certified, in listed order."""
         if self._line is None:
-            out = []
-            for y in self.points:
-                cmp = self.space.compare_distance(y, c, r)
-                if cmp is not None and cmp < 0:
-                    out.append(y)
-            return out
+            cmp = self.space.compare_distance
+            return [y for y in self.points if cmp(y, c, r) < 0]
         keys, order = self._line
         found = order[bisect_right(keys, c - r) : bisect_left(keys, c + r)]
         return [self.points[i] for i in sorted(found)]
@@ -509,11 +452,9 @@ class BallBase(Base):
             if any(f.center not in self._point_set for f in family):
                 return False
             if axiom == "m2loc":
-                r = Fraction(1, 2**k)
-                for f in family:
-                    cmp = self.space.compare_distance(f.center, u.center, u.radius + r)
-                    if cmp is None or cmp >= 0:
-                        return False
+                r = u.radius + Fraction(1, 2**k)
+                cmp = self.space.compare_distance
+                return all(cmp(f.center, u.center, r) < 0 for f in family)
             return True
         return False
 

@@ -32,11 +32,8 @@ class Wrapped(MetricSpace):
     def enumerate_points(self, count):
         return self.inner.enumerate_points(count)
 
-    def dist_exact(self, x, y):
-        return self.inner.dist_exact(x, y)
-
-    def dist_approx(self, x, y, eps):
-        return self.inner.dist_approx(x, y, eps)
+    def dist_sq(self, x, y):
+        return self.inner.dist_sq(x, y)
 
     def is_grid_complete(self, k, point_budget):
         return self.inner.is_grid_complete(k, point_budget)

@@ -4,7 +4,7 @@ Distances and Hausdorff distances answered from a set's exact comparison
 are checked against the independent oracles of ``helpers`` and against the
 net path, which is reached by wrapping the same net function without an
 exact comparison.  Every bracket must have width at most eps (net-path
-brackets on spaces with a grid index less), contain the oracle value and
+brackets less), contain the oracle value and
 meet the net-path bracket; swapping the arguments of a Hausdorff distance
 must give the identical interval, and a pair with one net-only set must
 sweep nets both ways.  The cell descent of exact pairs is checked against
@@ -12,9 +12,8 @@ closed forms down to fine precisions, plateaus included, and by a count of
 its comparisons.  Net-only dichotomies must agree with the oracles.
 Images under affine maps are checked the same way, against oracles
 written from the mapped geometry.  The nearest-point index of a net is
-checked against brute force, and spaces with only an approximate distance
-oracle, whose answers sit at the edge of their contract, check the
-scanning branch.
+checked against brute force, and a space outside the index's spaces,
+with the same exact squared distances, checks the scanning branch.
 """
 
 from fractions import Fraction as F
@@ -127,8 +126,8 @@ def loose_segment(a, b):
 
 
 # The net half of a distance bracket takes the net at eps/3 and one square
-# root to eps/6, so on spaces with a grid index its width is at most 5 eps/6;
-# a Hausdorff sweep over nets at eps/6 gives at most 3 eps/4.
+# root to eps/6, so its width is at most 5 eps/6, with a grid index or by a
+# scan; a Hausdorff sweep over nets at eps/6 gives at most 3 eps/4.
 NET_DISTANCE_WIDTH = F(5, 6)
 NET_HAUSDORFF_WIDTH = F(3, 4)
 
@@ -638,83 +637,75 @@ def test_plane_sweep_is_finite_hausdorff(metric, P, Q, eps):
                         max(min(dsq(q, p) for p in P) for q in Q))
 
 
-class _ApproxOnly(MetricSpace):
-    """A space with only ``dist_approx``, whose answers sit near the edge
-    of their contract: about eps above the distance (``bias`` 1) or below
-    it (``bias`` -1).  It has no nearest-point index, so every net query
-    scans."""
+class _ScanOnly(MetricSpace):
+    """The rational line and the Euclidean plane, with exact squared
+    distances, behind a type outside ``_GRID_SPACES``: it has no
+    nearest-point index, so every net query scans the net."""
 
-    name = "approx"
+    name = "scan"
 
-    def __init__(self, bias):
-        self.bias = bias
-
-    def dist_approx(self, x, y, eps):
-        if not isinstance(x, tuple):
-            return max(F(0), abs(x - y) + self.bias * eps)
-        lo, hi = sqrt_bounds(point_sq(x, y), eps / 2)
-        return hi + eps / 2 if self.bias > 0 else max(F(0), lo - eps / 2)
+    def dist_sq(self, x, y):
+        return point_sq(x, y) if isinstance(x, tuple) else (x - y) ** 2
 
 
-APPROX_SPACES = st.sampled_from([_ApproxOnly(1), _ApproxOnly(-1)])
+SCAN = _ScanOnly()
 
 
-def on_approx(space, S):
-    """The same nets in an approximate space, with no exact comparison."""
-    return EpsilonNetFamily(space, S.net, name=f"approx({S.name})")
+def on_scan(S):
+    """The same nets in a space without an index, with no exact comparison."""
+    return EpsilonNetFamily(SCAN, S.net, name=f"scan({S.name})")
 
 
 @NET_SETTINGS
-@given(APPROX_SPACES, rat(-2, 2, 8), rat(0, 2, 8), rat(-4, 4, 16),
-       st.sampled_from([F(1, 4), F(1, 32)]))
-def test_approx_space_line_distance_contains_truth(space, a, length, x, eps):
-    S = on_approx(space, loose_interval(a, a + length))
+@given(rat(-2, 2, 8), rat(0, 2, 8), rat(-4, 4, 16), st.sampled_from([F(1, 4), F(1, 32)]))
+def test_approx_space_line_distance_contains_truth(a, length, x, eps):
+    S = on_scan(loose_interval(a, a + length))
     assert S.net_index(eps) is None
     bracket = distance_to_set(S, x).approximate(eps)
     d = union_distance_1d(x, [(a, a + length)])
-    assert width_ok(bracket, eps) and bracket[0] <= d <= bracket[1]
+    assert width_ok(bracket, NET_DISTANCE_WIDTH * eps) and bracket[0] <= d <= bracket[1]
 
 
 @NET_SETTINGS
-@given(APPROX_SPACES, plane_sets(), plane_pt(8), st.sampled_from([F(1, 2), F(1, 4)]))
-def test_approx_space_plane_distance_contains_truth(space, case, x, eps):
+@given(plane_sets(), plane_pt(8), st.sampled_from([F(1, 2), F(1, 4)]))
+def test_approx_space_plane_distance_contains_truth(case, x, eps):
     S, parts = case
-    bracket = distance_to_set(on_approx(space, S), x).approximate(eps)
-    assert width_ok(bracket, eps)
+    bracket = distance_to_set(on_scan(S), x).approximate(eps)
+    assert width_ok(bracket, NET_DISTANCE_WIDTH * eps)
     assert bracket_holds_min_root(*bracket, parts(x))
 
 
 @NET_SETTINGS
-@given(APPROX_SPACES, rat(-2, 2, 8), rat(0, 2, 8),
-       st.lists(rat(-3, 3, 16), min_size=1, max_size=4), st.sampled_from([F(1, 4), F(1, 16)]))
-def test_approx_space_line_hausdorff_contains_truth(space, a, length, pts, eps):
+@given(rat(-2, 2, 8), rat(0, 2, 8), st.lists(rat(-3, 3, 16), min_size=1, max_size=4),
+       st.sampled_from([F(1, 4), F(1, 16)]))
+def test_approx_space_line_hausdorff_contains_truth(a, length, pts, eps):
     h = union_hausdorff_1d([(a, a + length)], [(p, p) for p in pts])
-    check_hausdorff(on_approx(space, loose_interval(a, a + length)),
-                    on_approx(space, point_set(pts)), eps, lambda lo, hi: lo <= h <= hi)
+    check_hausdorff(on_scan(loose_interval(a, a + length)), on_scan(point_set(pts)), eps,
+                    lambda lo, hi: hi - lo <= NET_HAUSDORFF_WIDTH * eps and lo <= h <= hi)
 
 
 @NET_SETTINGS
-@given(APPROX_SPACES, plane_pt(), plane_pt(), plane_pt(), plane_pt())
-def test_approx_space_plane_hausdorff_contains_truth(space, a1, b1, a2, b2):
+@given(plane_pt(), plane_pt(), plane_pt(), plane_pt())
+def test_approx_space_plane_hausdorff_contains_truth(a1, b1, a2, b2):
     # d(., segment) is convex, so the largest endpoint distance is H.
     q = max(segment_dist_sq(a1, a2, b2), segment_dist_sq(b1, a2, b2),
             segment_dist_sq(a2, a1, b1), segment_dist_sq(b2, a1, b1))
-    check_hausdorff(on_approx(space, loose_segment(a1, b1)), on_approx(space, loose_segment(a2, b2)),
-                    F(1, 2), lambda lo, hi: root_at_least(q, 0, lo) and root_at_most(q, 0, hi))
+    check_hausdorff(on_scan(loose_segment(a1, b1)), on_scan(loose_segment(a2, b2)), F(1, 2),
+                    lambda lo, hi: hi - lo <= NET_HAUSDORFF_WIDTH / 2
+                    and root_at_least(q, 0, lo) and root_at_most(q, 0, hi))
 
 
-@pytest.mark.parametrize("bias", [1, -1])
+@pytest.mark.parametrize("side", [1, -1])
 @pytest.mark.parametrize("push", [1, -1])
 @pytest.mark.parametrize("k", range(1, 6))
-def test_approx_space_hausdorff_at_the_edge(bias, push, k):
-    # {0} and {1} with nets delta outwards (push 1) or inwards (push -1):
-    # the net distance is 1 + 2 delta or 1 - 2 delta, and every oracle
-    # answer errs by its full precision on top.
+def test_approx_space_hausdorff_at_the_edge(side, push, k):
+    # {0} and {side} with nets delta outwards (push 1) or inwards (push -1):
+    # the net distance is 1 + 2 delta or 1 - 2 delta, at the very edge of
+    # what the nets allow.
     eps = F(1, 2**k)
-    space = _ApproxOnly(bias)
-    A = EpsilonNetFamily(space, lambda e: [-push * e])
-    B = EpsilonNetFamily(space, lambda e: [1 + push * e])
-    check_hausdorff(A, B, eps, lambda lo, hi: lo <= 1 <= hi)
+    A = EpsilonNetFamily(SCAN, lambda e: [-side * push * e])
+    B = EpsilonNetFamily(SCAN, lambda e: [side * (1 + push * e)])
+    check_hausdorff(A, B, eps, lambda lo, hi: hi - lo <= NET_HAUSDORFF_WIDTH * eps and lo <= 1 <= hi)
 
 
 # ---------------------------------------------------------------------------

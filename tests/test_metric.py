@@ -4,12 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from overt import kernel
-from overt.errors import PreconditionFailed, UndecidableComparison
+from overt.errors import PreconditionFailed
 from overt.metric import (
     BallBase,
     FormalBall,
     LineSegment,
-    MetricSpace,
     PlaneEuclid,
     PlaneMax,
     RationalLine,
@@ -37,6 +36,23 @@ class TestBallOrder:
         assert not ball_lt(LINE, B(2, 0), B(1, 0))
         assert ball_lt(LINE, B(1, 0), B(2, 0))  # concentric shrink
         assert not ball_lt(LINE, B(1, 0), B(2, 1))  # boundary d = 1 = margin
+        # A tie t = d is decided exactly in every space: not strictly inside,
+        # but non-strictly; a negative threshold is below every distance.
+        ties = [
+            (LINE, F(0), F(1), F(1)),
+            (LineSegment(F(-2), F(2)), F(-1, 2), F(3, 4), F(5, 4)),
+            (PlaneMax(), (F(0), F(0)), (F(1), F(-3)), F(3)),
+            (PlaneEuclid(), (F(0), F(0)), (F(3), F(4)), F(5)),
+        ]
+        for space, x, y, d in ties:
+            assert space.compare_distance(x, y, d) == 0
+            assert space.compare_distance(x, y, d - F(1, 1000)) == 1
+            assert space.compare_distance(x, y, d + F(1, 1000)) == -1
+            assert space.compare_distance(x, y, F(-1, 2)) == 1
+            assert space.compare_distance(x, x, F(-1, 2)) == 1
+            assert space.compare_distance(x, x, F(0)) == 0
+            assert not ball_lt(space, FormalBall(x, F(1)), FormalBall(y, d + 1))
+            assert ball_leq(space, FormalBall(x, F(1)), FormalBall(y, d + 1))
 
     def test_lt_concentric_asks_no_distance(self):
         # Concentric pairs, which every cell-filter leaf asks, are decided
@@ -106,13 +122,12 @@ class TestBallOrder:
 class TestPlaneSpaces:
     def test_max_metric_exact(self):
         p = PlaneMax()
-        assert p.dist_exact((F(0), F(0)), (F(1), F(3))) == 3
+        assert p.dist_sq((F(0), F(0)), (F(1), F(3))) == 9
 
     def test_euclid_squares(self):
         p = PlaneEuclid()
-        assert p.dist_sq_exact((F(0), F(0)), (F(3), F(4))) == 25
-        q = p.dist_approx((F(0), F(0)), (F(3), F(4)), F(1, 100))
-        assert abs(q - 5) <= F(1, 100)
+        assert p.dist_sq((F(0), F(0)), (F(3), F(4))) == 25
+        assert p.dist_sq((F(1, 2), F(0)), (F(0), F(1, 3))) == F(13, 36)
 
     def test_euclid_ball_lt_via_squares(self):
         p = PlaneEuclid()
@@ -122,30 +137,6 @@ class TestPlaneSpaces:
         assert ball_lt(p, a, b)
         c = FormalBall((F(1), F(1)), F(1) + F(1))  # margin 1, d = sqrt2 > 1
         assert not ball_lt(p, a, c)
-
-
-class _StubbornSpace(MetricSpace):
-    """Approximation-only space whose oracle is forever consistent with an
-    exact boundary tie."""
-
-    name = "stubborn"
-
-    def enumerate_points(self, count):
-        return [F(k) for k in range(count)]
-
-    def dist_approx(self, x, y, eps):
-        return abs(x - y)  # claims |x-y| at every precision
-
-
-class TestPrecisionFloor:
-    def test_strict_tie_errors(self):
-        s = _StubbornSpace()
-        with pytest.raises(UndecidableComparison):
-            ball_lt(s, B(1, 0), B(2, 1))  # margin exactly d
-
-    def test_nonstrict_tie_true(self):
-        s = _StubbornSpace()
-        assert ball_leq(s, B(1, 0), B(2, 1))
 
 
 class TestRefineBetween:
@@ -177,6 +168,14 @@ class TestRefineBetween:
         b = FormalBall((F(1), F(1)), F(3))
         c = refine_between(p, a, b)
         assert ball_lt(p, a, c) and ball_lt(p, c, b)
+
+    def test_euclid_exact_slack(self):
+        # d = 5 is rational, so the slack is exact, as on the line: the gap
+        # 11/2 leaves 1/2, and the radius shrinks by half of it.
+        p = PlaneEuclid()
+        a = FormalBall((F(0), F(0)), F(1, 2))
+        b = FormalBall((F(3), F(4)), F(6))
+        assert refine_between(p, a, b) == FormalBall((F(3), F(4)), F(23, 4))
 
 
 class TestFilterStages:

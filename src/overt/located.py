@@ -18,20 +18,24 @@ bounded".
 Builtin sets (closed intervals, finite point sets, the middle-thirds set,
 closed disks and segments in the plane, boxes, finite unions of these)
 carry an exact rational distance comparison, which is the located
-structure itself; a net is only one witness of it.  Affine images keep it
-wherever the map carries it (:func:`affine_image`); images under other
-maps with a modulus carry nets only.  A dichotomy on a set with a
-comparison is one call of its ``meets`` test (:func:`_meets_test`).
+structure itself; a net is only one witness of it.  An affine map takes
+segments, intervals and finite sets, disks under rational similarities,
+and unions of these, piece by piece to builtin sets again, and keeps a
+comparison on other images wherever the map carries it
+(:func:`affine_image`); images under other maps with a modulus carry nets
+only.  A dichotomy on a set with a comparison is one call of its ``meets``
+test (:func:`_meets_test`).
 Every distance bracket, of ``distance_to_set``, of a net-backed dichotomy
 and of each cell of a Hausdorff descent, comes from
 :func:`_distance_bracket`: exact from ``distance_value``, bisected on
 ``distance_compare``, and otherwise from a net, searched by the grid index
 of ``EpsilonNetFamily.net_index`` (:class:`_GridIndex`) or, outside its
 spaces, by a scan of exact squared distances.  A
-Hausdorff pair in which both sets have a comparison takes both directed
-suprema from one branch-and-bound descent over dyadic cells
-(:func:`_hausdorff_descent`); a pair with a net-only set compares nets
-both ways.
+Hausdorff pair of two finite sets is one exact squared distance
+(:func:`_finite_hausdorff_sq`); another pair in which both sets have a
+comparison takes both directed suprema from one branch-and-bound descent
+over dyadic cells (:func:`_hausdorff_descent`); a pair with a net-only set
+compares nets both ways.
 
 Intersections of located sets are deliberately absent: locatedness is not
 preserved by intersection, and it depends on the metric presentation, not
@@ -111,7 +115,9 @@ class EpsilonNetFamily:
     (strictly, with slack, for the builtin constructions).  When the set
     admits exact rational distance comparison, ``distance_compare(x, t)``
     returns the sign of d(x, set) - t.  ``points`` is the whole set as a
-    tuple when it is finite, else None.
+    tuple when it is finite, else None.  ``_image``, set by the builtin
+    constructors (:func:`_with_image`), maps an :class:`AffineMap` to the
+    image as a builtin set again, or to None where it has none.
     """
 
     def __init__(
@@ -133,6 +139,7 @@ class EpsilonNetFamily:
         self.distance_compare = distance_compare
         self.name = name
         self.points = points
+        self._image: Optional[Callable] = None
         self._memo: dict[Fraction, tuple] = {}
         self._indexes: dict[Fraction, _GridIndex] = {}
 
@@ -562,8 +569,9 @@ def image_located(
 ) -> EpsilonNetFamily:
     """Image of a located set under a map with a uniform-continuity modulus.
 
-    The image carries nets only; :func:`affine_image` keeps an exact
-    comparison for the affine maps that carry one.
+    The image carries nets only, built from the source net at omega(eps);
+    :func:`affine_image` maps builtin sets to builtin sets and keeps an
+    exact comparison for the affine maps that carry one.
     """
     space = target_space if target_space is not None else S.space
     return EpsilonNetFamily(
@@ -599,7 +607,7 @@ def union_located(A: EpsilonNetFamily, B: EpsilonNetFamily) -> EpsilonNetFamily:
     points = None
     if A.points is not None and B.points is not None:
         points = A.points + B.points
-    return EpsilonNetFamily(
+    U = EpsilonNetFamily(
         A.space,
         net,
         inhabited=A.inhabited or B.inhabited,
@@ -608,19 +616,23 @@ def union_located(A: EpsilonNetFamily, B: EpsilonNetFamily) -> EpsilonNetFamily:
         name=f"{A.name}|{B.name}",
         points=points,
     )
+    return _with_image(U, lambda f: union_located(affine_image(A, f), affine_image(B, f)))
 
 
 def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal:
     """Hausdorff distance between two inhabited sets, as a Dedekind real.
 
-    When both sets have an exact comparison, in one of ``_GRID_SPACES``,
-    both directed suprema come from one best-first descent over cells
-    (:func:`_hausdorff_descent`), which refines only where the supremum
-    can still be attained.  When either set has none, each directed sweep
-    compares two nets (:func:`_net_max_distance`): the maximum over the
-    source's net at delta = eps/6 of the distance to the target, bracketed
-    to width 5 eps/12 and padded by delta, since d(., target) is
-    1-Lipschitz.  That gives width at most 3 eps/4.
+    Two finite sets (both with ``points``) answer exactly: H^2 is computed
+    once (:func:`_finite_hausdorff_sq`), and each eps takes one
+    ``sqrt_bounds`` of it, ``[v, v]`` when H^2 is a rational square.
+    Otherwise, when both sets have an exact comparison, in one of
+    ``_GRID_SPACES``, both directed suprema come from one best-first
+    descent over cells (:func:`_hausdorff_descent`), which refines only
+    where the supremum can still be attained.  When either set has none,
+    each directed sweep compares two nets (:func:`_net_max_distance`): the
+    maximum over the source's net at delta = eps/6 of the distance to the
+    target, bracketed to width 5 eps/12 and padded by delta, since
+    d(., target) is 1-Lipschitz.  That gives width at most 3 eps/4.
 
     The computation is literally symmetric in A and B, so swapping the
     arguments returns identical intervals.
@@ -630,6 +642,9 @@ def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal
     if A.space is not B.space:
         raise AmbientMismatch(f"hausdorff over different spaces {A.space.name}, {B.space.name}")
     name = f"H({A.name}, {B.name})"
+    if A.points is not None and B.points is not None:
+        hsq = _finite_hausdorff_sq(A, B)
+        return DedekindReal(lambda eps: sqrt_bounds(hsq, eps), name=name)
     if (
         A.distance_compare is not None
         and B.distance_compare is not None
@@ -646,6 +661,25 @@ def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal
         return (lo, hi)
 
     return DedekindReal(refine, name=name)
+
+
+def _finite_hausdorff_sq(A: EpsilonNetFamily, B: EpsilonNetFamily) -> Fraction:
+    """H(A, B)^2 of two finite sets, exactly: the larger of the two largest
+    least squared distances from the points of one set to the other's.  In
+    ``_GRID_SPACES`` each is one ``_GridIndex.max_min_sq``, over cells of
+    about one point each (the longer side of the target's box over the
+    square root of its size); elsewhere a scan."""
+    dsq = A.space.dist_sq
+
+    def directed(P, Q):
+        if not isinstance(A.space, _GRID_SPACES):
+            return max(min(dsq(p, q) for q in Q) for p in P)
+        xs, ys = zip(*(q if isinstance(q, tuple) else (q, Fraction(0)) for q in Q))
+        side = max(max(xs) - min(xs), max(ys) - min(ys))
+        cell = side / math.isqrt(len(Q)) or Fraction(1)
+        return _GridIndex(dsq, Q, cell).max_min_sq(P)
+
+    return max(directed(A.points, B.points), directed(B.points, A.points))
 
 
 # The root box of a descent is refined until its widening is at most a
@@ -787,6 +821,12 @@ def _sq_sign(dsq: Fraction, t: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _with_image(S: EpsilonNetFamily, image: Callable) -> EpsilonNetFamily:
+    """S with its affine-image hook ``image(f)`` (see :func:`affine_image`)."""
+    S._image = image
+    return S
+
+
 def _grid_coords(a: Fraction, h: Fraction, ks: range) -> list:
     """a + k h for k in ks, from integer numerators over one denominator."""
     d = math.lcm(a.denominator, h.denominator)
@@ -809,9 +849,10 @@ def interval_set(a, b, space: Optional[MetricSpace] = None) -> EpsilonNetFamily:
     def dist(x):
         return max(Fraction(0), a - x, x - b)
 
-    return EpsilonNetFamily(
+    S = EpsilonNetFamily(
         space, lambda eps: _grid_line(a, b, eps), distance_value=dist, name=f"[{a},{b}]"
     )
+    return _with_image(S, lambda f: segment_set(*f(a), *f(b)))
 
 
 def point_set(points, space: Optional[MetricSpace] = None) -> EpsilonNetFamily:
@@ -824,9 +865,10 @@ def point_set(points, space: Optional[MetricSpace] = None) -> EpsilonNetFamily:
     def dist(x):
         return min(abs(x - p) for p in pts)
 
-    return EpsilonNetFamily(
+    S = EpsilonNetFamily(
         space, lambda eps: list(pts), distance_value=dist, name=f"points{list(pts)}", points=pts
     )
+    return _with_image(S, lambda f: plane_point_set([f(p) for p in pts]))
 
 
 def plane_point_set(points) -> EpsilonNetFamily:
@@ -839,9 +881,10 @@ def plane_point_set(points) -> EpsilonNetFamily:
         dsq = min((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for q in pts)
         return _sq_sign(dsq, t)
 
-    return EpsilonNetFamily(
+    S = EpsilonNetFamily(
         PLANE, lambda eps: list(pts), distance_compare=cmp, name="points2d", points=pts
     )
+    return _with_image(S, lambda f: plane_point_set([f(p) for p in pts]))
 
 
 def cantor_set(space: Optional[MetricSpace] = None) -> EpsilonNetFamily:
@@ -898,7 +941,12 @@ def disk_set(cx, cy, r) -> EpsilonNetFamily:
             return 1
         return _sign(dsq, (r + t) ** 2)
 
-    return EpsilonNetFamily(PLANE, net, distance_compare=cmp, name=f"disk({cx},{cy};{r})")
+    def image(f):
+        s = f.similarity_scale()
+        return None if s is None else disk_set(*f((cx, cy)), s * r)
+
+    S = EpsilonNetFamily(PLANE, net, distance_compare=cmp, name=f"disk({cx},{cy};{r})")
+    return _with_image(S, image)
 
 
 def segment_set(x1, y1, x2, y2) -> EpsilonNetFamily:
@@ -932,7 +980,8 @@ def segment_set(x1, y1, x2, y2) -> EpsilonNetFamily:
             dsq = cross * cross / len_sq
         return _sq_sign(dsq, t)
 
-    return EpsilonNetFamily(PLANE, net, distance_compare=cmp, name="segment")
+    S = EpsilonNetFamily(PLANE, net, distance_compare=cmp, name="segment")
+    return _with_image(S, lambda f: segment_set(*f(a), *f(b)))
 
 
 def box_set(x0, x1, y0, y1) -> EpsilonNetFamily:
@@ -1043,8 +1092,20 @@ def affine_plane_map(a, b, c, d, e, f) -> AffineMap:
 def affine_image(S: EpsilonNetFamily, f: AffineMap) -> EpsilonNetFamily:
     """Image of a located set under an affine plane map.
 
-    The image keeps an exact distance comparison wherever the map carries
-    the source's, so every query takes it as for a builtin set:
+    A builtin set maps piece by piece to a builtin set again, through the
+    hook its constructor supplies (``_image``), under any map, singular ones
+    included:
+
+    * a segment or an interval [a, b] to ``segment_set(f(a), f(b))``, a
+      point when f(a) = f(b);
+    * a finite set, on the line or in the plane, to ``plane_point_set`` of
+      the mapped points, so ``points`` is kept;
+    * a disk under a similarity of rational scale s to the disk of radius
+      s r about f(c);
+    * a union to the union of the images of its two parts.
+
+    A set without a hook, or whose hook has no image (a disk under any other
+    map), keeps an exact distance comparison wherever the map carries it:
 
     * a line set with ``distance_value`` and a nonzero column u = (a, d),
       under any map: with w = p - (c, f) and x0 = (w.u) / |u|^2 the foot of
@@ -1053,9 +1114,13 @@ def affine_image(S: EpsilonNetFamily, f: AffineMap) -> EpsilonNetFamily:
     * a plane set with ``distance_compare`` under a similarity of rational
       scale s: d(p, f(S)) = s d(f^-1(p), S), with f^-1(p) = A^T (p - t) / s^2.
 
-    Other images (shears of plane sets, irrational scales, a zero column)
-    carry nets only, built from the source net at eps / lip.
+    Other images (shears and irrational-scale images of disks, and of sets
+    without a hook) carry nets only, built from the source net at eps / lip.
     """
+    if S._image is not None:
+        image = S._image(f)
+        if image is not None:
+            return image
     cmp = None
     if S.inhabited and isinstance(S.space, (RationalLine, LineSegment)):
         if S.distance_value is not None and (f.a or f.d):

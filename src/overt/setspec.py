@@ -11,8 +11,12 @@ Grammar (offsets in error messages are byte offsets into the input):
           | "image(affine:" RAT "," ... 6 in all ... "," spec ")"
 
 RAT is the rational token of ``overt.rationals``.  Point specs with one
-coordinate live on the line, with two in the plane.  An image keeps its
-source's exact distance comparison where the map carries it (see
+coordinate live on the line, with two in the plane.  An image of a
+segment, an interval or a finite set is a segment or a finite set again,
+under any map; a disk under a similarity of rational scale is a disk; a
+union maps part by part; the Cantor set keeps its exact comparison under a
+map whose column (a, d) is nonzero.  Shears and irrational-scale images of
+disks, and the Cantor set under a zero column, carry nets only (see
 ``located.affine_image``).
 """
 

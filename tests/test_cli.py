@@ -90,6 +90,24 @@ class TestCommands:
         assert code == 0 and lo <= 1 <= hi and hi - lo <= Fraction(prec)
         assert elapsed < seconds
 
+    SHEARED_SEGMENT = "image(affine:1,1/2,0,0,1,0,segment:-1,0,1,0)"
+
+    def test_sheared_segment_plot_in_time(self, capsys):
+        # The shear maps the segment to itself, as a segment with an exact
+        # comparison, so the plot is the segment's own.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "plot", f"--set={self.SHEARED_SEGMENT}", "--viewport=-2,2,-2,2",
+                           "--size=64x64")
+        elapsed = time.perf_counter() - start
+        assert code == 0 and elapsed < 1
+        assert (code, out) == run(capsys, "plot", "--set=segment:-1,0,1,0", "--viewport=-2,2,-2,2",
+                                  "--size=64x64")[:2]
+
+    def test_sheared_segment_distance_is_exact(self, capsys):
+        code, out, _ = run(capsys, "distance", f"--set={self.SHEARED_SEGMENT}", "--point=3,0",
+                           "--prec=1/1024")
+        assert code == 0 and out.strip() == "[2, 2]"
+
     def test_cover_derivation(self, capsys):
         code, out, _ = run(
             capsys, "cover", "--space", "reals", "--target", "(0,3)",

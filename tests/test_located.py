@@ -253,12 +253,15 @@ class TestFinitePoints:
         assert segment_set(1, 2, 1, 2).points == ((F(1), F(2)),)  # degenerate
         assert union_located(point_set([0]), point_set([2])).points == (F(0), F(2))
         assert promote_to_plane(point_set([3])).points == ((F(3), F(0)),)
+        # Affine images of finite sets are the mapped finite sets.
+        shear = affine_plane_map(1, F(1, 2), 0, 0, 1, 0)
+        assert located.affine_image(plane_point_set([(0, 1)]), shear).points == ((F(1, 2), F(1)),)
 
     def test_other_sets_have_none(self):
         shear = affine_plane_map(1, F(1, 2), 0, 0, 1, 0)
         for S in (interval_set(0, 1), cantor_set(), disk_set(0, 0, 1), segment_set(0, 0, 1, 1),
                   box_set(0, 1, 0, 1), union_located(point_set([0]), interval_set(1, 2)),
-                  located.affine_image(plane_point_set([(0, 1)]), shear)):
+                  located.affine_image(disk_set(0, 0, 1), shear)):
             assert S.points is None
 
 

@@ -11,11 +11,13 @@ sweep nets both ways.  The cell descent of exact pairs is checked against
 closed forms down to fine precisions, plateaus included, and by a count of
 its comparisons.  Net-only dichotomies must agree with the oracles.
 Images under affine maps are checked the same way, against oracles
-written from the mapped geometry.  The nearest-point index of a net is
+written from the mapped geometry, and the exact Hausdorff distance of two
+finite sets against its closed form.  The nearest-point index of a net is
 checked against brute force, and a space outside the index's spaces,
 with the same exact squared distances, checks the scanning branch.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -328,8 +330,8 @@ def plane_pairs(draw):
         q = max(segment_dist_sq(a1, a2, b2), segment_dist_sq(b1, a2, b2),
                 segment_dist_sq(a2, a1, b1), segment_dist_sq(b2, a1, b1))
         return segment_set(*a1, *b1), segment_set(*a2, *b2), q, 0
-    # Many source points, each a cell of its own: the descent must not lose
-    # the farthest one.
+    # Many source points: the exact H^2 of a finite pair must not lose the
+    # farthest one.
     P = draw(st.lists(plane_pt(8), min_size=1, max_size=40))
     Q = draw(st.lists(plane_pt(8), min_size=1, max_size=5))
     return plane_point_set(P), plane_point_set(Q), finite_hausdorff_sq(P, Q), 0
@@ -426,7 +428,9 @@ def test_cantor_hausdorff_meets_net_path():
 # The cell descent of exact pairs, against closed forms: every bracket holds
 # the value, is at most eps wide and is the same with the arguments swapped
 # (``check_hausdorff``).  The precisions reach well below the sets' sizes,
-# so that the descent runs many levels deep.
+# so that the descent runs many levels deep.  Two finite sets take the exact
+# finite path instead; a finite set against an infinite one gives the
+# descent one cell of side 0 per point.
 # ---------------------------------------------------------------------------
 
 DESCENT = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -479,6 +483,17 @@ def test_descent_finite_line_sets(P, Q, eps):
     assert check_hausdorff(point_set(P), point_set(Q), eps, lambda lo, hi: lo <= h <= hi) == (h, h)
     # On the x-axis of the plane the points keep their finite structure.
     A, B = located.promote_to_plane(point_set(P)), located.promote_to_plane(point_set(Q))
+    check_hausdorff(A, B, eps, lambda lo, hi: lo <= h <= hi)
+
+
+@DESCENT
+@given(st.lists(rat(-2, 2, 64), min_size=1, max_size=12), st.booleans(), DESCENT_EPS)
+def test_descent_finite_set_against_an_interval(P, swap, eps):
+    a, b = min(P) - F(1, 8), max(P) + F(1, 4)
+    A, B = point_set(P), interval_set(a, b)
+    if swap:
+        A, B = B, A
+    h = union_hausdorff_1d([(p, p) for p in P], [(a, b)])
     check_hausdorff(A, B, eps, lambda lo, hi: lo <= h <= hi)
 
 
@@ -957,12 +972,21 @@ def test_lip_of_a_shear_is_near_its_norm():
 
 
 @pytest.mark.parametrize("m, S", [
-    ((1, F(1, 2), 0, 0, 1, 0), disk_set(0, 0, 1)),  # a shear of a plane set
+    ((1, F(1, 2), 0, 0, 1, 0), disk_set(0, 0, 1)),  # a shear of a disk
     ((1, 1, 0, -1, 1, 0), disk_set(0, 0, 1)),  # scale sqrt(2)
-    ((0, 1, 0, 0, 1, 0), interval_set(0, 1)),  # a zero column
+    # A union maps part by part: its segment maps exactly, its disk does not.
+    ((1, F(1, 2), 0, 0, 1, 0), union_located(disk_set(0, 0, 1), segment_set(0, 0, 1, 1))),
 ])
 def test_images_without_a_closed_form_take_nets(m, S):
     assert image(S, m).distance_compare is None
+
+
+def test_zero_column_image_of_an_interval_is_the_point():
+    img = image(interval_set(0, 1), (0, 1, F(1, 2), 0, 1, F(-3, 4)))
+    assert img.distance_compare is not None and img.points == ((F(1, 2), F(-3, 4)),)
+
+
+# Images of segments and finite sets are segments and finite sets again.
 
 
 @SETTINGS
@@ -976,16 +1000,146 @@ def test_shear_segment_nets_are_two_sided(m, a, b, eps):
               for k in range(n + 1)]
     delta = (abs(fb[0] - fa[0]) + abs(fb[1] - fa[1])) / (2 * n)
     img = image(segment_set(a[0], a[1], b[0], b[1]), m)
-    assert img.distance_compare is None
+    assert img.distance_compare is not None
     assert finite_hausdorff_leq(img.net(eps), sample, eps + delta, plane=True)
+    for p in sample[::8]:
+        assert img.distance_compare(p, F(0)) == 0
 
 
 @SETTINGS
 @given(shears(), st.lists(plane_pt(8), min_size=1, max_size=6), st.sampled_from([F(1, 4), F(1, 64)]))
 def test_shear_point_nets_are_the_mapped_points(m, pts, eps):
     img = image(plane_point_set(pts), m)
-    assert img.distance_compare is None
-    assert finite_hausdorff_leq(img.net(eps), [affine_apply(m, p) for p in pts], 0, plane=True)
+    mapped = [affine_apply(m, p) for p in pts]
+    assert img.distance_compare is not None and list(img.points) == mapped
+    assert finite_hausdorff_leq(img.net(eps), mapped, 0, plane=True)
+
+
+@st.composite
+def singular_maps(draw):
+    """A map of rank at most 1: both columns multiples of one vector."""
+    u = draw(st.tuples(rat(-2, 2, 4), rat(-2, 2, 4)))
+    k, j = draw(rat(-2, 2, 4)), draw(rat(-2, 2, 4))
+    t = draw(plane_pt())
+    return (k * u[0], j * u[0], t[0], k * u[1], j * u[1], t[1])
+
+
+LINE_PIECES, PLANE_PIECES = ["interval", "points1"], ["segment", "points2"]
+
+
+@st.composite
+def piece(draw, m, kinds):
+    """(S, parts, ends): a segment, an interval, or line or plane points;
+    d(p, f(S)) is the minimum over parts(p) of sqrt(q), and ends are
+    (f(a), f(b)) of a segment or an interval, else None."""
+    f = lambda p: affine_apply(m, p)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "segment":
+        a, b = draw(plane_pt()), draw(plane_pt())
+        S = segment_set(a[0], a[1], b[0], b[1])
+    elif kind == "interval":
+        a = draw(rat(-2, 2, 8))
+        b = a + draw(rat(0, 2, 8))
+        S = interval_set(a, b)
+    if kind in ("segment", "interval"):
+        return S, lambda p: [(segment_dist_sq(p, f(a), f(b)), 0)], (f(a), f(b))
+    if kind == "points1":
+        pts = draw(st.lists(rat(-2, 2, 16), min_size=1, max_size=5))
+        S = point_set(pts)
+    else:
+        pts = draw(st.lists(plane_pt(8), min_size=1, max_size=5))
+        S = plane_point_set(pts)
+    return S, lambda p: [(point_sq(p, f(q)), 0) for q in pts], None
+
+
+@st.composite
+def piece_images(draw):
+    """(image, parts, ends) for a piece or a union of two pieces under a
+    map drawn from any maps, shears and singular maps."""
+    m = draw(st.one_of(any_maps(), shears(), singular_maps()))
+    S, parts, ends = draw(piece(m, LINE_PIECES + PLANE_PIECES))
+    if draw(st.booleans()):
+        T, tparts, _ = draw(piece(m, LINE_PIECES if S.space is LINE else PLANE_PIECES))
+        S, parts, ends = union_located(S, T), (lambda p, u=parts: u(p) + tparts(p)), None
+    img = image(S, m)
+    assert img.distance_compare is not None
+    return img, parts, ends
+
+
+@SETTINGS
+@given(piece_images(), plane_pt(8), st.lists(THRESHOLDS, min_size=1, max_size=4))
+def test_piece_image_compare_matches_oracle(case, p, ts):
+    img, parts, _ = case
+    for t in ts:
+        assert img.distance_compare(p, t) == min_root_sign(parts(p), t)
+
+
+@SETTINGS
+@given(piece_images(), st.sampled_from(DIRECTIONS), rat(0, 1, 8))
+def test_piece_image_compare_at_ties(case, u, k):
+    # A mapped net point lies in the image: d = 0 there.  Past the end f(b)
+    # of a segment, along u turned away from f(a), d = k exactly.
+    img, parts, ends = case
+    q = img.net(F(1, 4))[0]
+    for t in (F(-1, 64), F(0), F(1, 64)):
+        assert img.distance_compare(q, t) == min_root_sign(parts(q), t) == (t < 0) - (t > 0)
+    if ends is not None:
+        fa, fb = ends
+        if u[0] * (fb[0] - fa[0]) + u[1] * (fb[1] - fa[1]) < 0:
+            u = (-u[0], -u[1])
+        p = (fb[0] + k * u[0], fb[1] + k * u[1])
+        for t in (k - F(1, 1024), k, k + F(1, 1024)):
+            assert img.distance_compare(p, t) == min_root_sign(parts(p), t) == (k > t) - (k < t)
+
+
+@SETTINGS
+@given(st.one_of(any_maps(), shears(), singular_maps()),
+       st.one_of(st.lists(rat(-2, 2, 16), min_size=1, max_size=6),
+                 st.lists(plane_pt(8), min_size=1, max_size=6)))
+def test_mapped_points_are_the_mapped_points(m, pts):
+    S = point_set(pts) if not isinstance(pts[0], tuple) else plane_point_set(pts)
+    img = image(S, m)
+    assert img.space is PLANE and list(img.points) == [affine_apply(m, p) for p in pts]
+    assert image(union_located(S, S), m).points == img.points * 2
+
+
+def is_square(q):
+    """sqrt(q) when q is the square of a rational, else None."""
+    n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return F(n, d) if F(n * n, d * d) == q else None
+
+
+@SETTINGS
+@given(st.one_of(st.tuples(st.lists(plane_pt(16), min_size=1, max_size=10),
+                           st.lists(plane_pt(16), min_size=1, max_size=10)),
+                 st.tuples(st.lists(rat(-2, 2, 64), min_size=1, max_size=10),
+                           st.lists(rat(-2, 2, 64), min_size=1, max_size=10))),
+       st.sampled_from([F(1), F(1, 16), F(1, 1024), F(3, 1000)]))
+def test_finite_pair_hausdorff_is_the_closed_form(PQ, eps):
+    P, Q = PQ
+    plane = isinstance(P[0], tuple)
+    make = plane_point_set if plane else point_set
+    A, B = make(P), make(Q)
+    hsq = finite_hausdorff_sq(P, Q) if plane else finite_hausdorff_1d(P, Q) ** 2
+    lo, hi = hausdorff_distance(A, B).approximate(eps)
+    assert (lo, hi) == hausdorff_distance(B, A).approximate(eps)
+    assert 0 <= hi - lo <= eps and root_at_most(hsq, 0, hi) and root_at_least(hsq, 0, lo)
+    v = is_square(hsq)
+    if v is not None:
+        assert lo == hi == v
+    else:
+        assert lo < hi
+
+
+@SETTINGS
+@given(st.one_of(any_maps(), shears(), singular_maps()),
+       st.lists(plane_pt(8), min_size=1, max_size=8), st.lists(plane_pt(8), min_size=1, max_size=8),
+       st.sampled_from([F(1, 16), F(1, 256)]))
+def test_mapped_finite_pair_hausdorff(m, P, Q, eps):
+    fP, fQ = [affine_apply(m, p) for p in P], [affine_apply(m, q) for q in Q]
+    hsq = finite_hausdorff_sq(fP, fQ)
+    lo, hi = hausdorff_distance(image(plane_point_set(P), m), image(plane_point_set(Q), m)).approximate(eps)
+    assert hi - lo <= eps and root_at_most(hsq, 0, hi) and root_at_least(hsq, 0, lo)
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,10 @@ CHEAP = [
     ["distance", "--set", "union(interval:0,1,points:(3))", "--point", "2", "--prec", "1/8"],
     ["hausdorff", "--a", "points:(0);(1)", "--b", "interval:0,1", "--prec", "1/4"],
     ["plot", "--set", "disk:0,0,1", "--viewport", "-1,1,-1,1", "--size", "4x4"],
+    ["distance", "--set", "image(affine:1,1/2,0,0,1,0,segment:-1,0,1,0)", "--point", "3,1",
+     "--prec", "1/64"],
+    ["hausdorff", "--a", "image(affine:1,1/2,0,0,1,0,points:(0,0);(1,1))",
+     "--b", "image(affine:1,0,0,-1/2,1,0,points:(0,1);(1,0))", "--prec", "1/16"],
     ["cover", "--space", "reals", "--target", "(0,3)", "--family", "(0,2);(1,3)", "--depth", "2"],
     ["cover", "--space", "loc:q", "--target", "B(1; 0)", "--family", "top", "--depth", "1"],
     ["cover", "--space", "loc:seg:0,1", "--target", "top", "--family", "B(1/2; 0);B(1/2; 1)",

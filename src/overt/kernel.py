@@ -19,7 +19,13 @@ closed sublocale determined by W means covering u by V together with W, so
 the search simply enlarges the target.
 
 The search returns ``None`` (Unknown) when no derivation is found within
-the depth bound; Unknown is never a refutation.  Every returned derivation
+the depth bound; Unknown is never a refutation.  It deepens iteratively
+and keeps one record per element, for the one call only: the shallowest
+derivation found so far, the highest depth that failed, the leaf
+derivation and the candidate instances.  A visit costs one dictionary
+lookup, or none once a ``tra`` loop holds the member's record; the leaf
+rules, which do not depend on the depth, are judged once per element, and
+the instances are built once.  Every returned derivation
 passes :func:`check_derivation`, which is written independently of the
 search and validates each node locally.
 """
@@ -337,78 +343,105 @@ class FormalRealsBase(Base):
 # ---------------------------------------------------------------------------
 
 
+_UNJUDGED = object()
+
+
+class _Record:
+    """What one search knows of one element: its shallowest derivation found
+    so far with that derivation's tree depth, the highest depth at which it
+    failed, its leaf derivation (``_UNJUDGED`` until the leaf rules are
+    asked, then a derivation or None), and its non-empty candidate
+    instances, each as ``[axiom, family, member records]``, the records
+    filled in as the ``tra`` loop first reaches each member."""
+
+    __slots__ = ("element", "found", "found_depth", "failed_at", "leaf", "instances")
+
+    def __init__(self, element):
+        self.element = element
+        self.found = None
+        self.found_depth = 0
+        self.failed_at = 0
+        self.leaf = _UNJUDGED
+        self.instances = None
+
+
 class _Searcher:
     def __init__(self, base: Base, target: EltSet, budget: int, sublocale):
         self.base = base
         self.target = target
         self.budget = budget
         self.posclosed = sublocale if isinstance(sublocale, PosClosedSub) else None
-        self.found: dict = {}  # element -> (derivation, tree_depth)
-        self.failed_at: dict = {}  # element -> highest depth that failed
-        self.instances: dict = {}  # element -> non-empty instances
+        self.records: dict = {}  # element -> _Record
+
+    def _record(self, u) -> _Record:
+        rec = self.records.get(u)
+        if rec is None:
+            rec = self.records[u] = _Record(u)
+        return rec
 
     def deepen(self, u, depth: int) -> Optional[Derivation]:
         """Iterative deepening: found derivations stay as shallow as
         possible; success at a depth implies success at every larger depth."""
+        rec = self._record(u)
         for d in range(1, max(0, depth) + 1):
-            out = self.search(u, d)
-            if out is not None:
-                return out
+            if self._search(rec, d):
+                return rec.found
         return None
 
-    def _instances(self, u) -> list:
-        """The non-empty candidate instances of u, built once: they depend on
-        (u, budget, target) only, all fixed here."""
-        out = self.instances.get(u)
-        if out is None:
-            out = [
-                (axiom, family)
-                for axiom, family in self.base.candidate_instances(u, self.budget, self.target)
-                if family
-            ]
-            self.instances[u] = out
-        return out
+    def _search(self, rec: _Record, depth: int) -> bool:
+        """Whether the element has a derivation within the depth; when it
+        has, ``rec.found`` holds one."""
+        if rec.found is not None and rec.found_depth <= depth:
+            return True
+        if rec.failed_at >= depth:
+            return False
+        if rec.leaf is _UNJUDGED:
+            rec.leaf = self._leaf(rec)
+        if rec.leaf is not None:
+            rec.found, rec.found_depth = rec.leaf, 1
+            return True
+        if depth > 1:
+            for axiom, family, members in rec.instances:
+                # A later member's search may replace an earlier member's
+                # derivation by a shallower one, so each is taken as found.
+                subs, sub_depth = [], 0
+                for i, f in enumerate(family):
+                    if i == len(members):
+                        members.append(self._record(f))
+                    m = members[i]
+                    if not self._search(m, depth - 1):
+                        break
+                    subs.append(m.found)
+                    sub_depth = max(sub_depth, m.found_depth)
+                else:
+                    head = Derivation(axiom, rec.element, witness=tuple(family))
+                    rec.found = Derivation("tra", rec.element, premises=(head, *subs))
+                    rec.found_depth = 1 + sub_depth
+                    return True
+        rec.failed_at = depth  # it was lower, or the search returned above
+        return False
 
-    def search(self, u, depth: int) -> Optional[Derivation]:
-        if depth <= 0:
-            return None
-        hit = self.found.get(u)
-        if hit is not None and hit[1] <= depth:
-            return hit[0]
-        if self.failed_at.get(u, 0) >= depth:
-            return None
-        d = self._attempt(u, depth)
-        if d is not None:
-            self.found[u] = (d, d.tree_depth())
-        else:
-            self.failed_at[u] = max(self.failed_at.get(u, 0), depth)
-        return d
-
-    def _attempt(self, u, depth: int) -> Optional[Derivation]:
-        if self.target.contains(u):
+    def _leaf(self, rec: _Record) -> Optional[Derivation]:
+        """The first leaf rule that closes the element: ref, poshyp, ext or
+        an axiom family inside the target.  They do not depend on the depth,
+        so each element is judged once; the candidate instances are built
+        on the way, once, and only when ref, poshyp and ext all fail."""
+        u, target = rec.element, self.target
+        if target.contains(u):
             return Derivation("ref", u)
         if self.posclosed is not None and not self.posclosed.pred(u):
             return Derivation("poshyp", u)
-        for b in self.target.listed:
+        for b in target.listed:
             if b != u and self.base.leq(u, b):
                 return Derivation("ext", u, witness=b)
-        instances = self._instances(u)
-        for axiom, family in instances:
-            if all(self.target.contains(f) for f in family):
+        rec.instances = [
+            [axiom, family, []]
+            for axiom, family in self.base.candidate_instances(u, self.budget, target)
+            if family
+        ]
+        for axiom, family, _ in rec.instances:
+            if all(target.contains(f) for f in family):
                 return Derivation(axiom, u, witness=tuple(family))
-        if depth <= 1:
-            return None
-        for axiom, family in instances:
-            subs = []
-            for f in family:
-                sub = self.search(f, depth - 1)
-                if sub is None:
-                    subs = None
-                    break
-                subs.append(sub)
-            if subs is not None:
-                head = Derivation(axiom, u, witness=tuple(family))
-                return Derivation("tra", u, premises=(head, *subs))
         return None
 
 

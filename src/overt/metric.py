@@ -114,19 +114,21 @@ class RationalLine(MetricSpace):
     name = "q"
 
     def enumerate_points(self, count: int) -> list:
-        out = []
-        seen = set()
-        for stage in itertools.count():
-            den = 2**stage
-            bound = (stage + 1) * den
-            for num in range(-bound, bound + 1):
-                q = Fraction(num, den)
-                if q not in seen:
-                    seen.add(q)
-                    out.append(q)
-                    if len(out) >= count:
-                        return out
-        return out
+        """The points num/2**s with |num| <= (s+1)*2**s, stage s = 0, 1, ...,
+        each in the first stage that has it, in increasing order within a
+        stage: at a stage s >= 1 those whose num is odd or exceeds s*2**s in
+        size (the rest came at stage s - 1).  At least one point."""
+
+        def points():
+            yield from (Fraction(-1), Fraction(0), Fraction(1))
+            for stage in itertools.count(1):
+                den = 2**stage
+                bound, old = (stage + 1) * den, stage * den
+                for num in range(-bound, bound + 1):
+                    if num & 1 or abs(num) > old:
+                        yield Fraction(num, den)
+
+        return list(itertools.islice(points(), max(1, count)))
 
     def dist_sq(self, x, y):
         d = Fraction(x) - Fraction(y)
@@ -144,18 +146,23 @@ class LineSegment(MetricSpace):
             raise PreconditionFailed(f"degenerate segment [{lo}, {hi}]")
 
     def enumerate_points(self, count: int) -> list:
-        out = []
-        seen = set()
-        for level in itertools.count():
-            den = 2**level
-            for i in range(den + 1):
-                q = self.lo + (self.hi - self.lo) * Fraction(i, den)
-                if q not in seen:
-                    seen.add(q)
-                    out.append(q)
-                    if len(out) >= count:
-                        return out
-        return out
+        """Both ends, then at each level l = 1, 2, ... the points at the odd
+        multiples of span/2**l from the low end, in increasing order.  At
+        least one point."""
+        # lo + i*span/2**l = (a*t*2**l + i*s*b) / (b*t*2**l) for lo = a/b and
+        # span = s/t.
+        span = self.hi - self.lo
+        a, b = self.lo.numerator, self.lo.denominator
+        s, t = span.numerator, span.denominator
+
+        def points():
+            yield from (self.lo, self.hi)
+            for level in itertools.count(1):
+                start, den = a * t << level, b * t << level
+                for i in range(1, 2**level, 2):
+                    yield Fraction(start + i * s * b, den)
+
+        return list(itertools.islice(points(), max(1, count)))
 
     def grid_level_count(self, level: int) -> int:
         return 2**level + 1
@@ -352,6 +359,11 @@ class BallBase(Base):
                  around the listed points;
     ``m2loc`` -- a ball is covered by the dyadic-size balls around listed
                  points near it (the localized form of ``m2``).
+
+    The balls of radius 2**-k around the listed points are built once per
+    k, on first use, and every ``m2`` and ``m2loc`` family of that k is
+    drawn from them.  The base keeps them for its own life: at most
+    ``max_shrink`` tuples of at most ``MAX_BALL_POINTS`` balls.
     """
 
     def __init__(self, space: MetricSpace, point_budget: int, max_shrink: int = 6):
@@ -371,6 +383,7 @@ class BallBase(Base):
         if type(space) in (RationalLine, LineSegment):
             order = sorted(range(len(self.points)), key=self.points.__getitem__)
             self._line = ([self.points[i] for i in order], order)
+        self._uniform: dict = {}  # k -> _uniform_balls(k)
 
     def top(self):
         return TOP
@@ -386,25 +399,36 @@ class BallBase(Base):
         return self.space.is_grid_complete(k, self.point_budget)
 
     def _near(self, c, r: Fraction) -> list:
-        """The listed points y with d(y, c) < r certified, in listed order."""
+        """The indexes of the listed points y with d(y, c) < r certified, in
+        listed order."""
         if self._line is None:
             cmp = self.space.compare_distance
-            return [y for y in self.points if cmp(y, c, r) < 0]
+            return [i for i, y in enumerate(self.points) if cmp(y, c, r) < 0]
         keys, order = self._line
-        found = order[bisect_right(keys, c - r) : bisect_left(keys, c + r)]
-        return [self.points[i] for i in sorted(found)]
+        return sorted(order[bisect_right(keys, c - r) : bisect_left(keys, c + r)])
 
     def _shrink_family(self, u: FormalBall, k: int) -> tuple:
         margin = Fraction(1, 2**k)
         if margin >= u.radius:
             return ()
         radius = u.radius - margin
-        return tuple(FormalBall(y, radius) for y in self._near(u.center, margin))
+        points = self.points
+        return tuple(FormalBall(points[i], radius) for i in self._near(u.center, margin))
+
+    def _uniform_balls(self, k: int) -> tuple:
+        """The balls of radius 2**-k around the listed points, in listed
+        order, built on first use."""
+        balls = self._uniform.get(k)
+        if balls is None:
+            radius = Fraction(1, 2**k)
+            balls = self._uniform[k] = tuple(FormalBall(y, radius) for y in self.points)
+        return balls
 
     def _uniform_family(self, u: Optional[FormalBall], k: int) -> tuple:
-        radius = Fraction(1, 2**k)
-        near = self.points if u is None else self._near(u.center, u.radius + radius)
-        return tuple(FormalBall(y, radius) for y in near)
+        balls = self._uniform_balls(k)
+        if u is None:
+            return balls
+        return tuple(balls[i] for i in self._near(u.center, u.radius + Fraction(1, 2**k)))
 
     def axiom_instances(self, u, budget: int) -> list[tuple[str, tuple]]:
         out = []

@@ -57,22 +57,41 @@ def parse_node(text: str) -> Node:
 
 @dataclass(frozen=True)
 class SpreadLaw:
-    """Decidable admissibility; arity None means unbounded branching."""
+    """Decidable admissibility; arity None means unbounded branching.
+
+    ``step(node, d)`` decides ``admits(node + (d,))`` for an admitted node.
+    A law may judge there only the new digit; by default it asks
+    ``admits`` of the whole child.
+    """
 
     name: str
     admits: Callable[[Node], bool]
     arity: Optional[int] = None
+    step: Optional[Callable[[Node, int], bool]] = None
+
+    def __post_init__(self):
+        if self.step is None:
+            admits = self.admits
+            object.__setattr__(self, "step", lambda node, d: admits(node + (d,)))
+
+
+def _digit_law(name: str, digits: tuple, arity: int) -> SpreadLaw:
+    """The nodes whose every digit is one of the given digits."""
+    return SpreadLaw(
+        name,
+        lambda node: all(d in digits for d in node),
+        arity=arity,
+        step=lambda node, d: d in digits,
+    )
 
 
 def full_binary_law() -> SpreadLaw:
-    return SpreadLaw("full2", lambda node: all(d in (0, 1) for d in node), arity=2)
+    return _digit_law("full2", (0, 1), 2)
 
 
 def middle_thirds_law() -> SpreadLaw:
     """Ternary digit coding with the middle digit forbidden."""
-    return SpreadLaw(
-        "cantor3", lambda node: all(d in (0, 2) for d in node), arity=3
-    )
+    return _digit_law("cantor3", (0, 2), 3)
 
 
 @dataclass
@@ -128,18 +147,24 @@ def check_spread_mon(law: SpreadLaw, depth: int, branch_budget: int) -> SpreadRe
         report.violations.append(SpreadViolation((), "root not admitted"))
         return report
     # Depth first: the stack holds the admitted children of each node on the
-    # current path, at most depth * budget nodes.
-    stack = [()]
+    # current path, at most depth * budget nodes.  Every node on it is
+    # admitted, so ``step`` judges its children; at the last depth only
+    # their digits are kept.
+    step, digits = law.step, range(budget)
+    stack, checked = [()], 0
     while stack:
         node = stack.pop()
-        report.checked += 1
-        admitted = [c for c in (node + (d,) for d in range(budget)) if law.admits(c)]
+        checked += 1
+        if len(node) < depth:
+            admitted = [node + (d,) for d in digits if step(node, d)]
+            stack.extend(admitted)
+        else:
+            admitted = [d for d in digits if step(node, d)]
         if not admitted:
             report.violations.append(
                 SpreadViolation(node, "no admitted successor within budget")
             )
-        if len(node) < depth:
-            stack.extend(admitted)
+    report.checked = checked
     report.violations.sort(key=lambda v: (len(v.node), v.node))
     return report
 

@@ -6,8 +6,9 @@ the middle-thirds set, endpoint sweeps for interval covers, bucketed
 integer arithmetic for exact finite Hausdorff bounds, every subset of a
 finite carrier for its positivity models, a scan of every listed point
 for the balls near a center, affine maps applied coordinate by
-coordinate, nets built by repeated addition over the full grid, and spread
-laws checked level by level.
+coordinate, nets built by repeated addition over the full grid, spread
+laws checked level by level, and cover derivability by plain recursion over
+the candidate families.
 """
 
 from fractions import Fraction
@@ -392,3 +393,33 @@ def spread_check_bfs(admits, depth, budget):
             nxt.extend(kids)
         level = nxt
     return checked, bad
+
+
+def derivable_within(base, u, target, depth, budget, unless=None):
+    """Whether u is covered by the target with a derivation tree of depth at
+    most ``depth``, by plain recursion with no memo: a leaf when u is in the
+    target, is not ``unless``-positive (when that predicate is given), lies
+    below a listed member, or has a non-empty candidate family inside the
+    target; else a family whose members are each derivable one level less
+    deep."""
+    if depth < 1:
+        return False
+    if target.contains(u) or (unless is not None and not unless(u)):
+        return True
+    if any(b != u and base.leq(u, b) for b in target.listed):
+        return True
+    families = [fam for _, fam in base.candidate_instances(u, budget, target) if fam]
+    if any(all(target.contains(f) for f in fam) for fam in families):
+        return True
+    return depth > 1 and any(
+        all(derivable_within(base, f, target, depth - 1, budget, unless) for f in fam)
+        for fam in families
+    )
+
+
+def least_derivation_depth(base, u, target, depth, budget, unless=None):
+    """The least d <= depth with ``derivable_within`` at d, else None."""
+    return next(
+        (d for d in range(1, depth + 1) if derivable_within(base, u, target, d, budget, unless)),
+        None,
+    )

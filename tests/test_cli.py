@@ -142,6 +142,14 @@ class TestCommands:
         code, out, _ = run(capsys, "spread", "--law", "cantor3", "--depth", "4")
         assert code == 0 and out.startswith("ok:")
 
+    def test_spread_at_depth_19_is_fast(self, capsys):
+        # 2**20 - 1 nodes, just inside the node cap; each step judges one digit
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "spread", "--law=full2", "--depth=19")
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (0, "ok: 1048575 admitted nodes to depth 19\n")
+        assert elapsed < 3
+
     def test_plot_stdout_matches_golden(self, capsys):
         code, out, _ = run(
             capsys, "plot", "--set", "disk:1/2,1/2,1/4",

@@ -6,6 +6,11 @@ scanned with ``compare_distance``.  The families are checked against
 ``helpers.points_within`` and against the same base built over a wrapper
 space the index does not recognise, and the searches over both bases must
 return identical derivations.
+
+The search itself, with its per-element records, is checked against
+``helpers.derivable_within``, plain recursion over the candidate families:
+it answers Unknown exactly when the oracle finds no derivation within the
+depth, and otherwise returns a checked derivation of the least depth.
 """
 
 from fractions import Fraction as F
@@ -13,13 +18,29 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import points_within
-from overt.kernel import TOP, check_derivation, derive_cover
+from helpers import derivable_within, least_derivation_depth, points_within
+from overt.kernel import (
+    TOP,
+    EltSet,
+    FormalRealsBase,
+    SetPredicate,
+    as_target,
+    check_derivation,
+    derive_cover,
+)
 from overt.located import interval_set, predicate_from_net, tvd_check
-from overt.metric import BallBase, FormalBall, LineSegment, MetricSpace, RationalLine
+from overt.metric import (
+    BallBase,
+    CompleteUniformBase,
+    FormalBall,
+    LineSegment,
+    MetricSpace,
+    RationalLine,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 SEARCH_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+ORACLE_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
 
 class Wrapped(MetricSpace):
@@ -120,3 +141,101 @@ def test_tvd_check_same_over_wrapper(a8, w8, margin):
         for space in (seg, Wrapped(seg))
     ]
     assert reports[0] == reports[1]
+
+
+def eighths(lo, hi):
+    return st.integers(lo * 8, hi * 8).map(lambda n: F(n, 8))
+
+
+@st.composite
+def reals_judgments(draw):
+    """(base, u, family) over the formal reals: a dyadic interval, or the top
+    of an ambient, against a chain of overlapping dyadic intervals across
+    it, often with one link dropped, or against one to three random
+    intervals."""
+    ambient = (F(0), F(1)) if draw(st.booleans()) else None
+    base = FormalRealsBase(ambient)
+    u = TOP if ambient is not None and draw(st.booleans()) else None
+    a, b = (F(0), F(1)) if u is TOP else sorted(draw(st.lists(
+        st.integers(0, 16), min_size=2, max_size=2, unique=True).map(lambda v: [F(n, 16) for n in v])))
+    if u is None:
+        u = (a, b)
+    if draw(st.integers(0, 3)):
+        cuts = sorted(set(draw(st.lists(st.integers(1, 15), min_size=1, max_size=4))))
+        ends = [a] + [a + (b - a) * F(c, 16) for c in cuts] + [b]
+        spill = F(draw(st.integers(1, 3)), 64)
+        family = [(ends[0] - spill, ends[1] + spill)] + [
+            (lo - spill, hi + spill) for lo, hi in zip(ends[1:], ends[2:])
+        ]
+        family = [(lo, hi) for lo, hi in family if lo < hi]
+        if draw(st.booleans()):
+            family.pop(draw(st.integers(0, len(family) - 1)))
+        return base, u, family
+    def interval(lo, hi):
+        a = draw(eighths(lo, hi))
+        return (a, a + F(draw(st.integers(1, 6)), 8))
+
+    return base, u, [interval(-1, 1) for _ in range(draw(st.integers(1, 3)))]
+
+
+@st.composite
+def segment_judgments(draw):
+    """(base, u, family) over the ball base of [0, 1] at its eighths: the top
+    or a ball at an eighth, against two balls of a shared radius a quarter
+    of the way either side of its centre, or one to three random balls."""
+    base = BallBase(LineSegment(F(0), F(1)), 9)
+
+    def ball():
+        return FormalBall(draw(eighths(0, 1)), F(draw(st.integers(1, 8)), 8))
+
+    u = TOP if draw(st.booleans()) else ball()
+    if draw(st.integers(0, 3)):
+        c, r = (F(1, 2), F(1, 2)) if u is TOP else (u.center, u.radius)
+        s = r * F(draw(st.integers(2, 6)), 4)
+        return base, u, [FormalBall(c - r / 2, s), FormalBall(c + r / 2, s)]
+    return base, u, [ball() for _ in range(draw(st.integers(1, 3)))]
+
+
+def assert_search_matches_oracle(base, u, family, depth, budget):
+    d = derive_cover(base, u, family, depth, budget=budget)
+    least = least_derivation_depth(base, u, as_target(family), depth, budget)
+    assert (d is None) == (least is None)
+    if d is not None:
+        assert check_derivation(base, d, u, family)
+        assert d.tree_depth() == least
+
+
+@ORACLE_SETTINGS
+@given(reals_judgments(), st.integers(1, 4), st.sampled_from([2, 4]))
+def test_reals_search_matches_oracle(judgment, depth, budget):
+    assert_search_matches_oracle(*judgment, depth, budget)
+
+
+@ORACLE_SETTINGS
+@given(segment_judgments(), st.integers(1, 3), st.integers(1, 3))
+def test_segment_search_matches_oracle(judgment, depth, budget):
+    assert_search_matches_oracle(*judgment, depth, budget)
+
+
+def tvd_oracle(P, Z, depth, budget) -> str:
+    """The verdict of ``tvd_check`` from ``derivable_within``: the top below
+    Z and the negative balls, and each default sample below Z in the
+    positively closed sublocale."""
+    base = CompleteUniformBase(P.space, budget)
+    notpos = SetPredicate("notpos", lambda b: b is not TOP and not P.pos_exact(b))
+    cover = derivable_within(base, TOP, EltSet(Z, (notpos,)), depth, budget)
+    samples = [TOP] + [FormalBall(c, F(1, 4)) for c in base.points[:6]]
+    pos = lambda b: b is TOP or P.pos_exact(b)  # noqa: E731
+    found = all(derivable_within(base, s, EltSet(Z), depth, budget, pos) for s in samples)
+    return "holds" if cover and found else "unknown"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 6), st.integers(1, 4), st.sampled_from([F(-1, 8), F(0), F(1, 8)]),
+       st.integers(1, 3))
+def test_tvd_check_matches_oracle(a8, w8, margin, depth):
+    seg = LineSegment(F(0), F(1))
+    a, b = F(a8, 8), F(min(a8 + w8, 8), 8)
+    Z = (FormalBall((a + b) / 2, (b - a) / 2 + margin + F(1, 8)),)
+    P = predicate_from_net(interval_set(a, b, space=seg))
+    assert tvd_check(P, Z, depth=depth, budget=9).verdict == tvd_oracle(P, Z, depth, 9)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -24,6 +25,51 @@ from overt.metric import (
 )
 
 LINE = RationalLine()
+
+
+def seen_set_segment_points(lo, hi, count):
+    """The earlier enumeration of a segment: every level's grid again, with
+    a seen-set."""
+    out, seen = [], set()
+    for level in itertools.count():
+        den = 2**level
+        for i in range(den + 1):
+            q = lo + (hi - lo) * F(i, den)
+            if q not in seen:
+                seen.add(q)
+                out.append(q)
+                if len(out) >= count:
+                    return out
+
+
+def seen_set_line_points(count):
+    """The earlier enumeration of the line: every stage again, with a
+    seen-set."""
+    out, seen = [], set()
+    for stage in itertools.count():
+        den = 2**stage
+        bound = (stage + 1) * den
+        for num in range(-bound, bound + 1):
+            q = F(num, den)
+            if q not in seen:
+                seen.add(q)
+                out.append(q)
+                if len(out) >= count:
+                    return out
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("lo, hi", [(F(-3, 7), F(5, 3)), (F(0), F(1)), (F(-2), F(5))])
+    def test_segment_matches_seen_set(self, lo, hi):
+        seg = LineSegment(lo, hi)
+        for count in range(301):
+            assert seg.enumerate_points(count) == seen_set_segment_points(lo, hi, count)
+        assert seg.enumerate_points(0) == [lo]
+
+    def test_line_matches_seen_set(self):
+        for count in range(301):
+            assert LINE.enumerate_points(count) == seen_set_line_points(count)
+        assert LINE.enumerate_points(0) == [F(-1)]
 
 
 def B(r, c):

@@ -90,6 +90,48 @@ class TestSpreadDepthFirst:
         assert [v.node for v in report.violations] == bad
 
 
+def admitted_nodes(law, depth, width):
+    """Every node over the digits below width, of length at most depth, that
+    the law admits together with all its prefixes."""
+    out, level = [], [()] if law.admits(()) else []
+    for _ in range(depth + 1):
+        out.extend(level)
+        level = [n + (d,) for n in level for d in range(width) if law.admits(n + (d,))]
+    return out
+
+
+BUILTIN_LAWS = [full_binary_law(), middle_thirds_law()]
+
+
+class TestSpreadSteps:
+    @pytest.mark.parametrize("law", BUILTIN_LAWS, ids=lambda law: law.name)
+    def test_step_judges_the_child(self, law):
+        # digits up to the arity, so a digit past the law's range is asked too
+        width = law.arity + 1
+        nodes = admitted_nodes(law, 6, width)
+        assert len(nodes) == 2**7 - 1
+        for node in nodes:
+            for d in range(width):
+                assert law.step(node, d) == law.admits(node + (d,))
+
+    @pytest.mark.parametrize("law", BUILTIN_LAWS, ids=lambda law: law.name)
+    @pytest.mark.parametrize("depth, budget", [(0, 1), (3, 1), (5, 2), (7, 3), (6, 8)])
+    def test_builtin_laws_match_breadth_first(self, law, depth, budget):
+        report = check_spread_mon(law, depth, budget)
+        checked, bad = spread_check_bfs(law.admits, depth, min(budget, law.arity))
+        assert (report.checked, [v.node for v in report.violations]) == (checked, bad)
+
+    def test_default_step_asks_admits(self):
+        # a user law without a step: at most two 0s and two 1s
+        law = SpreadLaw("two-two", lambda n: n.count(0) <= 2 and n.count(1) <= 2, arity=3)
+        for node in admitted_nodes(law, 6, 4):
+            for d in range(4):
+                assert law.step(node, d) == law.admits(node + (d,))
+        report = check_spread_mon(law, 6, 2)
+        checked, bad = spread_check_bfs(law.admits, 6, 2)
+        assert bad and (report.checked, [v.node for v in report.violations]) == (checked, bad)
+
+
 class TestClosedPositivity:
     def test_surviving_branch(self):
         rem = removal_from_nodes([(1,)], arity=2)

@@ -383,10 +383,17 @@ class _Searcher:
         """Iterative deepening: found derivations stay as shallow as
         possible; success at a depth implies success at every larger depth."""
         rec = self._record(u)
-        for d in range(1, max(0, depth) + 1):
-            if self._search(rec, d):
-                return rec.found
-        return None
+        try:
+            for d in range(1, max(0, depth) + 1):
+                if self._search(rec, d):
+                    return rec.found
+            return None
+        finally:
+            # Instances hold their members' records, and a family may hold
+            # its own element, so the records form cycles: cut them, or
+            # their memory would wait for the cyclic garbage collector.
+            for r in self.records.values():
+                r.instances = None
 
     def _search(self, rec: _Record, depth: int) -> bool:
         """Whether the element has a derivation within the depth; when it

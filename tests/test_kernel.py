@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 
@@ -71,6 +72,16 @@ class TestDeriveCover:
         d = derive_cover(BASE, iv(F(1, 4), F(1, 2)), [iv(0, 1)], 1)
         assert d is not None and d.rule == "ext"
         assert check_derivation(BASE, d, iv(F(1, 4), F(1, 2)), [iv(0, 1)])
+
+    def test_search_leaves_no_cycles(self):
+        # (0,1) splits into ((0,1), (0,1)) among others, so its instances hold
+        # its own record; the search must free all of them when it ends.
+        fam = [iv(0, F(1, 3)), iv(F(1, 4), F(2, 3)), iv(F(3, 5), 1)]
+        gc.collect()
+        for depth in (1, 4):
+            derive_cover(BASE, iv(0, 1), fam, depth)
+            sublocale_cover(BASE, PosClosedSub(OUT01), iv(0, 1), fam, depth)
+        assert gc.collect() == 0
 
 
 class TestChecker:

@@ -383,7 +383,7 @@ class BallBase(Base):
         if type(space) in (RationalLine, LineSegment):
             order = sorted(range(len(self.points)), key=self.points.__getitem__)
             self._line = ([self.points[i] for i in order], order)
-        self._uniform: dict = {}  # k -> _uniform_balls(k)
+        self._uniform: dict = {}  # k -> the balls of radius 2**-k, in listed order
 
     def top(self):
         return TOP
@@ -415,20 +415,17 @@ class BallBase(Base):
         points = self.points
         return tuple(FormalBall(points[i], radius) for i in self._near(u.center, margin))
 
-    def _uniform_balls(self, k: int) -> tuple:
-        """The balls of radius 2**-k around the listed points, in listed
-        order, built on first use."""
+    def _uniform_family(self, u: Optional[FormalBall], k: int) -> tuple:
+        """The balls of radius 2**-k around the listed points, or around
+        those near u, in listed order, taken from one tuple per k that is
+        built on first use."""
+        radius = Fraction(1, 2**k)
         balls = self._uniform.get(k)
         if balls is None:
-            radius = Fraction(1, 2**k)
             balls = self._uniform[k] = tuple(FormalBall(y, radius) for y in self.points)
-        return balls
-
-    def _uniform_family(self, u: Optional[FormalBall], k: int) -> tuple:
-        balls = self._uniform_balls(k)
         if u is None:
             return balls
-        return tuple(balls[i] for i in self._near(u.center, u.radius + Fraction(1, 2**k)))
+        return tuple(balls[i] for i in self._near(u.center, u.radius + radius))
 
     def axiom_instances(self, u, budget: int) -> list[tuple[str, tuple]]:
         out = []

@@ -15,7 +15,7 @@ be inspected, so a negative sweep is honestly three-valued.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from overt.errors import PreconditionFailed
@@ -67,7 +67,7 @@ class SpreadLaw:
     name: str
     admits: Callable[[Node], bool]
     arity: Optional[int] = None
-    step: Optional[Callable[[Node, int], bool]] = None
+    step: Optional[Callable[[Node, int], bool]] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.step is None:

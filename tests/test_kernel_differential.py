@@ -155,22 +155,21 @@ def reals_judgments(draw):
     intervals."""
     ambient = (F(0), F(1)) if draw(st.booleans()) else None
     base = FormalRealsBase(ambient)
-    u = TOP if ambient is not None and draw(st.booleans()) else None
-    a, b = (F(0), F(1)) if u is TOP else sorted(draw(st.lists(
-        st.integers(0, 16), min_size=2, max_size=2, unique=True).map(lambda v: [F(n, 16) for n in v])))
-    if u is None:
+    if ambient is not None and draw(st.booleans()):
+        u, (a, b) = TOP, ambient
+    else:
+        lo, hi = sorted(draw(st.lists(st.integers(0, 16), min_size=2, max_size=2, unique=True)))
+        a, b = F(lo, 16), F(hi, 16)
         u = (a, b)
     if draw(st.integers(0, 3)):
         cuts = sorted(set(draw(st.lists(st.integers(1, 15), min_size=1, max_size=4))))
         ends = [a] + [a + (b - a) * F(c, 16) for c in cuts] + [b]
         spill = F(draw(st.integers(1, 3)), 64)
-        family = [(ends[0] - spill, ends[1] + spill)] + [
-            (lo - spill, hi + spill) for lo, hi in zip(ends[1:], ends[2:])
-        ]
-        family = [(lo, hi) for lo, hi in family if lo < hi]
+        family = [(lo - spill, hi + spill) for lo, hi in zip(ends, ends[1:])]
         if draw(st.booleans()):
             family.pop(draw(st.integers(0, len(family) - 1)))
         return base, u, family
+
     def interval(lo, hi):
         a = draw(eighths(lo, hi))
         return (a, a + F(draw(st.integers(1, 6)), 8))

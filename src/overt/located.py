@@ -18,7 +18,10 @@ bounded".
 Builtin sets (closed intervals, finite point sets, the middle-thirds set,
 closed disks and segments in the plane, boxes, finite unions of these)
 carry an exact rational distance comparison, which is the located
-structure itself; a net is only one witness of it.  An affine map takes
+structure itself; a net is only one witness of it.  All but the
+middle-thirds set decide the sign of d(p, S) - t from integer products,
+over integers scaled when the set is built (:func:`_scaled`,
+:func:`_sq_sign`).  An affine map takes
 segments, intervals and finite sets, disks under rational similarities,
 and unions of these, piece by piece to builtin sets again, and keeps a
 comparison on other images wherever the map carries it
@@ -114,7 +117,9 @@ class EpsilonNetFamily:
     within eps of the set and every set point within eps of some net point
     (strictly, with slack, for the builtin constructions).  When the set
     admits exact rational distance comparison, ``distance_compare(x, t)``
-    returns the sign of d(x, set) - t.  ``points`` is the whole set as a
+    returns the sign of d(x, set) - t; the builtin sets decide it in
+    integer arithmetic, and a set given only ``distance_value`` compares
+    that value with t.  ``points`` is the whole set as a
     tuple when it is finite, else None.  ``_image``, set by the builtin
     constructors (:func:`_with_image`), maps an :class:`AffineMap` to the
     image as a builtin set again, or to None where it has none.
@@ -594,7 +599,11 @@ def union_located(A: EpsilonNetFamily, B: EpsilonNetFamily) -> EpsilonNetFamily:
     dc = None
     if both and A.distance_compare is not None and B.distance_compare is not None:
         ca, cb = A.distance_compare, B.distance_compare
-        dc = lambda x, t: min(ca(x, t), cb(x, t))
+
+        def dc(x, t):
+            # The union meets B(x, t) as soon as A does.
+            sign = ca(x, t)
+            return sign if sign < 0 else min(sign, cb(x, t))
 
     def net(eps):
         pts = []
@@ -809,11 +818,42 @@ def _sign(d: Fraction, t: Fraction) -> int:
     return (d > t) - (d < t)
 
 
-def _sq_sign(dsq: Fraction, t: Fraction) -> int:
-    """Sign of sqrt(dsq) - t, decided on squares."""
-    if t < 0:
+# The builtin sets decide the sign of d(p, S) - t in integer arithmetic.
+# Each set scales its own data to integers when it is built
+# (:func:`_scaled`), and a call reads the numerators and denominators of p
+# and t once: a plane point (x/m, y/n) sits at integer coordinates over
+# m n, and a squared distance is an integer s over an integer q, compared
+# with t^2 by :func:`_sq_sign`.  A finite set keeps each point over its own
+# least denominator and compares the points that share one together: one
+# denominator for the whole set would grow with the number of points.
+
+
+def _scaled(*qs) -> tuple:
+    """(d, n_1, n_2, ...): the rationals qs as integers n_i over their least
+    common denominator d."""
+    d = math.lcm(*(q.denominator for q in qs))
+    return (d, *(q.numerator * (d // q.denominator) for q in qs))
+
+
+def _sq_sign(s: int, q: int, t: Fraction) -> int:
+    """Sign of sqrt(s / q) - t, for integers s >= 0 and q > 0."""
+    u, v = t.numerator, t.denominator
+    if u < 0:
         return 1
-    return _sign(dsq, t * t)
+    s, w = s * v * v, q * u * u
+    return (s > w) - (s < w)
+
+
+def _line_distance(parts: Callable) -> tuple:
+    """(distance_value, distance_compare) of a line set whose distance at x
+    is s / d for ``parts(x)`` = (s, d), integers with d > 0."""
+
+    def cmp(x, t):
+        s, d = parts(x)
+        s, w = s * t.denominator, t.numerator * d
+        return (s > w) - (s < w)
+
+    return (lambda x: Fraction(*parts(x))), cmp
 
 
 # ---------------------------------------------------------------------------
@@ -829,8 +869,7 @@ def _with_image(S: EpsilonNetFamily, image: Callable) -> EpsilonNetFamily:
 
 def _grid_coords(a: Fraction, h: Fraction, ks: range) -> list:
     """a + k h for k in ks, from integer numerators over one denominator."""
-    d = math.lcm(a.denominator, h.denominator)
-    an, hn = a.numerator * (d // a.denominator), h.numerator * (d // h.denominator)
+    d, an, hn = _scaled(a, h)
     return [Fraction(an + k * hn, d) for k in ks]
 
 
@@ -845,12 +884,21 @@ def interval_set(a, b, space: Optional[MetricSpace] = None) -> EpsilonNetFamily:
     if a > b:
         raise PreconditionFailed(f"empty interval [{a}, {b}]")
     space = space or LINE
+    D, A, B = _scaled(a, b)
 
-    def dist(x):
-        return max(Fraction(0), a - x, x - b)
+    def parts(x):
+        # max(0, a - x, x - b) over m D, for x = n/m.
+        n, m = x.numerator, x.denominator
+        X = n * D
+        return (max(0, A * m - X, X - B * m), m * D)
 
+    dv, cmp = _line_distance(parts)
     S = EpsilonNetFamily(
-        space, lambda eps: _grid_line(a, b, eps), distance_value=dist, name=f"[{a},{b}]"
+        space,
+        lambda eps: _grid_line(a, b, eps),
+        distance_compare=cmp,
+        distance_value=dv,
+        name=f"[{a},{b}]",
     )
     return _with_image(S, lambda f: segment_set(*f(a), *f(b)))
 
@@ -861,12 +909,30 @@ def point_set(points, space: Optional[MetricSpace] = None) -> EpsilonNetFamily:
     if not pts:
         raise PreconditionFailed("point set must be nonempty")
     space = space or LINE
+    by_den: dict = {}
+    for p in pts:
+        by_den.setdefault(p.denominator, []).append(p.numerator)
+    groups = tuple(by_den.items())
 
-    def dist(x):
-        return min(abs(x - p) for p in pts)
+    def parts(x):
+        # min |x - X/e| = min |n e - X m| / (m e), for x = n/m.
+        n, m = x.numerator, x.denominator
+        best = None
+        for e, group in groups:
+            ne, d = n * e, m * e
+            s = min(abs(ne - X * m) for X in group)
+            if best is None or s * best[1] < best[0] * d:
+                best = (s, d)
+        return best
 
+    dv, cmp = _line_distance(parts)
     S = EpsilonNetFamily(
-        space, lambda eps: list(pts), distance_value=dist, name=f"points{list(pts)}", points=pts
+        space,
+        lambda eps: list(pts),
+        distance_compare=cmp,
+        distance_value=dv,
+        name=f"points{list(pts)}",
+        points=pts,
     )
     return _with_image(S, lambda f: plane_point_set([f(p) for p in pts]))
 
@@ -876,10 +942,27 @@ def plane_point_set(points) -> EpsilonNetFamily:
     pts = tuple((Fraction(x), Fraction(y)) for x, y in points)
     if not pts:
         raise PreconditionFailed("point set must be nonempty")
+    by_den: dict = {}
+    for p in pts:
+        e, X, Y = _scaled(*p)
+        by_den.setdefault(e, []).append((X, Y))
+    groups = tuple(by_den.items())
 
     def cmp(p, t):
-        dsq = min((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for q in pts)
-        return _sq_sign(dsq, t)
+        x, y = p
+        m, n = x.denominator, y.denominator
+        k = m * n
+        a, b = x.numerator * n, y.numerator * m
+        sign = 1
+        for e, group in groups:
+            # p - (X, Y)/e = (a e - X k, b e - Y k) / (k e).
+            ae, be = a * e, b * e
+            s = min((ae - X * k) ** 2 + (be - Y * k) ** 2 for X, Y in group)
+            c = _sq_sign(s, (k * e) ** 2, t)
+            if c < 0:
+                return c
+            sign = min(sign, c)
+        return sign
 
     S = EpsilonNetFamily(
         PLANE, lambda eps: list(pts), distance_compare=cmp, name="points2d", points=pts
@@ -910,7 +993,7 @@ def disk_set(cx, cy, r) -> EpsilonNetFamily:
     cx, cy, r = Fraction(cx), Fraction(cy), Fraction(r)
     if r <= 0:
         raise PreconditionFailed(f"disk radius must be positive, got {r}")
-    rsq = r * r
+    D, X, Y, R = _scaled(cx, cy, r)
 
     def net(eps):
         # The grid points (cx + i h, cy + j h), i and j from -steps to steps,
@@ -933,13 +1016,24 @@ def disk_set(cx, cy, r) -> EpsilonNetFamily:
         return pts
 
     def cmp(p, t):
-        dsq = (p[0] - cx) ** 2 + (p[1] - cy) ** 2
-        if dsq <= rsq:
-            return _sign(Fraction(0), t)
-        # d = |p - c| - r: compare |p - c| with r + t.
-        if t < 0:
+        # For p = (x/m, y/n) and k = m n: |p - c| = sqrt(s) / (k D) and
+        # r = R k / (k D).
+        x, y = p
+        m, n = x.denominator, y.denominator
+        k = m * n
+        ex = (x.numerator * D - X * m) * n
+        ey = (y.numerator * D - Y * n) * m
+        s = ex * ex + ey * ey
+        u, v = t.numerator, t.denominator
+        rk = R * k
+        if s <= rk * rk:
+            return (u < 0) - (u > 0)
+        if u < 0:
             return 1
-        return _sign(dsq, (r + t) ** 2)
+        # d = |p - c| - r against t = u/v: sqrt(s) v against (R v + u D) k.
+        s, w = s * v * v, (R * v + u * D) * k
+        w *= w
+        return (s > w) - (s < w)
 
     def image(f):
         s = f.similarity_scale()
@@ -958,6 +1052,8 @@ def segment_set(x1, y1, x2, y2) -> EpsilonNetFamily:
     if len_sq == 0:
         return plane_point_set([a])
     len_ub = sqrt_bounds(len_sq, Fraction(1, 16))[1]
+    D, AX, AY, UX, UY = _scaled(*a, dx, dy)
+    L = UX * UX + UY * UY
 
     def net(eps):
         n = int(len_ub / (eps / 2)) + 1
@@ -966,19 +1062,22 @@ def segment_set(x1, y1, x2, y2) -> EpsilonNetFamily:
         ]
 
     def cmp(p, t):
-        # With w = p - a and u = b - a: the nearest point is a when w.u <= 0,
-        # b when w.u >= |u|^2, else the foot at height |w x u| / |u|.
-        wx, wy = p[0] - a[0], p[1] - a[1]
-        wu = wx * dx + wy * dy
+        # With w = p - a and u = b - a, over k D for p = (x/m, y/n) and
+        # k = m n: the nearest point is a when w.u <= 0, b when
+        # w.u >= |u|^2, else the foot at height |w x u| / |u|.
+        x, y = p
+        m, n = x.denominator, y.denominator
+        k = m * n
+        wx = (x.numerator * D - AX * m) * n
+        wy = (y.numerator * D - AY * n) * m
+        wu = wx * UX + wy * UY
         if wu <= 0:
-            dsq = wx * wx + wy * wy
-        elif wu >= len_sq:
-            wx, wy = wx - dx, wy - dy
-            dsq = wx * wx + wy * wy
-        else:
-            cross = wx * dy - wy * dx
-            dsq = cross * cross / len_sq
-        return _sq_sign(dsq, t)
+            return _sq_sign(wx * wx + wy * wy, (k * D) ** 2, t)
+        if wu >= L * k:
+            wx, wy = wx - UX * k, wy - UY * k
+            return _sq_sign(wx * wx + wy * wy, (k * D) ** 2, t)
+        cross = wx * UY - wy * UX
+        return _sq_sign(cross * cross, (k * D) ** 2 * L, t)
 
     S = EpsilonNetFamily(PLANE, net, distance_compare=cmp, name="segment")
     return _with_image(S, lambda f: segment_set(*f(a), *f(b)))
@@ -989,15 +1088,20 @@ def box_set(x0, x1, y0, y1) -> EpsilonNetFamily:
     x0, x1, y0, y1 = Fraction(x0), Fraction(x1), Fraction(y0), Fraction(y1)
     if x0 > x1 or y0 > y1:
         raise PreconditionFailed("degenerate box")
+    D, X0, X1, Y0, Y1 = _scaled(x0, x1, y0, y1)
 
     def net(eps):
         xs, ys = _grid_line(x0, x1, eps / 2), _grid_line(y0, y1, eps / 2)
         return [(x, y) for x in xs for y in ys]
 
     def cmp(p, t):
-        ddx = max(Fraction(0), x0 - p[0], p[0] - x1)
-        ddy = max(Fraction(0), y0 - p[1], p[1] - y1)
-        return _sq_sign(ddx * ddx + ddy * ddy, t)
+        # The offsets from the box over m n D, for p = (x/m, y/n).
+        x, y = p
+        m, n = x.denominator, y.denominator
+        a, b = x.numerator * D, y.numerator * D
+        ex = max(0, X0 * m - a, a - X1 * m) * n
+        ey = max(0, Y0 * n - b, b - Y1 * n) * m
+        return _sq_sign(ex * ex + ey * ey, (m * n * D) ** 2, t)
 
     return EpsilonNetFamily(PLANE, net, distance_compare=cmp, name="box")
 
@@ -1016,8 +1120,10 @@ def promote_to_plane(S: EpsilonNetFamily) -> EpsilonNetFamily:
         dv = S.distance_value
 
         def cmp(p, t):
-            d1 = dv(p[0])
-            return _sq_sign(d1 * d1 + p[1] * p[1], t)
+            # d^2 = (a/b)^2 + (c/n)^2 = ((a n)^2 + (c b)^2) / (b n)^2.
+            d1, y = dv(p[0]), p[1]
+            a, b, c, n = d1.numerator, d1.denominator, y.numerator, y.denominator
+            return _sq_sign((a * n) ** 2 + (c * b) ** 2, (b * n) ** 2, t)
 
     points = None
     if S.points is not None:
@@ -1147,7 +1253,8 @@ def _line_image_compare(dv: Callable, f: AffineMap) -> Callable:
         wu = wx * ux + wy * uy
         x0 = wu / ssq
         d1 = dv(x0)
-        return _sq_sign(wx * wx + wy * wy - wu * x0 + ssq * d1 * d1, t)
+        dsq = wx * wx + wy * wy - wu * x0 + ssq * d1 * d1
+        return _sq_sign(dsq.numerator, dsq.denominator, t)
 
     return cmp
 

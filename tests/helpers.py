@@ -265,6 +265,25 @@ def segment_dist_sq(p, a, b):
     return min(point_sq(p, a), point_sq(p, b))
 
 
+def disk_distance_sign(p, c, r, t):
+    """Sign of d - t for the distance d = max(0, |p - c| - r) from p to the
+    closed disk D(c, r): d = 0 on the disk, and off it |p - c| is compared
+    with r + t on squares."""
+    q, r, t = point_sq(p, c), Fraction(r), Fraction(t)
+    if q <= r * r:
+        return (t < 0) - (t > 0)
+    if r + t <= 0:
+        return 1
+    return (q > (r + t) ** 2) - (q < (r + t) ** 2)
+
+
+def box_dist_sq(p, box):
+    """Squared distance from p to the closed box (x0, x1, y0, y1): to p
+    clamped into the box coordinate by coordinate, its nearest point."""
+    x0, x1, y0, y1 = box
+    return point_sq(p, (min(max(Fraction(p[0]), x0), x1), min(max(Fraction(p[1]), y0), y1)))
+
+
 def finite_hausdorff_sq(A, B):
     """Exact squared Hausdorff distance between finite planar point lists."""
 

@@ -18,6 +18,7 @@ with the same exact squared distances, checks the scanning branch.
 """
 
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -26,9 +27,11 @@ from hypothesis import strategies as st
 
 from helpers import (
     affine_apply,
+    box_dist_sq,
     box_net,
     bracket_holds_min_root,
     cantor_oracle_distance,
+    disk_distance_sign,
     disk_net,
     finite_hausdorff_1d,
     finite_hausdorff_leq,
@@ -62,6 +65,7 @@ from overt.located import (
     plane_point_set,
     point_set,
     predicate_from_net,
+    promote_to_plane,
     segment_set,
     union_located,
 )
@@ -1328,3 +1332,214 @@ def test_finite_hausdorff_leq_is_the_double_loop(A, bound, offsets):
     # B moves points of A by up to bound * sqrt 2, so distances straddle bound.
     B = [(a[0] + bound * dx, a[1] + bound * dy) for a, (dx, dy) in zip(A * 4, offsets)]
     assert finite_hausdorff_leq(A, B, bound, plane=True) == _brute_hausdorff_leq(A, B, bound)
+
+
+# ---------------------------------------------------------------------------
+# The integer comparisons of the builtin sets against closed forms, at the
+# ties: t equal to a rational distance, t = 0 and t < 0, points inside a set
+# and on its boundary, finite sets with repeated points.  A query is a point
+# of the set (a centre, an end, a corner, a member, a point on a circle)
+# moved by h along a rational unit vector, so that many distances are
+# rational; each is compared with those distances, a hair either side, 0, a
+# negative threshold and a drawn one.
+# ---------------------------------------------------------------------------
+
+HAIR = F(1, 4096)
+TIE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def rational_root(q):
+    """sqrt(q) when it is rational, else None."""
+    q = F(q)
+    n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return F(n, d) if (n * n, d * d) == (q.numerator, q.denominator) else None
+
+
+def thresholds(dists, t):
+    """Each distance given and a hair either side, 0, -1/4 and t."""
+    ts = {F(0), F(-1, 4), F(t)}
+    for d in dists:
+        ts |= {d, d - HAIR, d + HAIR}
+    return sorted(ts)
+
+
+def draw_piece(draw, kind):
+    """(set, parts, anchors): d(p, set) is the minimum over parts(p) of
+    max(0, sqrt(q) + shift), and the anchors lie in the set."""
+    if kind == "disk":
+        c, r, u = draw(plane_pt(8)), draw(rat(F(1, 8), 1, 8)), draw(st.sampled_from(DIRECTIONS))
+        return (disk_set(*c, r), lambda p: [(point_sq(p, c), -r)],
+                [c, (c[0] + r * u[0], c[1] + r * u[1])])
+    if kind == "segment":
+        a, b = draw(plane_pt(8)), draw(plane_pt(8))
+        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+        return segment_set(*a, *b), lambda p: [(segment_dist_sq(p, a, b), 0)], [a, b, mid]
+    if kind == "box":
+        x0, y0 = draw(rat(-1, 1, 8)), draw(rat(-1, 1, 8))
+        box = (x0, x0 + draw(rat(0, 1, 8)), y0, y0 + draw(rat(0, 1, 8)))
+        corners = [(x, y) for x in box[:2] for y in box[2:]]
+        centre = ((box[0] + box[1]) / 2, (box[2] + box[3]) / 2)
+        return box_set(*box), lambda p: [(box_dist_sq(p, box), 0)], corners + [centre]
+    if kind == "points":
+        pts = draw(st.lists(plane_pt(16), min_size=1, max_size=6))
+        pts += pts[: draw(st.integers(0, 2))]  # repeated points
+        return plane_point_set(pts), lambda p: [(point_sq(p, q), 0) for q in pts], pts
+    S, intervals, _ = draw(interval_sets())
+    anchors = [(e, F(0)) for iv in intervals for e in iv]
+    return (promote_to_plane(S),
+            lambda p: [(union_distance_1d(p[0], intervals) ** 2 + F(p[1]) ** 2, 0)], anchors)
+
+
+@st.composite
+def compare_cases(draw):
+    """A builtin plane set, a line set on the x-axis, or a union of two
+    plane sets, as (set, parts, anchors) of :func:`draw_piece`."""
+    kinds = ["disk", "segment", "box", "points"]
+    kind = draw(st.sampled_from(kinds + ["line", "union"]))
+    if kind != "union":
+        return draw_piece(draw, kind)
+    (S1, p1, a1), (S2, p2, a2) = (draw_piece(draw, draw(st.sampled_from(kinds))) for _ in range(2))
+    return union_located(S1, S2), lambda p: p1(p) + p2(p), a1 + a2
+
+
+@TIE_SETTINGS
+@given(compare_cases(), st.integers(0, 15), st.sampled_from(DIRECTIONS), rat(-1, 1, 8),
+       rat(-2, 2, 16))
+def test_plane_compare_matches_closed_form(case, i, u, h, t):
+    S, parts, anchors = case
+    a = anchors[i % len(anchors)]
+    p = (a[0] + h * u[0], a[1] + h * u[1])
+    ps = parts(p)
+    dists = [max(F(0), r + s) for q, s in ps if (r := rational_root(q)) is not None]
+    for t in thresholds(dists, t):
+        assert S.distance_compare(p, t) == min_root_sign(ps, t)
+
+
+@TIE_SETTINGS
+@given(plane_pt(8), rat(F(1, 8), 1, 8), st.sampled_from(DIRECTIONS), rat(-2, 2, 8),
+       rat(-2, 2, 16))
+def test_disk_compare_matches_closed_form(c, r, u, h, t):
+    # p lies |r + h| from the centre: inside, on the circle at h = 0, or at
+    # distance h outside.
+    S = disk_set(*c, r)
+    p = (c[0] + (r + h) * u[0], c[1] + (r + h) * u[1])
+    for t in thresholds([max(F(0), abs(r + h) - r)], t):
+        assert S.distance_compare(p, t) == disk_distance_sign(p, c, r, t)
+
+
+@TIE_SETTINGS
+@given(interval_sets(), st.integers(0, 15), rat(-1, 1, 16), rat(-2, 2, 16))
+def test_line_compare_matches_closed_form(case, i, h, t):
+    S, intervals, _ = case
+    ends = [e for iv in intervals for e in iv]
+    x = ends[i % len(ends)] + h
+    d = union_distance_1d(x, intervals)
+    assert S.distance_value(x) == d
+    for t in thresholds([d], t):
+        assert S.distance_compare(x, t) == (d > t) - (d < t)
+
+
+TIES = [
+    # 3-4-5 triangles: the distance is rational and met exactly.
+    (disk_set(0, 0, 1), (F(3), F(4)), F(4)),
+    (disk_set(F(1, 2), F(1, 3), F(1, 6)), (F(11, 10), F(17, 15)), F(5, 6)),
+    (segment_set(0, 0, 3, 0), (F(3), F(4)), F(4)),
+    (segment_set(0, 0, 3, 0), (F(-3), F(-4)), F(5)),
+    (segment_set(-3, 0, 3, 0), (F(0), F(4)), F(4)),
+    # w.u = 0 and w.u = |u|^2: the feet on the two ends.
+    (segment_set(0, 0, 3, 4), (F(4), F(-3)), F(5)),
+    (segment_set(0, 0, 3, 4), (F(7), F(1)), F(5)),
+    (segment_set(0, 0, 3, 4), (F(-5, 2), F(5)), F(5)),
+    (box_set(0, 1, 0, 1), (F(4), F(5)), F(5)),
+    (box_set(0, 1, 0, 1), (F(1, 2), F(-3)), F(3)),
+    (box_set(0, 0, 0, 1), (F(4), F(1, 2)), F(4)),
+    (plane_point_set([(0, 0), (0, 0), (6, 8)]), (F(3), F(4)), F(5)),
+    (plane_point_set([(F(1, 2), F(1, 3)), (F(1, 5), F(1, 7))]), (F(11, 10), F(17, 15)), F(1)),
+    (point_set([F(1, 3), F(1, 3), 2]), F(4, 3), F(2, 3)),
+    (interval_set(0, 1), F(5, 2), F(3, 2)),
+    (interval_set(0, 1), F(-1, 3), F(1, 3)),
+    (promote_to_plane(interval_set(0, 1)), (F(4), F(4)), F(5)),
+    (promote_to_plane(point_set([0, 6])), (F(3), F(4)), F(5)),
+    (union_located(segment_set(10, 0, 11, 0), disk_set(0, 0, 1)), (F(3), F(4)), F(4)),
+    (union_located(disk_set(0, 0, 1), segment_set(3, 0, 3, 4)), (F(0), F(2)), F(1)),
+    # On the boundary and inside: distance 0.
+    (disk_set(0, 0, 1), (F(3, 5), F(4, 5)), F(0)),
+    (disk_set(0, 0, 1), (F(1, 2), F(-1, 3)), F(0)),
+    (segment_set(0, 0, 3, 4), (F(3, 2), F(2)), F(0)),
+    (segment_set(0, 0, 3, 4), (F(3), F(4)), F(0)),
+    (box_set(0, 1, 0, 1), (F(1), F(1, 2)), F(0)),
+    (box_set(0, 1, 0, 1), (F(1, 2), F(1, 2)), F(0)),
+    (plane_point_set([(F(1, 3), F(1, 2)), (F(1, 3), F(1, 2))]), (F(1, 3), F(1, 2)), F(0)),
+    (point_set([F(1, 3), F(1, 3), 2]), F(1, 3), F(0)),
+    (interval_set(0, 1), F(1), F(0)),
+    (interval_set(0, 1), F(1, 2), F(0)),
+    (promote_to_plane(interval_set(0, 1)), (F(1, 2), F(0)), F(0)),
+]
+
+
+@pytest.mark.parametrize("S, p, d", TIES)
+def test_compare_at_ties(S, p, d):
+    for t in thresholds([d], d + 1):
+        assert S.distance_compare(p, t) == (d > t) - (d < t)
+
+
+def test_union_stops_at_the_first_hit():
+    calls = []
+
+    def counted(S, name):
+        def cmp(p, t):
+            calls.append(name)
+            return S.distance_compare(p, t)
+
+        return EpsilonNetFamily(PLANE, S.net, distance_compare=cmp, name=name)
+
+    U = union_located(counted(disk_set(0, 0, 1), "A"), counted(disk_set(3, 0, 1), "B"))
+    for p, t, sign, asked in [
+        ((F(0), F(0)), F(1), -1, ["A"]),
+        ((F(3), F(0)), F(1), -1, ["A", "B"]),
+        ((F(3, 2), F(0)), F(1, 2), 0, ["A", "B"]),
+        ((F(3, 2), F(0)), F(1, 4), 1, ["A", "B"]),
+    ]:
+        calls.clear()
+        assert U.distance_compare(p, t) == sign and calls == asked
+
+
+def primes(n):
+    """The first n primes."""
+    ps, k = [], 2
+    while len(ps) < n:
+        if all(k % p for p in ps if p * p <= k):
+            ps.append(k)
+        k += 1
+    return ps
+
+
+def test_point_set_compare_keeps_each_denominator():
+    # 400 points whose 800 coordinates have distinct primes as denominators:
+    # over one common denominator of thousands of digits, every comparison
+    # took 3.8 times the Fraction arithmetic of the oracle.  Each point keeps
+    # its own denominator, so the comparisons may take at most twice the
+    # oracle's time on the same queries.
+    ps = primes(800)
+    pts = [(F(7 * k % ps[2 * k] - ps[2 * k] // 2, ps[2 * k]),
+            F(11 * k % ps[2 * k + 1] - ps[2 * k + 1] // 2, ps[2 * k + 1])) for k in range(400)]
+    S = plane_point_set(pts)
+    queries = [((F(i, 7) - 1, F(3 - i, 5)), t)
+               for i in range(12) for t in (F(-1, 8), F(0), F(1, 64), F(1, 3))]
+
+    def oracle(p, t):
+        return min_root_sign([(min(point_sq(p, q) for q in pts), 0)], t)
+
+    def timed(cmp):
+        best = None
+        for _ in range(3):
+            t0 = time.perf_counter()
+            answers = [cmp(p, t) for p, t in queries]
+            dt = time.perf_counter() - t0
+            best = dt if best is None else min(best, dt)
+        return answers, best
+
+    want, oracle_s = timed(oracle)
+    got, cmp_s = timed(S.distance_compare)
+    assert got == want and {-1, 1} <= set(got)
+    assert cmp_s <= 2 * oracle_s

@@ -100,8 +100,12 @@ def _cmd_plot(args) -> int:
     height = cur.finish(cur.integer())
     text = plot.render_plot(plot.PlotSpec(family, tuple(vp), width, height))
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"cannot write {args.out}: {e.strerror}", file=sys.stderr)
+            return PRECONDITION_EXIT
     else:
         sys.stdout.write(text)
     return 0

@@ -26,14 +26,15 @@ segments, intervals and finite sets, disks under rational similarities,
 and unions of these, piece by piece to builtin sets again, and keeps a
 comparison on other images wherever the map carries it
 (:func:`affine_image`); images under other maps with a modulus carry nets
-only.  A dichotomy on a set with a comparison is one call of its ``meets``
-test (:func:`_meets_test`).
+only.  A line set placed in the plane is its image under the isometry
+x -> (x, 0) (:func:`promote_to_plane`).  A dichotomy on a set with a
+comparison is one call of its ``meets`` test (:func:`_meets_test`).
 Every distance bracket, of ``distance_to_set``, of a net-backed dichotomy
 and of each cell of a Hausdorff descent, comes from
 :func:`_distance_bracket`: exact from ``distance_value``, bisected on
-``distance_compare``, and otherwise from a net, searched by the grid index
-of ``EpsilonNetFamily.net_index`` (:class:`_GridIndex`) or, outside its
-spaces, by a scan of exact squared distances.  A
+``distance_compare``, and otherwise from a net, searched by its
+nearest-point index ``EpsilonNetFamily.net_index`` (:class:`_GridIndex`),
+a grid of cells that is one cell, a scan, outside the grid spaces.  A
 Hausdorff pair of two finite sets is one exact squared distance
 (:func:`_finite_hausdorff_sq`); another pair in which both sets have a
 comparison takes both directed suprema from one branch-and-bound descent
@@ -159,15 +160,13 @@ class EpsilonNetFamily:
             self._memo[eps] = pts
         return list(self._memo[eps])
 
-    def net_index(self, eps: Fraction) -> Optional[_GridIndex]:
+    def net_index(self, eps: Fraction) -> _GridIndex:
         """Cached exact nearest-point index over the nonempty net(eps), with
-        cells of side ``_CELL * eps``; None when the space is not one of
-        ``_GRID_SPACES``."""
-        if not isinstance(self.space, _GRID_SPACES):
-            return None
+        cells of side ``_CELL * eps``; outside ``_GRID_SPACES`` it has one
+        cell, and a search scans the net."""
         eps = Fraction(eps)
         if eps not in self._indexes:
-            self._indexes[eps] = _GridIndex(self.space.dist_sq, self.net(eps), _CELL * eps)
+            self._indexes[eps] = _GridIndex(self.space, self.net(eps), _CELL * eps)
         return self._indexes[eps]
 
     def __repr__(self):
@@ -215,20 +214,30 @@ class LocatedPredicate:
 
 
 class _GridIndex:
-    """Exact nearest-point search over a finite net, by rings of grid cells.
+    """Exact nearest-point search over a finite point list, by rings of grid
+    cells.
 
-    Net points are bucketed in square cells of side ``cell``; a line point
-    x sits in the plane as (x, 0).  ``min_sq(p)`` scans the occupied cells
+    The points of a space in ``_GRID_SPACES`` are bucketed in square cells
+    of side ``cell``, or, without one, of the longer side of their box over
+    the square root of their number, about one point a cell; a line point x
+    sits in the plane as (x, 0).  ``min_sq(p)`` scans the occupied cells
     ring by ring outwards from the cell of p and stops once the best
     squared distance found is no more than that of anything left: a point
     r + 1 or more rings out differs from p by more than r cells in one
     coordinate.  That stopping rule needs a metric at least as large as
     every coordinate difference, as |x - y| on the line and the Euclidean
-    and max metrics in the plane are (``_GRID_SPACES``).
+    and max metrics in the plane are.  In any other space the index has
+    one cell, which holds every point, so a search is a scan.
     """
 
-    def __init__(self, dist_sq, pts, cell: Fraction):
-        self.dist_sq = dist_sq
+    def __init__(self, space: MetricSpace, pts, cell: Optional[Fraction] = None):
+        self.dist_sq = space.dist_sq
+        if not isinstance(space, _GRID_SPACES):
+            cell = None
+        elif cell is None:
+            xs, ys = zip(*(q if isinstance(q, tuple) else (q, Fraction(0)) for q in pts))
+            side = max(max(xs) - min(xs), max(ys) - min(ys))
+            cell = side / math.isqrt(len(xs)) or Fraction(1)
         self.cell = cell
         self.buckets: dict = {}
         for q in pts:
@@ -237,6 +246,8 @@ class _GridIndex:
         self.box = (min(xs), max(xs), min(ys), max(ys))
 
     def _key(self, p) -> tuple:
+        if self.cell is None:
+            return (0, 0)
         if isinstance(p, tuple):
             return (p[0] // self.cell, p[1] // self.cell)
         return (p // self.cell, 0)
@@ -353,19 +364,12 @@ def _net_max_distance(S: EpsilonNetFamily, pts, width: Fraction) -> tuple:
     the net at delta = width/3 alone.
 
     The largest least squared distance from pts to the net is exact, from
-    its ``net_index`` or, in a space without an index, from a scan of the
-    net; one square root brackets it to width/6.  The net moves each
-    distance by at most delta, so padding that bracket by delta gives width
-    at most 5/6 of ``width``.
+    its ``net_index``; one square root brackets it to width/6.  The net
+    moves each distance by at most delta, so padding that bracket by delta
+    gives width at most 5/6 of ``width``.
     """
     delta = width / 3
-    index = S.net_index(delta)
-    if index is not None:
-        m = index.max_min_sq(pts)
-    else:
-        net, dsq = S.net(delta), S.space.dist_sq
-        m = max(min(dsq(p, q) for q in net) for p in pts)
-    lo, hi = sqrt_bounds(m, width / 6)
+    lo, hi = sqrt_bounds(S.net_index(delta).max_min_sq(pts), width / 6)
     return (max(Fraction(0), lo - delta), hi + delta)
 
 
@@ -570,20 +574,19 @@ def image_located(
     f: Callable,
     m: Modulus,
     target_space: Optional[MetricSpace] = None,
-    name: Optional[str] = None,
 ) -> EpsilonNetFamily:
     """Image of a located set under a map with a uniform-continuity modulus.
 
     The image carries nets only, built from the source net at omega(eps);
-    :func:`affine_image` maps builtin sets to builtin sets and keeps an
-    exact comparison for the affine maps that carry one.
+    :func:`affine_image` maps builtin sets to builtin sets and gives other
+    images an exact comparison under the affine maps that carry one.
     """
     space = target_space if target_space is not None else S.space
     return EpsilonNetFamily(
         space,
         lambda eps: [f(p) for p in S.net(m.omega(eps))],
         inhabited=S.inhabited,
-        name=name or f"image({S.name})",
+        name=f"image({S.name})",
     )
 
 
@@ -674,21 +677,12 @@ def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal
 
 def _finite_hausdorff_sq(A: EpsilonNetFamily, B: EpsilonNetFamily) -> Fraction:
     """H(A, B)^2 of two finite sets, exactly: the larger of the two largest
-    least squared distances from the points of one set to the other's.  In
-    ``_GRID_SPACES`` each is one ``_GridIndex.max_min_sq``, over cells of
-    about one point each (the longer side of the target's box over the
-    square root of its size); elsewhere a scan."""
-    dsq = A.space.dist_sq
-
-    def directed(P, Q):
-        if not isinstance(A.space, _GRID_SPACES):
-            return max(min(dsq(p, q) for q in Q) for p in P)
-        xs, ys = zip(*(q if isinstance(q, tuple) else (q, Fraction(0)) for q in Q))
-        side = max(max(xs) - min(xs), max(ys) - min(ys))
-        cell = side / math.isqrt(len(Q)) or Fraction(1)
-        return _GridIndex(dsq, Q, cell).max_min_sq(P)
-
-    return max(directed(A.points, B.points), directed(B.points, A.points))
+    least squared distances from the points of one set to the other's, each
+    one ``_GridIndex.max_min_sq`` over cells of about one point each."""
+    return max(
+        _GridIndex(A.space, B.points).max_min_sq(A.points),
+        _GridIndex(A.space, A.points).max_min_sq(B.points),
+    )
 
 
 # The root box of a descent is refined until its widening is at most a
@@ -903,12 +897,11 @@ def interval_set(a, b, space: Optional[MetricSpace] = None) -> EpsilonNetFamily:
     return _with_image(S, lambda f: segment_set(*f(a), *f(b)))
 
 
-def point_set(points, space: Optional[MetricSpace] = None) -> EpsilonNetFamily:
+def point_set(points) -> EpsilonNetFamily:
     """A finite set of rational points on the line."""
     pts = tuple(Fraction(p) for p in points)
     if not pts:
         raise PreconditionFailed("point set must be nonempty")
-    space = space or LINE
     by_den: dict = {}
     for p in pts:
         by_den.setdefault(p.denominator, []).append(p.numerator)
@@ -927,7 +920,7 @@ def point_set(points, space: Optional[MetricSpace] = None) -> EpsilonNetFamily:
 
     dv, cmp = _line_distance(parts)
     S = EpsilonNetFamily(
-        space,
+        LINE,
         lambda eps: list(pts),
         distance_compare=cmp,
         distance_value=dv,
@@ -970,9 +963,8 @@ def plane_point_set(points) -> EpsilonNetFamily:
     return _with_image(S, lambda f: plane_point_set([f(p) for p in pts]))
 
 
-def cantor_set(space: Optional[MetricSpace] = None) -> EpsilonNetFamily:
+def cantor_set() -> EpsilonNetFamily:
     """The middle-thirds set, with level-k endpoint nets."""
-    space = space or LINE
 
     def net(eps):
         k = 0
@@ -985,7 +977,7 @@ def cantor_set(space: Optional[MetricSpace] = None) -> EpsilonNetFamily:
         pts.append(Fraction(1))
         return sorted(set(pts))
 
-    return EpsilonNetFamily(space, net, distance_value=cantor_distance, name="cantor")
+    return EpsilonNetFamily(LINE, net, distance_value=cantor_distance, name="cantor")
 
 
 def disk_set(cx, cy, r) -> EpsilonNetFamily:
@@ -1106,38 +1098,6 @@ def box_set(x0, x1, y0, y1) -> EpsilonNetFamily:
     return EpsilonNetFamily(PLANE, net, distance_compare=cmp, name="box")
 
 
-def promote_to_plane(S: EpsilonNetFamily) -> EpsilonNetFamily:
-    """Embed a line set onto the x-axis of the Euclidean plane.
-
-    The planar distance to the embedded set splits into the 1-D distance
-    and the height, so exactness is preserved when the source carries an
-    exact distance value.
-    """
-    if S.space is PLANE:
-        return S
-    cmp = None
-    if S.distance_value is not None:
-        dv = S.distance_value
-
-        def cmp(p, t):
-            # d^2 = (a/b)^2 + (c/n)^2 = ((a n)^2 + (c b)^2) / (b n)^2.
-            d1, y = dv(p[0]), p[1]
-            a, b, c, n = d1.numerator, d1.denominator, y.numerator, y.denominator
-            return _sq_sign((a * n) ** 2 + (c * b) ** 2, (b * n) ** 2, t)
-
-    points = None
-    if S.points is not None:
-        points = tuple((x, Fraction(0)) for x in S.points)
-    return EpsilonNetFamily(
-        PLANE,
-        lambda eps: [(x, Fraction(0)) for x in S.net(eps)],
-        inhabited=S.inhabited,
-        distance_compare=cmp,
-        name=f"plane({S.name})",
-        points=points,
-    )
-
-
 @dataclass(frozen=True)
 class AffineMap:
     """(x, y) -> (a x + b y + c, d x + e y + f); a line point x is (x, 0).
@@ -1227,34 +1187,36 @@ def affine_image(S: EpsilonNetFamily, f: AffineMap) -> EpsilonNetFamily:
         image = S._image(f)
         if image is not None:
             return image
-    cmp = None
+    T = image_located(S, f, f.modulus, PLANE)
     if S.inhabited and isinstance(S.space, (RationalLine, LineSegment)):
         if S.distance_value is not None and (f.a or f.d):
-            cmp = _line_image_compare(S.distance_value, f)
+            T.distance_compare = _line_image_compare(S.distance_value, f)
     elif S.inhabited and S.space is PLANE and S.distance_compare is not None:
         s = f.similarity_scale()
         if s is not None:
-            cmp = _similar_image_compare(S.distance_compare, f, s)
-    return EpsilonNetFamily(
-        PLANE,
-        lambda eps: [f(p) for p in S.net(eps / f.lip)],
-        inhabited=S.inhabited,
-        distance_compare=cmp,
-        name=f"image({S.name})",
-    )
+            T.distance_compare = _similar_image_compare(S.distance_compare, f, s)
+    return T
 
 
 def _line_image_compare(dv: Callable, f: AffineMap) -> Callable:
-    ux, uy = f.a, f.d
-    ssq = ux * ux + uy * uy
+    D, TX, TY, UX, UY = _scaled(f.c, f.f, f.a, f.d)
+    L = UX * UX + UY * UY
 
     def cmp(p, t):
-        wx, wy = p[0] - f.c, p[1] - f.f
-        wu = wx * ux + wy * uy
-        x0 = wu / ssq
-        d1 = dv(x0)
-        dsq = wx * wx + wy * wy - wu * x0 + ssq * d1 * d1
-        return _sq_sign(dsq.numerator, dsq.denominator, t)
+        # For p = (x/m, y/n) and k = m n: w = p - (c, f) = (wx, wy) / (k D)
+        # and u = (UX, UY) / D, so the foot is x0 = (w.u) / (k L), the
+        # squared height (w x u)^2 / |u|^2 is cross^2 / ((k D)^2 L), and
+        # with dv(x0) = e/g the squared distance along the line |u|^2 (e/g)^2
+        # is (L e k)^2 / ((k D g)^2 L).
+        x, y = p
+        m, n = x.denominator, y.denominator
+        k = m * n
+        wx = (x.numerator * D - TX * m) * n
+        wy = (y.numerator * D - TY * n) * m
+        d1 = dv(Fraction(wx * UX + wy * UY, k * L))
+        e, g = d1.numerator, d1.denominator
+        cross = (wx * UY - wy * UX) * g
+        return _sq_sign(cross * cross + (L * e * k) ** 2, (k * D * g) ** 2 * L, t)
 
     return cmp
 
@@ -1270,6 +1232,17 @@ def _similar_image_compare(src_cmp: Callable, f: AffineMap, s: Fraction) -> Call
     return cmp
 
 
+# x -> (x, 0), the isometry that places the line on the x-axis of the plane.
+_EMBED = affine_plane_map(1, 0, 0, 0, 0, 0)
+
+
+def promote_to_plane(S: EpsilonNetFamily) -> EpsilonNetFamily:
+    """A line set placed on the x-axis of the Euclidean plane: its image
+    under x -> (x, 0) (:func:`affine_image`), which keeps its exact
+    comparison and its ``points``.  A plane set is returned as it is."""
+    return S if S.space is PLANE else affine_image(S, _EMBED)
+
+
 # ---------------------------------------------------------------------------
 # Deriving a dichotomy from overtness data over the interval lattice.
 # ---------------------------------------------------------------------------
@@ -1282,32 +1255,23 @@ def ball_region(ball: FormalBall, ambient: tuple) -> IntervalElement:
 
 
 def located_from_overt(
-    pos_elem: Callable[[IntervalElement], bool],
-    ambient: tuple,
-    space: Optional[MetricSpace] = None,
-    extractor: Optional[Callable] = None,
-    name: str = "overt",
+    pos_elem: Callable[[IntervalElement], bool], ambient: tuple, name: str = "overt"
 ) -> LocatedPredicate:
-    """Dichotomy from a positivity oracle plus a finite-cover extractor.
+    """Dichotomy on the line from a positivity oracle plus finite covers.
 
     For a strictly refining pair the gap complement of the inner region
-    joins with the outer region to the whole ambient; the extractor keeps
-    the positive members of that two-element cover, and the answer follows
-    the outer region's membership in the kept subcover.
+    joins with the outer region to the whole ambient; the positive members
+    of that two-element cover are kept, and the answer follows the outer
+    region's membership in the kept subcover.
     """
-    space = space or LINE
-    if extractor is None:
-        extractor = lambda family: [e for e in family if pos_elem(e)]
 
     def decide(inner: FormalBall, outer: FormalBall) -> Decision:
         v = ball_region(outer, ambient)
         w = gap_complement(ball_region(inner, ambient))
-        kept = list(extractor([v, w]))
-        if any(e is v or e == v for e in kept):
-            return Decision.POS_OUTER
-        return Decision.NOT_POS_INNER
+        kept = [e for e in (v, w) if pos_elem(e)]
+        return Decision.POS_OUTER if v in kept else Decision.NOT_POS_INNER
 
-    return LocatedPredicate(space, decide, name=name)
+    return LocatedPredicate(LINE, decide, name=name)
 
 
 def meets_oracle(S: EpsilonNetFamily, ambient: tuple) -> Callable[[IntervalElement], bool]:
@@ -1359,13 +1323,7 @@ class TvdReport:
         return "holds" if (self.cover_found and self.samples_found) else "unknown"
 
 
-def tvd_check(
-    P: LocatedPredicate,
-    Z: Sequence[FormalBall],
-    depth: int,
-    budget: int,
-    samples: Optional[Sequence[FormalBall]] = None,
-) -> TvdReport:
+def tvd_check(P: LocatedPredicate, Z: Sequence[FormalBall], depth: int, budget: int) -> TvdReport:
     """Check both directions of the located-sublocale containment statement.
 
     Only axiom families known to be semantically complete covers are used
@@ -1386,14 +1344,9 @@ def tvd_check(
 
     pos_pred = SetPredicate("pos", lambda ball: ball is TOP or P.pos_exact(ball))
     subl = PosClosedSub(pos_pred)
-    if samples is None:
-        sampled = [TOP] + [
-            FormalBall(c, Fraction(1, 4)) for c in base.points[: min(6, len(base.points))]
-        ]
-    else:
-        sampled = list(samples)
-    results = []
-    for u in sampled:
-        d = sublocale_cover(base, subl, u, EltSet(listed=Z), depth, budget=budget)
-        results.append((u, d))
-    return TvdReport(Z, cover, tuple(results))
+    sampled = [TOP] + [FormalBall(c, Fraction(1, 4)) for c in base.points[:6]]
+    results = tuple(
+        (u, sublocale_cover(base, subl, u, EltSet(listed=Z), depth, budget=budget))
+        for u in sampled
+    )
+    return TvdReport(Z, cover, results)

@@ -41,6 +41,10 @@ from overt.reals import sqrt_bounds
 # refused before any point is built.
 MAX_BALL_POINTS = 1024
 
+# The axiom families of a ball base use dyadic sizes 2**-k for k from 1 to
+# at most this.
+_MAX_SHRINK = 6
+
 
 @dataclass(frozen=True)
 class FormalBall:
@@ -363,17 +367,16 @@ class BallBase(Base):
     The balls of radius 2**-k around the listed points are built once per
     k, on first use, and every ``m2`` and ``m2loc`` family of that k is
     drawn from them.  The base keeps them for its own life: at most
-    ``max_shrink`` tuples of at most ``MAX_BALL_POINTS`` balls.
+    ``_MAX_SHRINK`` tuples of at most ``MAX_BALL_POINTS`` balls.
     """
 
-    def __init__(self, space: MetricSpace, point_budget: int, max_shrink: int = 6):
+    def __init__(self, space: MetricSpace, point_budget: int):
         if point_budget > MAX_BALL_POINTS:
             raise PreconditionFailed(
                 f"a ball base of {point_budget} points exceeds the cap of {MAX_BALL_POINTS}"
             )
         self.space = space
         self.point_budget = point_budget
-        self.max_shrink = max_shrink
         self.points = space.enumerate_points(point_budget)
         self._point_set = set(self.points)
         self.name = f"loc({space.name})"
@@ -429,7 +432,7 @@ class BallBase(Base):
 
     def axiom_instances(self, u, budget: int) -> list[tuple[str, tuple]]:
         out = []
-        kmax = min(max(1, budget), self.max_shrink)
+        kmax = min(max(1, budget), _MAX_SHRINK)
         if u is TOP:
             for k in range(1, kmax + 1):
                 fam = self._uniform_family(None, k)
@@ -493,7 +496,17 @@ class BallBase(Base):
         return format_ball(u)
 
     def read_element(self, cur: Cursor):
-        return TOP if cur.match("top") else read_ball(cur)
+        """``top`` or a ball with as many coordinates as the listed points;
+        a ball of the other dimension is a parse error at its ``B``."""
+        if cur.match("top"):
+            return TOP
+        at = cur.skip()
+        ball = read_ball(cur)
+        plane = isinstance(self.points[0], tuple)
+        if isinstance(ball.center, tuple) != plane:
+            coords = "two coordinates" if plane else "one coordinate"
+            raise cur.error(f"a ball of {self.name} has {coords}", at)
+        return ball
 
 
 class CompleteUniformBase(BallBase):
@@ -505,13 +518,13 @@ class CompleteUniformBase(BallBase):
     def axiom_instances(self, u, budget: int) -> list[tuple[str, tuple]]:
         axiom, ball = ("m2", None) if u is TOP else ("m2loc", u)
         out = []
-        for k in range(1, min(max(1, budget), self.max_shrink) + 1):
+        for k in range(1, min(max(1, budget), _MAX_SHRINK) + 1):
             fam = self._uniform_family(ball, k) if self.m2_complete(k) else ()
             if fam:
                 out.append((axiom, fam))
         return out
 
 
-def completion_base(space: MetricSpace, point_budget: int, max_shrink: int = 6) -> BallBase:
+def completion_base(space: MetricSpace, point_budget: int) -> BallBase:
     """The kernel base of the localic completion of the space."""
-    return BallBase(space, point_budget, max_shrink)
+    return BallBase(space, point_budget)

@@ -41,17 +41,15 @@ def format_interval(lo: Fraction, hi: Fraction) -> str:
 
 
 class Cursor:
-    """A text and a position in it.  ``origin`` is where the text starts in
-    the caller's input; every error is raised at ``origin`` plus a position
-    in the text."""
+    """A text and a position in it; every error is raised at a position in
+    the text."""
 
-    def __init__(self, text: str, origin: int = 0):
+    def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.origin = origin
 
     def error(self, message: str, at: Optional[int] = None) -> ParseError:
-        return ParseError(message, self.origin + (self.pos if at is None else at))
+        return ParseError(message, self.pos if at is None else at)
 
     def skip(self) -> int:
         """Skip blanks; returns the position of the next token."""
@@ -180,13 +178,13 @@ class Cursor:
                 return out
 
 
-def parse_rational(text: str, offset: int = 0) -> Fraction:
+def parse_rational(text: str) -> Fraction:
     """``p`` or ``p/q`` and nothing else; raises ParseError with the byte
-    offset, counting ``offset`` as where text starts in the caller's input."""
-    return Cursor(text, offset).parse(Cursor.rational)
+    offset."""
+    return Cursor(text).parse(Cursor.rational)
 
 
-def parse_rational_list(text: str, offset: int = 0, most: Optional[int] = None) -> list:
+def parse_rational_list(text: str, most: Optional[int] = None) -> list:
     """Comma-separated rationals, e.g. ``-3/2,0``.  A malformed value is
     reported at its offset, and so is the first value beyond ``most``."""
-    return Cursor(text, offset).parse(lambda cur: cur.rational_list(most))
+    return Cursor(text).parse(lambda cur: cur.rational_list(most))

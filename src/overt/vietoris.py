@@ -43,38 +43,15 @@ from overt.rationals import Cursor
 
 
 class Carrier:
-    name = "carrier"
+    """A distributive lattice the modal terms range over.
 
-    def elements(self) -> Optional[tuple]:
-        """All elements, or None when the carrier is infinite."""
-        raise NotImplementedError
-
-    def leq(self, u, v) -> bool:
-        raise NotImplementedError
-
-    def meet(self, u, v):
-        raise NotImplementedError
-
-    def join(self, u, v):
-        raise NotImplementedError
-
-    @property
-    def bot(self):
-        raise NotImplementedError
-
-    @property
-    def top(self):
-        raise NotImplementedError
-
-    def well_inside(self, u, v) -> bool:
-        raise NotImplementedError
-
-    def format_element(self, u) -> str:
-        raise NotImplementedError
-
-    def read_element(self, cur: Cursor):
-        """Read one element at the cursor."""
-        raise NotImplementedError
+    A carrier has a ``name`` and these members: ``elements()``, all
+    elements or None when the carrier is infinite; ``leq(u, v)``,
+    ``meet(u, v)`` and ``join(u, v)``; the elements ``bot`` and ``top``;
+    ``well_inside(u, v)``, the relation u << v; ``format_element(u)``; and
+    ``read_element(cur)``, which reads one element at a
+    :class:`~overt.rationals.Cursor`.
+    """
 
     def parse_element(self, text: str):
         return Cursor(text).parse(self.read_element)
@@ -98,49 +75,26 @@ class FiniteCarrier(Carrier):
     Boolean lattices and grids are distributive.
     """
 
-    def __init__(self, name, elems, leq_fn, meet_fn, join_fn, bot, top, fmt, read):
+    def __init__(self, name, elems, leq, meet, join, bot, top, format_element, read_element):
         self.name = name
         self._elems = tuple(elems)
-        self._leq = leq_fn
-        self._meet = meet_fn
-        self._join = join_fn
-        self._bot = bot
-        self._top = top
-        self._fmt = fmt
-        self._read = read
+        self.leq = leq
+        self.meet = meet
+        self.join = join
+        self.bot = bot
+        self.top = top
+        self.format_element = format_element
+        self.read_element = read_element
 
     def elements(self):
         return self._elems
 
-    def leq(self, u, v):
-        return self._leq(u, v)
-
-    def meet(self, u, v):
-        return self._meet(u, v)
-
-    def join(self, u, v):
-        return self._join(u, v)
-
-    @property
-    def bot(self):
-        return self._bot
-
-    @property
-    def top(self):
-        return self._top
-
     def well_inside(self, u, v) -> bool:
         # Exhaustive witness search: some w with u & w = 0 and v | w = 1.
         return any(
-            self._meet(u, w) == self._bot and self._join(v, w) == self._top
+            self.meet(u, w) == self.bot and self.join(v, w) == self.top
             for w in self._elems
         )
-
-    def format_element(self, u):
-        return self._fmt(u)
-
-    def read_element(self, cur):
-        return self._read(cur)
 
 
 def chain(n: int) -> FiniteCarrier:
@@ -238,36 +192,23 @@ def grid(m: int, n: int) -> FiniteCarrier:
 class IntervalCarrier(Carrier):
     """Finite unions of open rational intervals in an ambient: infinite."""
 
+    leq = staticmethod(ilat.lattice_leq)
+    meet = staticmethod(ilat.meet)
+    join = staticmethod(ilat.join)
+    format_element = staticmethod(str)
+
     def __init__(self, ambient: tuple):
         lo, hi = Fraction(ambient[0]), Fraction(ambient[1])
         self.ambient = (lo, hi)
         self.name = f"intervals:({lo},{hi})"
+        self.bot = IntervalElement.zero(self.ambient)
+        self.top = IntervalElement.one(self.ambient)
 
     def elements(self):
         return None
 
-    def leq(self, u, v):
-        return ilat.lattice_leq(u, v)
-
-    def meet(self, u, v):
-        return ilat.meet(u, v)
-
-    def join(self, u, v):
-        return ilat.join(u, v)
-
-    @property
-    def bot(self):
-        return IntervalElement.zero(self.ambient)
-
-    @property
-    def top(self):
-        return IntervalElement.one(self.ambient)
-
     def well_inside(self, u, v) -> bool:
         return ilat.well_inside(u, v) is not None
-
-    def format_element(self, u):
-        return str(u)
 
     def read_element(self, cur):
         return ilat.read_element(cur, self.ambient)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from overt import kernel
 from overt.cli import main
 from overt.errors import ParseError
 from overt.plot import PlotSpec, render_plot
@@ -258,11 +259,40 @@ class TestExitCodes:
          (["spread", "--law=full2", "--depth=", "--budget=2"], 0),
          (["cover", "--space=reals", "--target=(0,3)", "--family=(0,2);(1,3)", "--depth=2x"], 1),
          (["cover", "--space=reals", "--target=(0,3)", "--family=(0,2);(1,3)", "--depth=2",
-           "--budget=  4.0"], 3)],
+           "--budget=  4.0"], 3),
+         # a ball whose coordinates do not fit the space: its B
+         (["cover", "--space=loc:q2", "--target=B(1; 0)", "--family=B(1; 0,0)", "--depth=2"], 0),
+         (["cover", "--space=loc:q", "--target=B(1; 0,0)", "--family=B(1; 0)", "--depth=2"], 0),
+         (["cover", "--space=loc:q2", "--target=  B(1; 0)", "--family=top", "--depth=2"], 2),
+         (["cover", "--space=loc:q", "--target=top", "--family=B(1; 0);  B(1; 0,0)", "--depth=2"], 10),
+         (["cover", "--space=loc:q2", "--target=top", "--family=B(1; 0,0);B(1/2; 1)", "--depth=2"], 10),
+         (["cover", "--space=loc:seg:0,1", "--target=top", "--family=top;B(1/2; 0,1)", "--depth=2"], 4)],
     )
     def test_true_offsets(self, capsys, argv, offset):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and f"(at offset {offset})" in err
+
+    @pytest.mark.parametrize("out", ["no-such-dir/x.pgm", "."])
+    def test_unwritable_plot_out(self, capsys, tmp_path, monkeypatch, out):
+        # A missing directory and a directory: one line on stderr, no traceback.
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, "plot", "--set=disk:0,0,1", "--viewport=-1,1,-1,1",
+                                "--size=2x2", f"--out={out}")
+        assert code == 3 and stdout == "" and err.startswith(f"cannot write {out}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_depth_cap(self, capsys):
+        # Deepening runs once per unit of depth; a depth over the cap is
+        # refused before any search, so even ten digits answer at once.
+        argv = ["cover", "--space=reals", "--target=(0,1)", "--family=(0,1/2);(1/2,1)"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--depth=9999999999")
+        assert code == 3 and out == "" and "exceeds the cap of 256" in err
+        assert time.perf_counter() - start < 1
+        code, _, err = run(capsys, *argv, f"--depth={kernel.MAX_DEPTH + 1}")
+        assert code == 3 and "precondition" in err
+        code, out, _ = run(capsys, *argv, f"--depth={kernel.MAX_DEPTH}")
+        assert code == 0 and out.strip() == "unknown"
 
     @pytest.mark.parametrize("carrier", ["chain:1025", "grid:100000,100000", "bool:9"])
     def test_carrier_size_cap(self, capsys, carrier):

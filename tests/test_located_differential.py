@@ -13,8 +13,8 @@ its comparisons.  Net-only dichotomies must agree with the oracles.
 Images under affine maps are checked the same way, against oracles
 written from the mapped geometry, and the exact Hausdorff distance of two
 finite sets against its closed form.  The nearest-point index of a net is
-checked against brute force, and a space outside the index's spaces,
-with the same exact squared distances, checks the scanning branch.
+checked against brute force, and a space outside the grid spaces, with
+the same exact squared distances, checks the one-cell index that scans.
 """
 
 import math
@@ -78,6 +78,9 @@ NET_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, databa
 
 CANTOR_LEVEL = 10
 CANTOR_TOL = F(1, 3**CANTOR_LEVEL)
+
+# A rotation by a 3-4-5 angle, then a shift.
+ROT = (F(3, 5), F(-4, 5), F(1), F(4, 5), F(3, 5), F(-1))
 
 # Rational unit vectors, so that a diameter of a rational disk is rational.
 DIRECTIONS = [(F(1), F(0)), (F(0), F(1)), (F(3, 5), F(4, 5)), (F(-4, 5), F(3, 5)),
@@ -658,8 +661,8 @@ def test_plane_sweep_is_finite_hausdorff(metric, P, Q, eps):
 
 class _ScanOnly(MetricSpace):
     """The rational line and the Euclidean plane, with exact squared
-    distances, behind a type outside ``_GRID_SPACES``: it has no
-    nearest-point index, so every net query scans the net."""
+    distances, behind a type outside ``_GRID_SPACES``: its nearest-point
+    index has one cell, so every net query scans the net."""
 
     name = "scan"
 
@@ -679,7 +682,8 @@ def on_scan(S):
 @given(rat(-2, 2, 8), rat(0, 2, 8), rat(-4, 4, 16), st.sampled_from([F(1, 4), F(1, 32)]))
 def test_approx_space_line_distance_contains_truth(a, length, x, eps):
     S = on_scan(loose_interval(a, a + length))
-    assert S.net_index(eps) is None
+    index = S.net_index(eps)
+    assert index.cell is None and list(index.buckets) == [(0, 0)]
     bracket = distance_to_set(S, x).approximate(eps)
     d = union_distance_1d(x, [(a, a + length)])
     assert width_ok(bracket, NET_DISTANCE_WIDTH * eps) and bracket[0] <= d <= bracket[1]
@@ -701,6 +705,26 @@ def test_approx_space_line_hausdorff_contains_truth(a, length, pts, eps):
     h = union_hausdorff_1d([(a, a + length)], [(p, p) for p in pts])
     check_hausdorff(on_scan(loose_interval(a, a + length)), on_scan(point_set(pts)), eps,
                     lambda lo, hi: hi - lo <= NET_HAUSDORFF_WIDTH * eps and lo <= h <= hi)
+
+
+def on_scan_points(pts):
+    """A finite set in the space without a grid: its index is one cell."""
+    return EpsilonNetFamily(SCAN, lambda e: list(pts), name="scan-points", points=tuple(pts))
+
+
+@SETTINGS
+@given(st.booleans(), st.lists(wide_pt(), min_size=1, max_size=12),
+       st.lists(wide_pt(), min_size=1, max_size=12), st.sampled_from([F(1, 4), F(1, 64)]))
+def test_approx_space_finite_hausdorff_is_exact(plane, P, Q, eps):
+    if plane:
+        hsq = finite_hausdorff_sq(P, Q)
+    else:
+        P, Q = [p[0] for p in P], [q[0] for q in Q]
+        hsq = finite_hausdorff_1d(P, Q) ** 2
+    A, B = on_scan_points(P), on_scan_points(Q)
+    assert located._finite_hausdorff_sq(A, B) == hsq
+    lo, hi = hausdorff_distance(A, B).approximate(eps)
+    assert hi - lo <= eps and root_at_least(hsq, 0, lo) and root_at_most(hsq, 0, hi)
 
 
 @NET_SETTINGS
@@ -922,6 +946,46 @@ def test_cantor_image_along_the_line(m, x, h, eps):
     dk = cantor_oracle_distance(x, CANTOR_LEVEL)
     q_lo, q_hi = ssq * (h * h + dk * dk), ssq * (h * h + (dk + CANTOR_TOL) ** 2)
     img = image(cantor_set(), m)
+    lo, hi = distance_to_set(img, p).approximate(eps)
+    assert width_ok((lo, hi), eps)
+    assert root_at_least(q_hi, 0, lo) and root_at_most(q_lo, 0, hi)
+    for t in (lo - eps, hi + eps):
+        if t >= 0 and t * t < q_lo:
+            assert img.distance_compare(p, t) == 1
+        if t > 0 and t * t > q_hi:
+            assert img.distance_compare(p, t) == -1
+
+
+@SETTINGS
+@given(similarities(), plane_pt(8), rat(0, 1, 8), rat(0, 1, 8), plane_pt(8), rat(-2, 2, 16))
+def test_similar_box_image_compare_matches_oracle(ms, corner, w, h, q, t):
+    # A box has no image of its own, so its image keeps the box's comparison
+    # through f^-1; at p = f(q), d(p, f(box)) = s d(q, box).
+    m, s = ms
+    box = (corner[0], corner[0] + w, corner[1], corner[1] + h)
+    img = image(box_set(*box), m)
+    p = affine_apply(m, q)
+    parts = [(s * s * box_dist_sq(q, box), 0)]
+    d = rational_root(parts[0][0])
+    for t in thresholds([] if d is None else [d], t):
+        assert img.distance_compare(p, t) == min_root_sign(parts, t)
+    bracket = distance_to_set(img, p).approximate(F(1, 64))
+    assert width_ok(bracket, F(1, 64)) and bracket_holds_min_root(*bracket, parts)
+
+
+@SETTINGS
+@given(any_maps(), similarities(), rat(-1, 2, 16), rat(-1, 1, 16), st.sampled_from([F(1, 8), F(1, 64)]))
+def test_similar_image_of_a_cantor_image(m, gs, x, h, eps):
+    # p0 = f(x) + h (-d, a) has d(p0, f(C))^2 = |u|^2 (h^2 + d(x, C)^2), as
+    # above; the similarity g of scale s multiplies it by s^2 at p = g(p0).
+    g, s = gs
+    a, _, _, d, _, _ = m
+    fx = affine_apply(m, x)
+    p = affine_apply(g, (fx[0] - h * d, fx[1] + h * a))
+    k = s * s * (a * a + d * d)
+    dk = cantor_oracle_distance(x, CANTOR_LEVEL)
+    q_lo, q_hi = k * (h * h + dk * dk), k * (h * h + (dk + CANTOR_TOL) ** 2)
+    img = image(image(cantor_set(), m), g)
     lo, hi = distance_to_set(img, p).approximate(eps)
     assert width_ok((lo, hi), eps)
     assert root_at_least(q_hi, 0, lo) and root_at_most(q_lo, 0, hi)
@@ -1474,6 +1538,12 @@ TIES = [
     (interval_set(0, 1), F(1), F(0)),
     (interval_set(0, 1), F(1, 2), F(0)),
     (promote_to_plane(interval_set(0, 1)), (F(1, 2), F(0)), F(0)),
+    # The Cantor set on the x-axis: d(1/2, C) = 1/6 under a height of 2/9,
+    # so sqrt(1/36 + 4/81) = 5/18; and the same tie under a rotation, as
+    # an image of the line set and as an image of its image.
+    (promote_to_plane(cantor_set()), (F(1, 2), F(2, 9)), F(5, 18)),
+    (image(cantor_set(), ROT), affine_apply(ROT, (F(1, 2), F(2, 9))), F(5, 18)),
+    (image(promote_to_plane(cantor_set()), ROT), affine_apply(ROT, (F(1, 2), F(2, 9))), F(5, 18)),
 ]
 
 

@@ -3,15 +3,15 @@
 The package is organised around a few cooperating layers:
 
 ``reals``
-    Dedekind and upper reals as precision-indexed rational refinement
-    processes, plus the gap comparison that makes locatedness effective.
+    Dedekind reals as precision-indexed rational refinement processes, and
+    rational brackets of square roots.
 ``kernel``
     Inductively generated formal covers: bases, bounded-depth derivation
     search, an independent derivation checker, sublocales and positivity
     predicates.
 ``intervals``
     The decidable lattice of finite unions of open rational intervals:
-    well-inside witnesses, normality, exact finite-cover decisions.
+    well-inside witnesses, exact finite-cover decisions.
 ``metric``
     Formal balls over rational metric spaces and the ball base (shrink and
     uniform-size cover axioms) handed to the kernel.

@@ -9,9 +9,6 @@ because the point 1 is genuinely missing from the open set.
 The well-inside relation ``u`` inside ``v`` is witnessed by an element ``w``
 with ``u & w = 0`` and ``v | w = 1``; the maximal candidate is the gap
 complement of ``u``, so the relation is decidable by a single construction.
-Normality and strong-normality witnesses are built by quarter-splitting the
-gaps between the regions each side must cover, which keeps the two covers
-separated by the middle half of every gap.
 """
 
 from __future__ import annotations
@@ -124,47 +121,8 @@ def lattice_leq(a: IntervalElement, b: IntervalElement) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Complement pieces.  A piece is a connected component of a set difference,
-# carrying closedness flags for its two ends (ends at the ambient boundary
-# are always open, a degenerate single point is closed on both sides).
+# Well inside and covers.
 # ---------------------------------------------------------------------------
-
-Piece = tuple[Fraction, Fraction, bool, bool]  # lo, hi, lo_closed, hi_closed
-
-
-def _subtract_open(piece: Piece, hole: Part) -> list[Piece]:
-    a, b, ac, bc = piece
-    r, s = hole
-    if s <= a or r >= b:  # open hole cannot touch the flagged endpoints either
-        return [piece]
-    out: list[Piece] = []
-    # Left remainder: points of the piece that are <= r.
-    if r > a:
-        out.append((a, r, ac, True))
-    elif r == a and ac:
-        out.append((a, a, True, True))
-    # Right remainder: points of the piece that are >= s.
-    if s < b:
-        out.append((s, b, True, bc))
-    elif s == b and bc:
-        out.append((b, b, True, True))
-    return out
-
-
-def difference_pieces(x: IntervalElement, y: IntervalElement) -> list[Piece]:
-    """Connected components of the point set x minus y."""
-    _same_ambient(x, y)
-    pieces: list[Piece] = [(p, q, False, False) for p, q in x.parts]
-    for hole in y.parts:
-        nxt: list[Piece] = []
-        for piece in pieces:
-            nxt.extend(_subtract_open(piece, hole))
-        pieces = nxt
-    return sorted(pieces)
-
-
-def complement_pieces(e: IntervalElement) -> list[Piece]:
-    return difference_pieces(IntervalElement.one(e.ambient), e)
 
 
 def gap_complement(u: IntervalElement) -> IntervalElement:
@@ -176,42 +134,6 @@ def gap_complement(u: IntervalElement) -> IntervalElement:
     cuts.append(hi)
     gaps = [(cuts[i], cuts[i + 1]) for i in range(0, len(cuts), 2)]
     return IntervalElement.make(u.ambient, gaps)
-
-
-def _piece_cover(
-    pieces: Sequence[Piece], opposite: Sequence[Fraction], ambient: Part
-) -> IntervalElement:
-    """Open element covering the pieces, extending closed ends by a quarter
-    of the gap to the nearest opposing boundary (or the ambient end)."""
-    lo_amb, hi_amb = ambient
-    parts = []
-    for a, b, ac, bc in pieces:
-        if ac:
-            left_obs = max([c for c in opposite if c < a], default=lo_amb)
-            left_obs = max(left_obs, lo_amb)
-            left = a - (a - left_obs) / 4
-        else:
-            left = a
-        if bc:
-            right_obs = min([c for c in opposite if c > b], default=hi_amb)
-            right_obs = min(right_obs, hi_amb)
-            right = b + (right_obs - b) / 4
-        else:
-            right = b
-        parts.append((left, right))
-    return IntervalElement.make(ambient, parts)
-
-
-def _piece_coords(pieces: Sequence[Piece]) -> list[Fraction]:
-    coords = []
-    for a, b, _, _ in pieces:
-        coords.extend((a, b))
-    return coords
-
-
-# ---------------------------------------------------------------------------
-# Well inside, normality, covers.
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -234,40 +156,6 @@ def well_inside(u: IntervalElement, v: IntervalElement) -> Optional[WellInsideWi
     if join(v, w).is_one:
         return WellInsideWitness(w)
     return None
-
-
-def normality_witness(
-    b1: IntervalElement, b2: IntervalElement
-) -> tuple[IntervalElement, IntervalElement]:
-    """Given b1 | b2 = 1, split it: c1 & c2 = 0, c1 | b1 = 1, c2 | b2 = 1."""
-    _same_ambient(b1, b2)
-    if not join(b1, b2).is_one:
-        raise PreconditionFailed("normality witness needs b1 | b2 = 1")
-    n1 = complement_pieces(b1)
-    n2 = complement_pieces(b2)
-    c1 = _piece_cover(n1, _piece_coords(n2), b1.ambient)
-    c2 = _piece_cover(n2, _piece_coords(n1), b1.ambient)
-    if not meet(c1, c2).is_zero:
-        raise InvariantViolation("normality covers overlap")
-    if not join(c1, b1).is_one or not join(c2, b2).is_one:
-        raise InvariantViolation("normality cover misses its complement")
-    return c1, c2
-
-
-def strongly_normal_witness(
-    a: IntervalElement, b: IntervalElement
-) -> tuple[IntervalElement, IntervalElement]:
-    """x, y with a <= b | x, b <= a | y and x & y = 0."""
-    _same_ambient(a, b)
-    nx = difference_pieces(a, b)
-    ny = difference_pieces(b, a)
-    x = _piece_cover(nx, _piece_coords(ny), a.ambient)
-    y = _piece_cover(ny, _piece_coords(nx), a.ambient)
-    if not meet(x, y).is_zero:
-        raise InvariantViolation("strong normality covers overlap")
-    if not lattice_leq(a, join(b, x)) or not lattice_leq(b, join(a, y)):
-        raise InvariantViolation("strong normality cover misses its difference")
-    return x, y
 
 
 def finite_cover_decide(u: IntervalElement, family: Sequence[IntervalElement]) -> bool:

@@ -179,8 +179,7 @@ class LocatedPredicate:
     ``decide_fn`` is a raw gap oracle, and whoever supplies one promises:
     sound answers on strictly refining pairs, positivity upward closed, and
     every positive ball positive already on some strictly smaller ball.
-    ``spot_check_dichotomy`` samples these obligations; the monotonicity
-    content is exercised through the kernel's positivity checks.
+    The kernel's positivity checks exercise the monotonicity content.
 
     ``pos_exact``, when present, decides exactly whether the set meets the
     open ball; the dichotomy is then maximally informative (answers
@@ -551,22 +550,6 @@ def net_from_located(ambient: EpsilonNetFamily, P, eps: Fraction) -> tuple:
         raise PreconditionFailed("net precision must be positive")
     net = ambient.net(eps / 3)
     return tuple(compress(net, _cell_filter(P, net, eps / 3, 2 * eps / 3)))
-
-
-def spot_check_dichotomy(
-    P: LocatedPredicate, pairs: Sequence[tuple[FormalBall, FormalBall]]
-) -> list:
-    """Cross-query consistency on supplied chains: a pair answered POS_OUTER
-    must not be answered NOT_POS_INNER on any enclosing pair."""
-    violations = []
-    answers = [(i, o, P.decide(i, o)) for i, o in pairs]
-    for i1, o1, a1 in answers:
-        for i2, o2, a2 in answers:
-            if a1 is Decision.POS_OUTER and a2 is Decision.NOT_POS_INNER:
-                # outer of the positive pair inside the inner of the negative
-                if ball_lt(P.space, o1, i2) or o1 == i2:
-                    violations.append(((i1, o1), (i2, o2)))
-    return violations
 
 
 def image_located(

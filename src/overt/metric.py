@@ -30,7 +30,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from overt.errors import PreconditionFailed
 from overt.kernel import TOP, Base
@@ -267,76 +267,6 @@ def distance_below(space: MetricSpace, x, y, bound: Fraction) -> Fraction:
         if hi < bound:
             return hi
         eps /= 4
-
-
-def refine_between(space: MetricSpace, a: FormalBall, b: FormalBall) -> FormalBall:
-    """A ball c with a < c < b, centered like b with the midpoint margin."""
-    if not ball_lt(space, a, b):
-        raise PreconditionFailed("refine_between needs ball_lt(a, b)")
-    gap = b.radius - a.radius
-    slack = gap - distance_below(space, a.center, b.center, gap)
-    return FormalBall(b.center, b.radius - slack / 2)
-
-
-# ---------------------------------------------------------------------------
-# Finite Cauchy-filter stages.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CauchyFilterStage:
-    """Finite strictly-refining chain of balls, coarsest first."""
-
-    chain: tuple[FormalBall, ...]
-
-    @property
-    def last(self) -> FormalBall:
-        return self.chain[-1]
-
-
-def make_stage(space: MetricSpace, balls: Sequence[FormalBall]) -> CauchyFilterStage:
-    balls = tuple(balls)
-    if not balls:
-        raise PreconditionFailed("a filter stage needs at least one ball")
-    for a, b in zip(balls[1:], balls):
-        if not ball_lt(space, a, b):
-            raise PreconditionFailed("stage chain must strictly refine")
-    return CauchyFilterStage(balls)
-
-
-def filter_stage_refine(
-    space: MetricSpace,
-    stage: CauchyFilterStage,
-    target_precision: Fraction,
-    chooser: Callable[[FormalBall, Fraction], object],
-) -> CauchyFilterStage:
-    """Extend the chain until its last radius is at most the target.
-
-    The chooser proposes, for a ball and a tolerance, a point within that
-    tolerance of the ball's center; the proposal is checked with
-    ``compare_distance`` and rejected if it lies farther.
-    """
-    target = Fraction(target_precision)
-    if target <= 0:
-        raise PreconditionFailed("target precision must be positive")
-    chain = list(stage.chain)
-    while chain[-1].radius > target:
-        cur = chain[-1]
-        new_radius = max(cur.radius / 2, target)
-        tol = min(new_radius, cur.radius - new_radius) / 4
-        y = chooser(cur, tol)
-        if space.compare_distance(cur.center, y, tol) > 0:
-            raise PreconditionFailed("chooser returned an uncertifiable point")
-        nxt = FormalBall(y, new_radius)
-        if not ball_lt(space, nxt, cur):
-            raise PreconditionFailed("chooser point does not refine the stage")
-        chain.append(nxt)
-    return CauchyFilterStage(tuple(chain))
-
-
-def center_chooser(ball: FormalBall, tol: Fraction):
-    """The trivial chooser: reuse the ball's own center."""
-    return ball.center
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,6 @@ from overt.rationals import Cursor
 Node = tuple[int, ...]
 
 
-class PrefixTooShort(PreconditionFailed):
-    pass
-
-
 def format_node(node: Node) -> str:
     if not node:
         return "()"
@@ -309,15 +305,3 @@ def closed_from_open_pos(
         return Positivity.UNKNOWN_BEYOND_HORIZON
     return Positivity.NOT_POSITIVE
 
-
-# ---------------------------------------------------------------------------
-# The sequence-space metric at dyadic scales.
-# ---------------------------------------------------------------------------
-
-
-def baire_ball(prefix_a: Sequence[int], prefix_b: Sequence[int], n: int) -> bool:
-    """d(a, b) < 2**-n: agreement on all indices up to n."""
-    a, b = tuple(prefix_a), tuple(prefix_b)
-    if len(a) <= n or len(b) <= n:
-        raise PrefixTooShort(f"prefixes must be longer than {n}")
-    return a[: n + 1] == b[: n + 1]

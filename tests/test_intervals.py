@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import sweep_cover_oracle
-from overt.errors import AmbientMismatch, PreconditionFailed
+from overt.errors import AmbientMismatch
 from overt.intervals import (
     IntervalElement,
     finite_cover_decide,
@@ -13,9 +13,7 @@ from overt.intervals import (
     join_all,
     lattice_leq,
     meet,
-    normality_witness,
     parse_element,
-    strongly_normal_witness,
     well_inside,
 )
 
@@ -116,63 +114,6 @@ class TestWellInside:
             u, v, w = rand_elt(rng), rand_elt(rng), rand_elt(rng)
             if well_inside(u, v) is not None and lattice_leq(v, w):
                 assert well_inside(u, w) is not None
-
-
-class TestNormality:
-    def test_pinned_example(self):
-        b1, b2 = elt((-1, F(3, 5))), elt((F(2, 5), 2))
-        c1, c2 = normality_witness(b1, b2)
-        assert c1 == elt((F(11, 20), 2))
-        assert c2 == elt((-1, F(9, 20)))
-
-    def test_trivial_top_bottom(self):
-        one, zero = IntervalElement.one(AMB), IntervalElement.zero(AMB)
-        assert normality_witness(one, zero) == (zero, one)
-        assert normality_witness(one, one) == (zero, zero)
-
-    def test_precondition(self):
-        with pytest.raises(PreconditionFailed):
-            normality_witness(elt((0, 1)), elt((1, 2)))
-
-    def test_random_equations(self):
-        rng = random.Random(11)
-        n = 0
-        while n < 120:
-            b1, b2 = rand_elt(rng), rand_elt(rng)
-            if not join(b1, b2).is_one:
-                continue
-            n += 1
-            c1, c2 = normality_witness(b1, b2)
-            assert meet(c1, c2).is_zero
-            assert join(c1, b1).is_one
-            assert join(c2, b2).is_one
-
-
-class TestStrongNormality:
-    def test_random_equations(self):
-        rng = random.Random(13)
-        for _ in range(200):
-            a, b = rand_elt(rng), rand_elt(rng)
-            x, y = strongly_normal_witness(a, b)
-            assert meet(x, y).is_zero
-            assert lattice_leq(a, join(b, x))
-            assert lattice_leq(b, join(a, y))
-
-    def test_yields_normality(self):
-        # The strongly-normal witnesses for a covering pair are normality
-        # witnesses after swapping sides.
-        rng = random.Random(17)
-        n = 0
-        while n < 60:
-            b1, b2 = rand_elt(rng), rand_elt(rng)
-            if not join(b1, b2).is_one:
-                continue
-            n += 1
-            x, y = strongly_normal_witness(b1, b2)
-            c1, c2 = y, x
-            assert meet(c1, c2).is_zero
-            assert join(c1, b1).is_one
-            assert join(c2, b2).is_one
 
 
 class TestFiniteCover:

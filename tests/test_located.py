@@ -37,7 +37,6 @@ from overt.located import (
     predicate_from_net,
     promote_to_plane,
     segment_set,
-    spot_check_dichotomy,
     tvd_check,
     union_located,
 )
@@ -303,24 +302,6 @@ class TestHausdorff:
 
 
 class TestDichotomyAdapters:
-    def test_spot_check_consistent_builtin(self):
-        P = predicate_from_net(interval_set(0, 1))
-        pairs = []
-        for k in range(1, 6):
-            pairs.append((B(F(1, 2**k), F(3, 2)), B(F(2, 2**k), F(3, 2))))
-        assert spot_check_dichotomy(P, pairs) == []
-
-    def test_spot_check_catches_violation(self):
-        # positive deep inside, negative on an enclosing pair
-        def raw(inner, outer):
-            if outer.radius <= F(1, 4):
-                return Decision.POS_OUTER
-            return Decision.NOT_POS_INNER
-
-        P = LocatedPredicate(LINE, raw, name="small-positive")
-        pairs = [(B(F(1, 8), 0), B(F(1, 4), 0)), (B(F(1, 2), 0), B(F(1), 0))]
-        assert spot_check_dichotomy(P, pairs)
-
     def test_constant_positive_mon(self):
         base = metric.completion_base(LINE, 10)
         raw = LocatedPredicate(LINE, lambda i, o: Decision.POS_OUTER, name="always")

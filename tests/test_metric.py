@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from overt import kernel
-from overt.errors import PreconditionFailed
 from overt.metric import (
     BallBase,
     FormalBall,
@@ -15,13 +14,10 @@ from overt.metric import (
     RationalLine,
     ball_leq,
     ball_lt,
-    center_chooser,
     completion_base,
-    filter_stage_refine,
+    distance_below,
     format_ball,
-    make_stage,
     parse_ball,
-    refine_between,
 )
 
 LINE = RationalLine()
@@ -185,88 +181,15 @@ class TestPlaneSpaces:
         assert not ball_lt(p, a, c)
 
 
-class TestRefineBetween:
-    def test_concentric_midpoint(self):
-        assert refine_between(LINE, B(1, 0), B(3, 0)) == B(2, 0)
-
-    def test_pinned_example(self):
-        c = refine_between(LINE, B(F(1, 2), 0), B(3, 1))
-        assert c == FormalBall(F(1), F(9, 4))
-        assert ball_lt(LINE, B(F(1, 2), 0), c)
-        assert ball_lt(LINE, c, B(3, 1))
-
-    def test_precondition(self):
-        with pytest.raises(PreconditionFailed):
-            refine_between(LINE, B(3, 0), B(1, 0))
-
-    def test_strict_interpolation_sampled(self):
-        rng = random.Random(9)
-        for _ in range(200):
-            a = B(F(rng.randint(1, 8), 8), F(rng.randint(-8, 8), 4))
-            b = B(F(rng.randint(1, 32), 8), F(rng.randint(-8, 8), 4))
-            if ball_lt(LINE, a, b):
-                c = refine_between(LINE, a, b)
-                assert ball_lt(LINE, a, c) and ball_lt(LINE, c, b)
-
-    def test_euclid_interpolation(self):
+class TestDistanceBelow:
+    def test_below_bound_and_above_distance(self):
         p = PlaneEuclid()
-        a = FormalBall((F(0), F(0)), F(1, 2))
-        b = FormalBall((F(1), F(1)), F(3))
-        c = refine_between(p, a, b)
-        assert ball_lt(p, a, c) and ball_lt(p, c, b)
-
-    def test_euclid_exact_slack(self):
-        # d = 5 is rational, so the slack is exact, as on the line: the gap
-        # 11/2 leaves 1/2, and the radius shrinks by half of it.
-        p = PlaneEuclid()
-        a = FormalBall((F(0), F(0)), F(1, 2))
-        b = FormalBall((F(3), F(4)), F(6))
-        assert refine_between(p, a, b) == FormalBall((F(3), F(4)), F(23, 4))
-
-
-class TestFilterStages:
-    def test_concentric_refinement(self):
-        stage = make_stage(LINE, [B(1, 0)])
-        out = filter_stage_refine(LINE, stage, F(1, 4), center_chooser)
-        assert out.last == B(F(1, 4), 0)
-        assert [b.radius for b in out.chain] == [F(1), F(1, 2), F(1, 4)]
-
-    def test_idempotent_at_target(self):
-        stage = make_stage(LINE, [B(F(1, 8), 0)])
-        out = filter_stage_refine(LINE, stage, F(1, 4), center_chooser)
-        assert out.chain == stage.chain
-
-    def test_sqrt2_convergents(self):
-        # Continued-fraction oracle for sqrt 2: convergents by recurrence.
-        convergents = [F(1), F(3, 2)]
-        while len(convergents) < 10:
-            p = convergents[-1]
-            convergents.append(1 + 1 / (1 + p))
-        assert F(577, 408) in convergents
-
-        def chooser(ball, tol):
-            for c in convergents:
-                if abs(c - ball.center) <= tol:
-                    return c
-            raise AssertionError("no convergent close enough")
-
-        stage = make_stage(LINE, [B(1, F(17, 12))])
-        out = filter_stage_refine(LINE, stage, F(1, 4), chooser)
-        assert out.last.radius <= F(1, 4)
-        # the last ball contains 577/408 and the true square root
-        assert abs(out.last.center - F(577, 408)) < out.last.radius
-        lo = out.last.center - out.last.radius
-        hi = out.last.center + out.last.radius
-        assert lo * lo < 2 < hi * hi
-
-    def test_uncertifiable_chooser_rejected(self):
-        stage = make_stage(LINE, [B(1, 0)])
-        with pytest.raises(PreconditionFailed):
-            filter_stage_refine(LINE, stage, F(1, 4), lambda ball, tol: ball.center + 1)
-
-    def test_chain_validation(self):
-        with pytest.raises(PreconditionFailed):
-            make_stage(LINE, [B(1, 0), B(1, 5)])
+        # Irrational: d = sqrt 2 < 2; the result is under 2 and bounds
+        # sqrt 2 from above, checked on squares.
+        v = distance_below(p, (F(0), F(0)), (F(1), F(1)), F(2))
+        assert v < 2 and v * v >= 2
+        # Rational: d = 5 is returned exactly.
+        assert distance_below(p, (F(0), F(0)), (F(3), F(4)), F(11, 2)) == 5
 
 
 class TestCompletionBase:

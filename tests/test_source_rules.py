@@ -1,8 +1,11 @@
-"""The library stays exact and stdlib-only.
+"""The library stays exact, stdlib-only and free of unused code.
 
 Every module of ``src/overt`` is parsed with ``ast``; none may hold a float
 literal, use the name ``float``, or import anything but the standard
-library and ``overt`` itself.
+library and ``overt`` itself.  Every public module-level function and class
+must be referenced outside its own definition by the library, the
+benchmark, the demos, the test oracles or the acceptance tests; unit tests
+do not count.
 """
 
 import ast
@@ -11,7 +14,22 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "overt").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "overt").glob("*.py"))
+CALLERS = [
+    *SOURCES,
+    *sorted((ROOT / "bench").glob("*.py")),
+    *sorted((ROOT / "demos").glob("*.py")),
+    ROOT / "tests" / "helpers.py",
+    ROOT / "tests" / "test_acceptance.py",
+]
+
+# Public names kept without a caller, each for a reason of its own.
+UNCALLED = (
+    ("kernel.check_positivity_axioms", "states the paper's two positivity axioms as a check"),
+    ("trees.parse_node", "reads trees.format_node's text syntax; tests round-trip the pair"),
+    ("vietoris.format_term", "writes vietoris.parse_term's text syntax; tests round-trip the pair"),
+)
 
 
 def violations(tree: ast.AST) -> list:
@@ -33,6 +51,39 @@ def violations(tree: ast.AST) -> list:
     return out
 
 
+def _defines(node: ast.AST) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+
+
+def unreferenced(sources: dict, callers: list) -> list:
+    """Public module-level functions and classes of the ``sources`` trees
+    (keyed by module) that no ``callers`` tree names outside the definition
+    itself.  A name counts as an ``ast.Name``, an ``ast.Attribute`` or a
+    string constant, since tracing code looks entry points up by string."""
+    public = {
+        node.name: module
+        for module, tree in sources.items()
+        for node in tree.body
+        if _defines(node) and not node.name.startswith("_")
+    }
+    used = set()
+    for tree in callers:
+        for stmt in tree.body:
+            own = stmt.name if _defines(stmt) else None
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return sorted(f"{public[name]}.{name}" for name in public.keys() - used)
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "metric.py", "located.py"}
 
@@ -47,3 +98,21 @@ def test_rules_catch_violations():
     assert len(violations(ast.parse(bad))) == 4
     good = "from __future__ import annotations\nimport math\nfrom overt.reals import sqrt_bounds\n"
     assert violations(ast.parse(good)) == []
+
+
+def test_no_unused_public_code():
+    sources = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    callers = [ast.parse(p.read_text(), filename=str(p)) for p in CALLERS]
+    assert unreferenced(sources, callers) == sorted(name for name, _ in UNCALLED)
+
+
+def test_unused_rule_catches_violations():
+    lib = ast.parse(
+        "def used(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "def traced(): pass\n"
+        "class Unused: pass\n"
+        "def _private(): pass\n"
+    )
+    caller = ast.parse("import lib\nlib.used()\nSPANNED = [('lib', None, 'traced')]\n")
+    assert unreferenced({"lib": lib}, [lib, caller]) == ["lib.Unused", "lib.recursive"]

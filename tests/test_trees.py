@@ -8,9 +8,7 @@ from helpers import spread_check_bfs
 from overt.errors import ParseError, PreconditionFailed
 from overt.trees import (
     Positivity,
-    PrefixTooShort,
     SpreadLaw,
-    baire_ball,
     check_spread_mon,
     closed_from_open_pos,
     format_node,
@@ -201,17 +199,6 @@ class TestClosedPositivity:
                         assert a is definite
                     elif a is not Positivity.UNKNOWN_BEYOND_HORIZON:
                         definite = a
-
-
-class TestBaireBall:
-    def test_agreement(self):
-        assert baire_ball((0, 1, 2, 5), (0, 1, 3, 5), 1)
-        assert not baire_ball((0, 1, 2, 5), (0, 1, 3, 5), 2)
-        assert baire_ball((4, 4, 4), (4, 4, 4), 2)
-
-    def test_too_short(self):
-        with pytest.raises(PrefixTooShort):
-            baire_ball((0, 1), (0, 1), 2)
 
 
 class TestNodeSyntax:

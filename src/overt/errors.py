@@ -25,6 +25,5 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
-        self.message = message
         self.offset = offset
 

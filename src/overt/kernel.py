@@ -19,14 +19,16 @@ closed sublocale determined by W means covering u by V together with W, so
 the search simply enlarges the target.
 
 The search returns ``None`` (Unknown) when no derivation is found within
-the depth bound; Unknown is never a refutation.  It deepens iteratively
-and keeps one record per element, for the one call only: the shallowest
-derivation found so far, the highest depth that failed, the leaf
-derivation and the candidate instances.  A visit costs one dictionary
-lookup, or none once a ``tra`` loop holds the member's record; the leaf
-rules, which do not depend on the depth, are judged once per element, and
-the instances are built once.  Every returned derivation
-passes :func:`check_derivation`, which is written independently of the
+the depth bound; Unknown is never a refutation.  It keeps one record per
+element, for the one call only: the element's derivation of least depth
+once found, else the highest depth at which it has none, and its
+candidate instances.  Each element deepens on its own, one depth at a
+time and only as far as a search asks, so every derivation found is of
+least depth.  A visit costs one dictionary lookup, or none once a ``tra``
+loop holds the member's record; the leaf rules, which do not depend on
+the depth, are judged once per element, when its record is made, and the
+instances are built once.  Every returned derivation passes
+:func:`check_derivation`, which is written independently of the
 search and validates each node locally.
 """
 
@@ -343,25 +345,22 @@ class FormalRealsBase(Base):
 # ---------------------------------------------------------------------------
 
 
-_UNJUDGED = object()
-
-
 class _Record:
-    """What one search knows of one element: its shallowest derivation found
-    so far with that derivation's tree depth, the highest depth at which it
-    failed, its leaf derivation (``_UNJUDGED`` until the leaf rules are
-    asked, then a derivation or None), and its non-empty candidate
+    """What one search knows of one element.  A found record holds a
+    derivation, ``found``, whose least depth is ``found_depth``; an open
+    record has no derivation within ``failed_at``.  The leaf rules are
+    judged when the record is made, so an open record starts at
+    ``failed_at`` 1.  ``instances`` are the element's non-empty candidate
     instances, each as ``[axiom, family, member records]``, the records
     filled in as the ``tra`` loop first reaches each member."""
 
-    __slots__ = ("element", "found", "found_depth", "failed_at", "leaf", "instances")
+    __slots__ = ("element", "found", "found_depth", "failed_at", "instances")
 
     def __init__(self, element):
         self.element = element
         self.found = None
-        self.found_depth = 0
-        self.failed_at = 0
-        self.leaf = _UNJUDGED
+        self.found_depth = 1
+        self.failed_at = 1
         self.instances = None
 
 
@@ -377,17 +376,14 @@ class _Searcher:
         rec = self.records.get(u)
         if rec is None:
             rec = self.records[u] = _Record(u)
+            rec.found = self._leaf(rec)
         return rec
 
     def deepen(self, u, depth: int) -> Optional[Derivation]:
-        """Iterative deepening: found derivations stay as shallow as
-        possible; success at a depth implies success at every larger depth."""
+        """A derivation of least depth within the depth, or None."""
         rec = self._record(u)
         try:
-            for d in range(1, max(0, depth) + 1):
-                if self._search(rec, d):
-                    return rec.found
-            return None
+            return rec.found if self._search(rec, depth) else None
         finally:
             # Instances hold their members' records, and a family may hold
             # its own element, so the records form cycles: cut them, or
@@ -397,35 +393,27 @@ class _Searcher:
 
     def _search(self, rec: _Record, depth: int) -> bool:
         """Whether the element has a derivation within the depth; when it
-        has, ``rec.found`` holds one."""
-        if rec.found is not None and rec.found_depth <= depth:
-            return True
-        if rec.failed_at >= depth:
-            return False
-        if rec.leaf is _UNJUDGED:
-            rec.leaf = self._leaf(rec)
-        if rec.leaf is not None:
-            rec.found, rec.found_depth = rec.leaf, 1
-            return True
-        if depth > 1:
+        has, ``rec.found`` holds one of least depth.  An open record tries
+        one depth after another, so the first success is at its least
+        depth.  A search at depth d that reaches the element again asks
+        for at most d - 1, its ``failed_at``, and is answered at once."""
+        if rec.found is not None:
+            return rec.found_depth <= depth
+        while rec.failed_at < depth:
+            d = rec.failed_at + 1
             for axiom, family, members in rec.instances:
-                # A later member's search may replace an earlier member's
-                # derivation by a shallower one, so each is taken as found.
-                subs, sub_depth = [], 0
                 for i, f in enumerate(family):
                     if i == len(members):
                         members.append(self._record(f))
-                    m = members[i]
-                    if not self._search(m, depth - 1):
+                    if not self._search(members[i], d - 1):
                         break
-                    subs.append(m.found)
-                    sub_depth = max(sub_depth, m.found_depth)
                 else:
                     head = Derivation(axiom, rec.element, witness=tuple(family))
+                    subs = (m.found for m in members)
                     rec.found = Derivation("tra", rec.element, premises=(head, *subs))
-                    rec.found_depth = 1 + sub_depth
+                    rec.found_depth = d
                     return True
-        rec.failed_at = depth  # it was lower, or the search returned above
+            rec.failed_at = d
         return False
 
     def _leaf(self, rec: _Record) -> Optional[Derivation]:
@@ -452,10 +440,10 @@ class _Searcher:
         return None
 
 
-# The deepest search asked for.  Deepening runs once per unit of depth,
-# and the search recurses once per level, so a larger depth could run for
-# hours or exhaust the interpreter's stack; at this cap every ``cover``
-# space answers in under a second at the default budget.
+# The deepest search asked for.  Each element deepens one unit of depth
+# at a time and the search recurses once per level, so a larger depth
+# could run for hours or exhaust the interpreter's stack; at this cap every
+# ``cover`` space answers in under a second at the default budget.
 MAX_DEPTH = 256
 
 
@@ -467,9 +455,9 @@ def _check_depth(depth: int) -> None:
 def derive_cover(base: Base, u, family, depth: int, budget: int = 4) -> Optional[Derivation]:
     """Search for a derivation of ``u below family``; None means Unknown.
 
-    Iterative deepening keeps found derivations as shallow as possible;
-    success at a depth implies success at every larger depth.  A depth
-    over ``MAX_DEPTH`` is refused before any search.
+    A derivation found is of least depth, so success at a depth implies
+    success at every larger depth.  A depth over ``MAX_DEPTH`` is refused
+    before any search.
     """
     _check_depth(depth)
     return _Searcher(base, as_target(family), budget, None).deepen(u, depth)

@@ -1289,7 +1289,6 @@ class TvdReport:
     sublocale.  A None entry is Unknown, never a refutation.
     """
 
-    open_family: tuple
     cover_derivation: Optional[Derivation]
     sample_results: tuple
 
@@ -1332,4 +1331,4 @@ def tvd_check(P: LocatedPredicate, Z: Sequence[FormalBall], depth: int, budget: 
         (u, sublocale_cover(base, subl, u, EltSet(listed=Z), depth, budget=budget))
         for u in sampled
     )
-    return TvdReport(Z, cover, results)
+    return TvdReport(cover, results)

@@ -100,7 +100,6 @@ class SpreadViolation:
 class SpreadReport:
     law: str
     depth: int
-    branch_budget: int
     checked: int
     violations: list
 
@@ -138,7 +137,7 @@ def check_spread_mon(law: SpreadLaw, depth: int, branch_budget: int) -> SpreadRe
                 f"a spread check to depth {depth} with {budget} children per node "
                 f"may check more than the cap of {MAX_SPREAD_NODES} nodes"
             )
-    report = SpreadReport(law.name, depth, branch_budget, 0, [])
+    report = SpreadReport(law.name, depth, 0, [])
     if not law.admits(()):
         report.violations.append(SpreadViolation((), "root not admitted"))
         return report
@@ -181,13 +180,12 @@ class RemovalSet:
     """Decidable set of removed nodes; removing a node removes its subtree.
 
     ``arity`` bounds the branching of the ambient tree (None for sequence
-    spaces); ``depth_bound`` is the deepest removal when known.
+    spaces).
     """
 
     name: str
     removed_at: Callable[[Node], bool]
     arity: Optional[int] = None
-    depth_bound: Optional[int] = None
 
     def removed(self, node: Node) -> bool:
         return any(self.removed_at(node[:k]) for k in range(len(node) + 1))
@@ -195,10 +193,7 @@ class RemovalSet:
 
 def removal_from_nodes(nodes: Sequence[Node], arity: Optional[int] = None) -> RemovalSet:
     listed = frozenset(tuple(n) for n in nodes)
-    bound = max((len(n) for n in listed), default=0)
-    return RemovalSet(
-        "nodes", lambda node: node in listed, arity=arity, depth_bound=bound
-    )
+    return RemovalSet("nodes", lambda node: node in listed, arity=arity)
 
 
 def zero_pair_removals(alpha: Sequence[int]) -> RemovalSet:
@@ -214,7 +209,7 @@ def zero_pair_removals(alpha: Sequence[int]) -> RemovalSet:
             and bits[node[1]] == 0
         )
 
-    return RemovalSet("alpha-pair", removed_at, arity=None, depth_bound=2)
+    return RemovalSet("alpha-pair", removed_at)
 
 
 def zero_run_removals(alpha: Sequence[int]) -> RemovalSet:
@@ -229,7 +224,7 @@ def zero_run_removals(alpha: Sequence[int]) -> RemovalSet:
             and all(d == 0 for d in node)
         )
 
-    return RemovalSet("alpha-run", removed_at, arity=None, depth_bound=None)
+    return RemovalSet("alpha-run", removed_at)
 
 
 def parse_removal_spec(text: str) -> RemovalSet:

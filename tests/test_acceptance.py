@@ -16,10 +16,9 @@ from helpers import (
     finite_hausdorff_leq,
     sweep_cover_oracle,
 )
-from overt import kernel, located, metric, setspec, vietoris
+from overt import kernel, located, setspec
 from overt.intervals import IntervalElement, finite_cover_decide
 from overt.kernel import (
-    Derivation,
     EltSet,
     FormalRealsBase,
     PosClosedSub,

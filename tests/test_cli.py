@@ -282,8 +282,8 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
 
     def test_depth_cap(self, capsys):
-        # Deepening runs once per unit of depth; a depth over the cap is
-        # refused before any search, so even ten digits answer at once.
+        # Each element deepens one unit of depth at a time; a depth over the
+        # cap is refused before any search, so even ten digits answer at once.
         argv = ["cover", "--space=reals", "--target=(0,1)", "--family=(0,1/2);(1/2,1)"]
         start = time.perf_counter()
         code, out, err = run(capsys, *argv, "--depth=9999999999")

@@ -2,10 +2,6 @@ import gc
 import random
 from fractions import Fraction as F
 
-import pytest
-
-from overt import kernel
-from overt.errors import PreconditionFailed
 from overt.kernel import (
     TOP,
     ClosedSub,

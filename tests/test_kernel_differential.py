@@ -10,12 +10,13 @@ return identical derivations.
 The search itself, with its per-element records, is checked against
 ``helpers.derivable_within``, plain recursion over the candidate families:
 it answers Unknown exactly when the oracle finds no derivation within the
-depth, and otherwise returns a checked derivation of the least depth.
+depth, and otherwise returns a checked derivation of the least depth, in
+which every member premise of a ``tra`` node is of its own least depth.
 """
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import derivable_within, least_derivation_depth, points_within
@@ -214,6 +215,44 @@ def test_reals_search_matches_oracle(judgment, depth, budget):
 @given(segment_judgments(), st.integers(1, 3), st.integers(1, 3))
 def test_segment_search_matches_oracle(judgment, depth, budget):
     assert_search_matches_oracle(*judgment, depth, budget)
+
+
+def assert_subderivations_least(base, u, family, depth, budget):
+    """The root of a returned derivation, and every member premise of each
+    of its ``tra`` nodes, is of its element's least depth for the target;
+    a ``tra`` head is an axiom node and is not checked."""
+    d = derive_cover(base, u, family, depth, budget=budget)
+    if d is None:
+        return
+    target = as_target(family)
+    checked = [d] + [sub for node in d.nodes() if node.rule == "tra" for sub in node.premises[1:]]
+    least = {}
+    for node in checked:
+        if node.element not in least:
+            least[node.element] = least_derivation_depth(base, node.element, target, depth, budget)
+        assert node.tree_depth() == least[node.element]
+
+
+@ORACLE_SETTINGS
+@given(reals_judgments(), st.integers(1, 4), st.sampled_from([2, 4]))
+def test_reals_subderivations_least(judgment, depth, budget):
+    assert_subderivations_least(*judgment, depth, budget)
+
+
+# B(1/2; 1/8) has a derivation of depth 2, but a search that meets it
+# first with depth 3 left, under B(3/4; 0), finds one of depth 3 first.
+SEGMENT_MEMBER_CASE = (
+    BallBase(LineSegment(F(0), F(1)), 9),
+    FormalBall(F(0), F(3, 4)),
+    [FormalBall(F(1, 4), F(1, 8)), FormalBall(F(7, 8), F(3, 8)), FormalBall(F(1, 8), F(1, 4))],
+)
+
+
+@ORACLE_SETTINGS
+@given(segment_judgments(), st.integers(1, 3), st.integers(1, 3))
+@example(SEGMENT_MEMBER_CASE, 4, 3)
+def test_segment_subderivations_least(judgment, depth, budget):
+    assert_subderivations_least(*judgment, depth, budget)
 
 
 def tvd_oracle(P, Z, depth, budget) -> str:

@@ -6,7 +6,6 @@ import pytest
 from helpers import (
     cantor_oracle_distance,
     cantor_oracle_sup_distance,
-    finite_hausdorff_1d,
     finite_hausdorff_leq,
 )
 from overt import kernel, located, metric

@@ -6,7 +6,6 @@ import pytest
 
 from overt import kernel
 from overt.metric import (
-    BallBase,
     FormalBall,
     LineSegment,
     PlaneEuclid,

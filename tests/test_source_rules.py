@@ -5,7 +5,8 @@ literal, use the name ``float``, or import anything but the standard
 library and ``overt`` itself.  Every public module-level function and class
 must be referenced outside its own definition by the library, the
 benchmark, the demos, the test oracles or the acceptance tests; unit tests
-do not count.
+do not count.  Every name imported by a module of the library, the tests
+or the demos must be used in that module.
 """
 
 import ast
@@ -22,6 +23,11 @@ CALLERS = [
     *sorted((ROOT / "demos").glob("*.py")),
     ROOT / "tests" / "helpers.py",
     ROOT / "tests" / "test_acceptance.py",
+]
+IMPORTERS = [
+    *SOURCES,
+    *sorted((ROOT / "tests").glob("*.py")),
+    *sorted((ROOT / "demos").glob("*.py")),
 ]
 
 # Public names kept without a caller, each for a reason of its own.
@@ -84,6 +90,26 @@ def unreferenced(sources: dict, callers: list) -> list:
     return sorted(f"{public[name]}.{name}" for name in public.keys() - used)
 
 
+def unused_imports(tree: ast.AST) -> list:
+    """Names an import binds that the module never loads; a name listed in
+    ``__all__`` counts as used."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported.setdefault(a.asname or a.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported.setdefault(a.asname or a.name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            used.update(c.value for c in ast.walk(stmt.value) if isinstance(c, ast.Constant))
+    return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "metric.py", "located.py"}
 
@@ -116,3 +142,22 @@ def test_unused_rule_catches_violations():
     )
     caller = ast.parse("import lib\nlib.used()\nSPANNED = [('lib', None, 'traced')]\n")
     assert unreferenced({"lib": lib}, [lib, caller]) == ["lib.Unused", "lib.recursive"]
+
+
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_unused_imports_rule_catches_violations():
+    bad = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import random as rnd\n"
+        "from fractions import Fraction\n"
+        "from overt import kernel, located\n"
+        "from overt.errors import PreconditionFailed\n"
+        "__all__ = ['PreconditionFailed']\n"
+        "x = os.path.join(kernel.TOP)\n"
+    )
+    assert unused_imports(bad) == ["line 3: rnd", "line 4: Fraction", "line 5: located"]

@@ -2,7 +2,9 @@
 
 The table spans the three cover spaces of the CLI (``reals``, ``loc:q``,
 ``loc:seg``), judgments that are derived, semantically false, or true but
-out of reach, and depths 1 to 5.  ``goldens/covers.txt`` holds each command
+out of reach, depths 1 to 12 and one Unknown search at depth 40.  Rows with
+denominators 3, 5 and 7, a segment with non-dyadic ends and ``loc:q`` at
+budget 8 pin the exact arithmetic of the search and of the ball families.  ``goldens/covers.txt`` holds each command
 after ``$ overt`` and then its standard output; the rendering must match it
 byte for byte, so any change in rule order, instance order or depth shows.
 """
@@ -55,6 +57,22 @@ TABLE = [
     # at depth 5, and gives the second a different derivation.
     ("loc:seg:-1,1", "B(1;1/4)", "B(5/8;0)", 5, 3),
     ("loc:seg:-1,1", "B(7/8;-1/2)", "B(1;0);B(5/8;5/8)", 4, 3),
+    # Non-dyadic ends, deeper searches and a larger point budget.
+    ("reals", "(0,1)", "(0,2/7);(1/5,3/7);(1/3,5/7);(3/5,6/7);(5/7,1)", 6, 4),
+    ("reals", "(-1/3,2)", "(-1/3,1/5);(1/7,4/5);(2/3,3/2);(10/7,2)", 7, 4),
+    ("reals", "(0,1)", "(0,1/3);(1/3,2/3);(3/5,1)", 8, 4),
+    ("reals", "(1/7,6/7)", "(0,1/3);(2/7,4/7);(1/2,5/7);(2/3,1)", 9, 3),
+    ("reals", "(0,3)", "(-1/5,1/3);(1/5,4/3);(6/5,12/7);(5/3,7/3);(16/7,16/5)", 10, 4),
+    ("reals", "(0,2)", "(0,2/3);(3/5,6/5);(6/5,2)", 11, 4),
+    ("reals", "(-2/3,1/5)", "(-1,-2/7);(-3/7,0);(-1/7,1/3)", 12, 2),
+    ("reals", "(0,3)", "(0,1/3);(1/5,1);(1,3)", 40, 4),
+    ("loc:seg:-1/3,2/5", "top", "B(1/4;-1/3);B(1/4;0);B(1/4;1/3)", 3, 4),
+    ("loc:seg:-1/3,2/5", "top", "B(1/5;-1/3);B(1/5;2/5)", 4, 4),
+    ("loc:seg:-1/3,2/5", "B(1/3;0)", "B(1/4;-1/7);B(1/4;1/7)", 3, 4),
+    ("loc:seg:-1/3,2/5", "B(2/7;1/5)", "B(1/3;-1/5)", 3, 5),
+    ("loc:q", "B(1;0)", "B(3/4;-1/3);B(3/4;1/3)", 2, 8),
+    ("loc:q", "B(1;1/3)", "B(1/5;3)", 3, 8),
+    ("loc:q", "B(2/3;-1/5)", "B(1/2;-1/2);B(1/2;1/7)", 3, 8),
 ]
 
 
@@ -84,6 +102,6 @@ def test_table_spans_spaces_depths_and_verdicts():
     outputs = text.splitlines()[1::2]
     assert len(outputs) == len(TABLE)
     assert {row[0][:7] for row in TABLE} == {"reals", "loc:q", "loc:seg"}
-    assert {row[3] for row in TABLE} == {1, 2, 3, 4, 5}
+    assert {row[3] for row in TABLE} == set(range(1, 13)) | {40}
     derived = [o for o in outputs if o != "unknown"]
     assert len(derived) > len(TABLE) // 2 and "unknown" in outputs

@@ -19,7 +19,10 @@ closed sublocale determined by W means covering u by V together with W, so
 the search simply enlarges the target.
 
 The search returns ``None`` (Unknown) when no derivation is found within
-the depth bound; Unknown is never a refutation.  It keeps one record per
+the depth bound; Unknown is never a refutation.  On the formal reals it runs
+on an integer view of the base: every endpoint is an integer over one scale
+fixed before the search, and the derivation found is decoded to rationals
+once, at the end.  It keeps one record per
 element, for the one call only: the element's derivation of least depth
 once found, else the highest depth at which it has none, and its
 candidate instances.  Each element deepens on its own, one depth at a
@@ -34,12 +37,14 @@ search and validates each node locally.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from overt.errors import PreconditionFailed
+from overt.errors import InvariantViolation, PreconditionFailed
 from overt.rationals import Cursor, format_rational
 
 
@@ -238,6 +243,10 @@ class FormalRealsBase(Base):
 
     With a declared ambient interval the base also carries a synthetic top
     covered by the ambient interval.
+
+    A search on this base runs on its integer view (``_IntegerReals``): the
+    same splits over integer endpoints, so that no ``Fraction`` is hashed or
+    compared while it runs.
     """
 
     name = "reals"
@@ -306,19 +315,7 @@ class FormalRealsBase(Base):
         if u is TOP:
             return self.axiom_instances(u, budget)
         p, s = u
-        pool = {p, s, p + (s - p) / 2}
-        for e in target.listed:
-            if e is not TOP:
-                pool.add(e[0])
-                pool.add(e[1])
-        for h in target.hint_values():
-            if isinstance(h, Fraction) or isinstance(h, int):
-                pool.add(Fraction(h))
-        points = sorted(x for x in pool if p <= x <= s)
-        # The points are distinct, so each pair q < r is a new family.
-        return [
-            ("split", ((p, r), (q, s))) for i, q in enumerate(points) for r in points[i + 1 :]
-        ]
+        return _splits(p, s, p + (s - p) / 2, sorted(set(_pool_values(target))))
 
     def sample_elements(self, rng: random.Random, count: int) -> list:
         lo, hi = self.ambient if self.ambient is not None else (Fraction(-4), Fraction(4))
@@ -338,6 +335,103 @@ class FormalRealsBase(Base):
 
     def read_element(self, cur: Cursor):
         return TOP if cur.match("top") else cur.interval()
+
+
+def _pool_values(target: EltSet) -> list:
+    """The endpoints of the target's listed intervals and its rational hints,
+    the split points a search on the reals may use besides midpoints."""
+    pool = [x for e in target.listed if e is not TOP for x in e]
+    pool.extend(Fraction(h) for h in target.hint_values() if isinstance(h, (Fraction, int)))
+    return pool
+
+
+def _splits(p, s, mid, pool: list) -> list[tuple[str, tuple]]:
+    """The splits ((p, r), (q, s)) of (p, s) for q < r among p, s, the
+    midpoint and the points of the sorted pool strictly between p and s, in
+    increasing order of q, then of r.  The points are distinct, so each pair
+    is a new family."""
+    inner = pool[bisect_right(pool, p) : bisect_left(pool, s)]
+    i = bisect_left(inner, mid)
+    if i == len(inner) or inner[i] != mid:
+        inner.insert(i, mid)
+    points = [p, *inner, s]
+    return [
+        ("split", ((p, r), (q, s))) for i, q in enumerate(points) for r in points[i + 1 :]
+    ]
+
+
+class _IntegerReals(FormalRealsBase):
+    """The formal reals of one search over integer endpoints: the element
+    (p, s) is (p*S, s*S) for the scale S, the lcm of the denominators of the
+    root, the listed endpoints, the hints and the ambient, times
+    2**(depth + 1).  An element k splits below the root has its endpoints in
+    (1/(L*2**k))Z, and only k <= depth - 1 gets a record, so every midpoint
+    the search takes is an exact halving.  The split points of the target
+    are sorted once, when the view is made.  Predicates see decoded
+    elements; ``decode_derivation`` turns the derivation found back into
+    rationals.  The view keeps no target, so a search leaves no cycle."""
+
+    def __init__(self, base: FormalRealsBase, u, target: EltSet, depth: int):
+        pool = _pool_values(target)
+        ends = [*pool, *(() if u is TOP else u), *(base.ambient or ())]
+        self.scale = math.lcm(*(Fraction(x).denominator for x in ends)) << (max(depth, 0) + 1)
+        self.ambient = None if base.ambient is None else self.encode(base.ambient)
+        self._pool = sorted({self._int(x) for x in pool})
+        self._decoded: dict = {}
+
+    def _int(self, x) -> int:
+        x = Fraction(x)
+        return x.numerator * (self.scale // x.denominator)
+
+    def encode(self, e):
+        return e if e is TOP else (self._int(e[0]), self._int(e[1]))
+
+    def decode(self, e):
+        if e is TOP:
+            return TOP
+        out = self._decoded.get(e)
+        if out is None:
+            out = self._decoded[e] = (Fraction(e[0], self.scale), Fraction(e[1], self.scale))
+        return out
+
+    def decoding(self, pred: SetPredicate) -> SetPredicate:
+        """The predicate on encoded elements."""
+        return SetPredicate(pred.name, _on_decoded(pred.fn, self.decode))
+
+    def encode_target(self, target: EltSet) -> EltSet:
+        return EltSet(map(self.encode, target.listed), map(self.decoding, target.predicates))
+
+    def candidate_instances(self, u, budget: int, target: EltSet) -> list[tuple[str, tuple]]:
+        if u is TOP:
+            return self.axiom_instances(u, budget)
+        p, s = u
+        if (p + s) & 1:
+            raise InvariantViolation(f"the midpoint of ({p}, {s}) is off the scale {self.scale}")
+        return _splits(p, s, (p + s) >> 1, self._pool)
+
+    def decode_derivation(self, node: Derivation, done: dict) -> Derivation:
+        """The node over rationals, each shared node decoded once (``done``
+        maps a node's id to its decoding).  The rule says what a witness
+        is: an element for ``ext``, a family for an axiom leaf, which is
+        also what a ``tra`` node's head is."""
+        out = done.get(id(node))
+        if out is None:
+            rule, dec = node.rule, self.decode
+            if rule == "tra":
+                premises = tuple(self.decode_derivation(n, done) for n in node.premises)
+                out = Derivation(rule, dec(node.element), premises=premises)
+            elif rule == "ext":
+                out = Derivation(rule, dec(node.element), witness=dec(node.witness))
+            elif rule in ("ref", "poshyp"):
+                out = Derivation(rule, dec(node.element))
+            else:
+                out = Derivation(rule, dec(node.element), witness=tuple(map(dec, node.witness)))
+            done[id(node)] = out
+        return out
+
+
+def _on_decoded(fn: Callable[[object], bool], decode: Callable) -> Callable[[object], bool]:
+    return lambda e: fn(decode(e))
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +546,21 @@ def _check_depth(depth: int) -> None:
         raise PreconditionFailed(f"search depth {depth} exceeds the cap of {MAX_DEPTH}")
 
 
+def _least_derivation(
+    base: Base, u, target: EltSet, depth: int, budget: int, posclosed: Optional[PosClosedSub]
+) -> Optional[Derivation]:
+    """A derivation of least depth within the depth, or None; a search on
+    the formal reals runs on their integer view."""
+    if type(base) is not FormalRealsBase:
+        return _Searcher(base, target, budget, posclosed).deepen(u, depth)
+    view = _IntegerReals(base, u, target, depth)
+    if posclosed is not None:
+        posclosed = PosClosedSub(view.decoding(posclosed.pred))
+    searcher = _Searcher(view, view.encode_target(target), budget, posclosed)
+    found = searcher.deepen(view.encode(u), depth)
+    return None if found is None else view.decode_derivation(found, {})
+
+
 def derive_cover(base: Base, u, family, depth: int, budget: int = 4) -> Optional[Derivation]:
     """Search for a derivation of ``u below family``; None means Unknown.
 
@@ -460,7 +569,7 @@ def derive_cover(base: Base, u, family, depth: int, budget: int = 4) -> Optional
     before any search.
     """
     _check_depth(depth)
-    return _Searcher(base, as_target(family), budget, None).deepen(u, depth)
+    return _least_derivation(base, u, as_target(family), depth, budget, None)
 
 
 def sublocale_cover(
@@ -474,7 +583,7 @@ def sublocale_cover(
         target = target.extend(listed=spec.listed, predicates=spec.predicates)
         return derive_cover(base, u, target, depth, budget)
     if isinstance(spec, PosClosedSub):
-        return _Searcher(base, target, budget, spec).deepen(u, depth)
+        return _least_derivation(base, u, target, depth, budget, spec)
     if isinstance(spec, OpenSub):
         if depth <= 0:
             return None

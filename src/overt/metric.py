@@ -3,9 +3,11 @@
 A metric space here is a set of rational-coordinate points whose squared
 distance ``dist_sq(x, y)`` is an exact rational.  The rational line, its
 segments and the plane under the max metric and the Euclidean metric are
-all of this kind, so "is d(x, y) below t?" is decided exactly, on
-squares, by ``compare_distance``; a distance value itself, which may be
-irrational, is only ever bracketed (``distance_below``).
+all of this kind, so "is d(x, y) below t?" is decided exactly by
+``compare_distance``: on squares in the plane, and on the two line spaces
+in integers, by one cross-multiplication of numerators and denominators.
+A distance value itself, which may be irrational, is only ever bracketed
+(``distance_below``).
 
 Formal balls are pairs (center, positive radius).  The strict refinement
 ``ball_lt`` decides d(x, y) < s - r and the non-strict ``ball_leq``
@@ -20,12 +22,14 @@ derived from them live in the truncated presentation.  Segment spaces know
 when a uniform family is a genuinely complete cover (``m2_complete``), and
 ``CompleteUniformBase`` offers only those families, for consumers needing
 semantic ground truth.  A ball base holds at most ``MAX_BALL_POINTS``
-points.
+points; on the line spaces it keeps them sorted, as integers over their
+common denominator, and finds the points near a ball by two bisections.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -55,6 +59,15 @@ class FormalBall:
         if self.radius <= 0:
             raise PreconditionFailed(f"ball radius must be positive, got {self.radius}")
 
+    def __hash__(self):
+        # A search hashes a ball at every record lookup; hash its Fractions
+        # once.
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.center, self.radius)))
+            return self._hash
+
 
 def format_ball(b: FormalBall) -> str:
     if isinstance(b.center, tuple):
@@ -65,9 +78,13 @@ def format_ball(b: FormalBall) -> str:
 
 
 def read_ball(cur: Cursor) -> FormalBall:
-    """``B(r; x)`` or ``B(r; x, y)`` at the cursor."""
+    """``B(r; x)`` or ``B(r; x, y)`` at the cursor; a radius r <= 0 is
+    reported at its first byte."""
     cur.expect("B(")
+    at = cur.skip()
     radius = cur.rational()
+    if radius <= 0:
+        raise cur.error(f"ball radius must be positive, got {format_rational(radius)}", at)
     cur.expect(";")
     coords = cur.rational_list(most=2)
     cur.expect(")")
@@ -112,7 +129,23 @@ class MetricSpace:
         return False
 
 
-class RationalLine(MetricSpace):
+class _Line(MetricSpace):
+    """A set of rationals with |x - y|: the line and its segments."""
+
+    def dist_sq(self, x, y):
+        d = Fraction(x) - Fraction(y)
+        return d * d
+
+    def compare_distance(self, x, y, threshold: Fraction) -> int:
+        """Sign of |x - y| - t, in integers: |xn yd - yn xd| td against
+        tn xd yd.  A negative t is below every distance."""
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        d = abs(xn * yd - yn * xd) * threshold.denominator
+        t = threshold.numerator * xd * yd
+        return (d > t) - (d < t)
+
+
+class RationalLine(_Line):
     """All of the rationals with |x - y|, enumerated by dyadic zigzag."""
 
     name = "q"
@@ -134,12 +167,8 @@ class RationalLine(MetricSpace):
 
         return list(itertools.islice(points(), max(1, count)))
 
-    def dist_sq(self, x, y):
-        d = Fraction(x) - Fraction(y)
-        return d * d
 
-
-class LineSegment(MetricSpace):
+class LineSegment(_Line):
     """The rationals of a closed segment, enumerated by dyadic grid levels."""
 
     name = "segment"
@@ -185,10 +214,6 @@ class LineSegment(MetricSpace):
             abs(ball.center - self.lo) < ball.radius
             and abs(ball.center - self.hi) < ball.radius
         )
-
-    def dist_sq(self, x, y):
-        d = Fraction(x) - Fraction(y)
-        return d * d
 
 
 def _pair_enumeration(count: int) -> list:
@@ -311,11 +336,14 @@ class BallBase(Base):
         self._point_set = set(self.points)
         self.name = f"loc({space.name})"
         # On the builtin lines the points within r of c are an open range of
-        # the sorted points; other spaces are scanned with compare_distance.
+        # the sorted points, kept as integers over their common denominator;
+        # other spaces are scanned with compare_distance.
         self._line = None
         if type(space) in (RationalLine, LineSegment):
-            order = sorted(range(len(self.points)), key=self.points.__getitem__)
-            self._line = ([self.points[i] for i in order], order)
+            den = math.lcm(*(y.denominator for y in self.points))
+            ints = [y.numerator * (den // y.denominator) for y in self.points]
+            order = sorted(range(len(ints)), key=ints.__getitem__)
+            self._line = (den, [ints[i] for i in order], order)
         self._uniform: dict = {}  # k -> the balls of radius 2**-k, in listed order
 
     def top(self):
@@ -337,8 +365,12 @@ class BallBase(Base):
         if self._line is None:
             cmp = self.space.compare_distance
             return [i for i, y in enumerate(self.points) if cmp(y, c, r) < 0]
-        keys, order = self._line
-        return sorted(order[bisect_right(keys, c - r) : bisect_left(keys, c + r)])
+        # With keys y*D: c - r < y iff key > floor((c - r) D), and y < c + r
+        # iff key < ceil((c + r) D).
+        den, keys, order = self._line
+        cn, cd, rn, rd = c.numerator, c.denominator, r.numerator, r.denominator
+        lo, hi, q = (cn * rd - rn * cd) * den, (cn * rd + rn * cd) * den, cd * rd
+        return sorted(order[bisect_right(keys, lo // q) : bisect_left(keys, -(-hi // q))])
 
     def _shrink_family(self, u: FormalBall, k: int) -> tuple:
         margin = Fraction(1, 2**k)
@@ -445,11 +477,15 @@ class CompleteUniformBase(BallBase):
     ``m2loc`` for a ball, in order of k.  A derivation from these families
     is true of the space, never an artifact of the truncation."""
 
+    def __init__(self, space: MetricSpace, point_budget: int):
+        super().__init__(space, point_budget)
+        self._complete = [k for k in range(1, _MAX_SHRINK + 1) if self.m2_complete(k)]
+
     def axiom_instances(self, u, budget: int) -> list[tuple[str, tuple]]:
         axiom, ball = ("m2", None) if u is TOP else ("m2loc", u)
         out = []
-        for k in range(1, min(max(1, budget), _MAX_SHRINK) + 1):
-            fam = self._uniform_family(ball, k) if self.m2_complete(k) else ()
+        for k in self._complete:
+            fam = self._uniform_family(ball, k) if k <= max(1, budget) else ()
             if fam:
                 out.append((axiom, fam))
         return out

@@ -266,7 +266,11 @@ class TestExitCodes:
          (["cover", "--space=loc:q2", "--target=  B(1; 0)", "--family=top", "--depth=2"], 2),
          (["cover", "--space=loc:q", "--target=top", "--family=B(1; 0);  B(1; 0,0)", "--depth=2"], 10),
          (["cover", "--space=loc:q2", "--target=top", "--family=B(1; 0,0);B(1/2; 1)", "--depth=2"], 10),
-         (["cover", "--space=loc:seg:0,1", "--target=top", "--family=top;B(1/2; 0,1)", "--depth=2"], 4)],
+         (["cover", "--space=loc:seg:0,1", "--target=top", "--family=top;B(1/2; 0,1)", "--depth=2"], 4),
+         # a radius that is not positive: its first byte
+         (["cover", "--space=loc:q", "--target=B(0;0)", "--family=top", "--depth=1"], 2),
+         (["cover", "--space=loc:q2", "--target=top", "--family=B(1;0,0);B( -1/4; 1,1)", "--depth=1"], 12),
+         (["cover", "--space=loc:seg:0,1", "--target= B(0/3; 1/2)", "--family=top", "--depth=1"], 3)],
     )
     def test_true_offsets(self, capsys, argv, offset):
         code, out, err = run(capsys, *argv)

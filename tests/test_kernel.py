@@ -19,6 +19,7 @@ from overt.kernel import (
     serialize_derivation,
     sublocale_cover,
 )
+from overt.metric import BallBase, FormalBall, LineSegment
 
 BASE = FormalRealsBase()
 
@@ -71,12 +72,20 @@ class TestDeriveCover:
 
     def test_search_leaves_no_cycles(self):
         # (0,1) splits into ((0,1), (0,1)) among others, so its instances hold
-        # its own record; the search must free all of them when it ends.
+        # its own record; the search must free all of them when it ends.  On
+        # the reals the plain, closed and positively closed searches run on
+        # an integer view whose predicates decode through it; a ball base
+        # on a segment with non-dyadic ends keeps its families for its life.
         fam = [iv(0, F(1, 3)), iv(F(1, 4), F(2, 3)), iv(F(3, 5), 1)]
+        seg = BallBase(LineSegment(F(-1, 3), F(2, 5)), 17)
+        balls = [FormalBall(F(-1, 3), F(1, 4)), FormalBall(F(1, 5), F(1, 3))]
         gc.collect()
         for depth in (1, 4):
             derive_cover(BASE, iv(0, 1), fam, depth)
             sublocale_cover(BASE, PosClosedSub(OUT01), iv(0, 1), fam, depth)
+            sublocale_cover(BASE, ClosedSub(predicates=(OUT01,)), iv(-1, 2), fam, depth)
+            derive_cover(seg, TOP, balls, depth)
+            sublocale_cover(seg, PosClosedSub(SetPredicate("all", lambda b: True)), TOP, balls, depth)
         assert gc.collect() == 0
 
 

@@ -7,6 +7,12 @@ scanned with ``compare_distance``.  The families are checked against
 space the index does not recognise, and the searches over both bases must
 return identical derivations.
 
+The line spaces compare distances and find the points near a ball in
+integers; both are checked against ``Fraction`` arithmetic, on non-dyadic
+values and on ties.  A search on the formal reals runs over integer
+endpoints; at ``MAX_DEPTH`` with denominators 3, 5 and 7 it must stay on its
+scale and return only derivations the checker accepts.
+
 The search itself, with its per-element records, is checked against
 ``helpers.derivable_within``, plain recursion over the candidate families:
 it answers Unknown exactly when the oracle finds no derivation within the
@@ -21,13 +27,16 @@ from hypothesis import strategies as st
 
 from helpers import derivable_within, least_derivation_depth, points_within
 from overt.kernel import (
+    MAX_DEPTH,
     TOP,
+    ClosedSub,
     EltSet,
     FormalRealsBase,
     SetPredicate,
     as_target,
     check_derivation,
     derive_cover,
+    sublocale_cover,
 )
 from overt.located import interval_set, predicate_from_net, tvd_check
 from overt.metric import (
@@ -277,3 +286,86 @@ def test_tvd_check_matches_oracle(a8, w8, margin, depth):
     Z = (FormalBall((a + b) / 2, (b - a) / 2 + margin + F(1, 8)),)
     P = predicate_from_net(interval_set(a, b, space=seg))
     assert tvd_check(P, Z, depth=depth, budget=9).verdict == tvd_oracle(P, Z, depth, 9)
+
+
+# ---------------------------------------------------------------------------
+# Integer arithmetic against Fraction arithmetic.
+# ---------------------------------------------------------------------------
+
+
+def non_dyadic(lo, hi):
+    return st.builds(F, st.integers(lo * 35, hi * 35), st.sampled_from([1, 3, 5, 7, 12, 35]))
+
+
+@st.composite
+def non_dyadic_line_spaces(draw):
+    if draw(st.booleans()):
+        return RationalLine()
+    lo = draw(non_dyadic(-3, 2))
+    return LineSegment(lo, lo + draw(non_dyadic(1, 3)))
+
+
+@SETTINGS
+@given(non_dyadic_line_spaces(), non_dyadic(-3, 3), non_dyadic(-3, 3), non_dyadic(-2, 2),
+       st.sampled_from(["free", "tie", "zero"]))
+@example(RationalLine(), F(1, 3), F(1, 3), F(0), "free")
+@example(LineSegment(F(-1, 3), F(2, 5)), F(1, 7), F(-1, 5), F(-12, 35), "free")
+def test_line_compare_distance_matches_squares(space, x, y, t, mode):
+    # A tie d = t, a zero threshold, and otherwise any t, negative ones too.
+    t = {"free": t, "tie": abs(x - y), "zero": F(0)}[mode]
+    dsq = space.dist_sq(x, y)
+    expected = 1 if t < 0 else (dsq > t * t) - (dsq < t * t)
+    assert space.compare_distance(x, y, t) == expected
+
+
+@SETTINGS
+@given(non_dyadic_line_spaces(), st.integers(1, 90), non_dyadic(0, 2), st.data())
+def test_near_matches_scan(space, budget, r, data):
+    # The centre sits r off a listed point, or r off a point shifted by a
+    # non-dyadic offset, so that points at distance exactly r are common.
+    if r == 0:
+        r = F(1, 3)
+    base = BallBase(space, budget)
+    y = data.draw(st.sampled_from(base.points))
+    c = y + data.draw(st.sampled_from([-r, r, F(0), r / 3])) + data.draw(st.sampled_from([F(0), F(1, 7)]))
+    expected = [i for i, z in enumerate(base.points) if abs(z - c) < r]
+    assert base._near(c, r) == expected
+    assert [base.points[i] for i in expected] == points_within(base.points, c, r)
+
+
+def out_of(lo, hi):
+    """The intervals outside [lo, hi], with lo and hi as hints."""
+    return SetPredicate("out", lambda e: e is not TOP and (e[1] <= lo or e[0] >= hi),
+                        hints=(lo, hi))
+
+
+@st.composite
+def deep_reals_judgments(draw):
+    """(base, u, family, closed) over the formal reals with ends over 3, 5
+    and 7: an interval or the top of an ambient against a chain across it,
+    often with a gap, and sometimes a closed sublocale with its own hints."""
+    den = draw(st.sampled_from([3, 5, 7, 15, 21, 35]))
+    lo, hi = sorted(draw(st.lists(st.integers(-den, 2 * den), min_size=2, max_size=2, unique=True)))
+    a, b = F(lo, den), F(hi, den)
+    ambient = (a, b) if draw(st.booleans()) else None
+    u = TOP if ambient is not None and draw(st.booleans()) else (a, b)
+    cuts = sorted(set(draw(st.lists(st.integers(1, 34), min_size=1, max_size=3))))
+    ends = [a] + [a + (b - a) * F(c, 35) for c in cuts] + [b]
+    spill = F(draw(st.integers(0, 2)), draw(st.sampled_from([3, 5, 7])) * 7)
+    family = [(x - spill, y + spill) for x, y in zip(ends, ends[1:])]
+    closed = None
+    if draw(st.booleans()):
+        closed = ClosedSub(predicates=(out_of(a + (b - a) / 3, b - (b - a) / 5),))
+    return FormalRealsBase(ambient), u, family, closed
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(deep_reals_judgments())
+def test_reals_search_at_max_depth_stays_exact(judgment):
+    base, u, family, closed = judgment
+    if closed is None:
+        d = derive_cover(base, u, family, MAX_DEPTH)
+    else:
+        d = sublocale_cover(base, closed, u, family, MAX_DEPTH)
+    if d is not None:
+        assert check_derivation(base, d, u, family, sublocale=closed)

@@ -2,7 +2,7 @@
 
 Any text either parses, or raises ParseError at an offset inside the text
 (0 <= offset <= len(text)), or raises PreconditionFailed (a value outside
-a cap or a degenerate ball).  Formatted values read back to themselves.
+a cap); a ball radius that is not positive is a ParseError.  Formatted values read back to themselves.
 Derivation errors carry absolute offsets.  The command line, fed mutated
 argv of cheap commands, only ever exits 0-4 and answers quickly.
 """
@@ -229,7 +229,10 @@ def test_found_ball_derivations_round_trip():
      (REALS, "()", 1),
      (REALS, "(ref (0,3)) (ref (0,1))", 12),
      (REALS, "ref (0,3)", 0),
-     (REALS, "(ext (0,1))", 10)],
+     (REALS, "(ext (0,1))", 10),
+     # a radius that is not positive: its first byte
+     (LINE_BALLS, "(ref B(0; 1))", 7),
+     (LINE_BALLS, "(m2 top (B(1/2; 0) B( -1/2;1)))", 22)],
 )
 def test_derivation_offsets(base, text, offset):
     with pytest.raises(ParseError) as e:

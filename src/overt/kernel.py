@@ -351,9 +351,9 @@ def _splits(p, s, mid, pool: list) -> list[tuple[str, tuple]]:
     increasing order of q, then of r.  The points are distinct, so each pair
     is a new family."""
     inner = pool[bisect_right(pool, p) : bisect_left(pool, s)]
-    i = bisect_left(inner, mid)
-    if i == len(inner) or inner[i] != mid:
-        inner.insert(i, mid)
+    at = bisect_left(inner, mid)
+    if at == len(inner) or inner[at] != mid:
+        inner.insert(at, mid)
     points = [p, *inner, s]
     return [
         ("split", ((p, r), (q, s))) for i, q in enumerate(points) for r in points[i + 1 :]
@@ -362,9 +362,9 @@ def _splits(p, s, mid, pool: list) -> list[tuple[str, tuple]]:
 
 class _IntegerReals(FormalRealsBase):
     """The formal reals of one search over integer endpoints: the element
-    (p, s) is (p*S, s*S) for the scale S, the lcm of the denominators of the
-    root, the listed endpoints, the hints and the ambient, times
-    2**(depth + 1).  An element k splits below the root has its endpoints in
+    (p, s) is (p*S, s*S) for the scale S = L * 2**(depth + 1), L the lcm of
+    the denominators of the root, the listed endpoints, the hints and the
+    ambient.  An element k splits below the root has its endpoints in
     (1/(L*2**k))Z, and only k <= depth - 1 gets a record, so every midpoint
     the search takes is an exact halving.  The split points of the target
     are sorted once, when the view is made.  Predicates see decoded
@@ -374,13 +374,12 @@ class _IntegerReals(FormalRealsBase):
     def __init__(self, base: FormalRealsBase, u, target: EltSet, depth: int):
         pool = _pool_values(target)
         ends = [*pool, *(() if u is TOP else u), *(base.ambient or ())]
-        self.scale = math.lcm(*(Fraction(x).denominator for x in ends)) << (max(depth, 0) + 1)
+        self.scale = math.lcm(*(x.denominator for x in ends)) << (max(depth, 0) + 1)
         self.ambient = None if base.ambient is None else self.encode(base.ambient)
         self._pool = sorted({self._int(x) for x in pool})
         self._decoded: dict = {}
 
     def _int(self, x) -> int:
-        x = Fraction(x)
         return x.numerator * (self.scale // x.denominator)
 
     def encode(self, e):
@@ -396,7 +395,8 @@ class _IntegerReals(FormalRealsBase):
 
     def decoding(self, pred: SetPredicate) -> SetPredicate:
         """The predicate on encoded elements."""
-        return SetPredicate(pred.name, _on_decoded(pred.fn, self.decode))
+        fn, decode = pred.fn, self.decode
+        return SetPredicate(pred.name, lambda e: fn(decode(e)))
 
     def encode_target(self, target: EltSet) -> EltSet:
         return EltSet(map(self.encode, target.listed), map(self.decoding, target.predicates))
@@ -428,10 +428,6 @@ class _IntegerReals(FormalRealsBase):
                 out = Derivation(rule, dec(node.element), witness=tuple(map(dec, node.witness)))
             done[id(node)] = out
         return out
-
-
-def _on_decoded(fn: Callable[[object], bool], decode: Callable) -> Callable[[object], bool]:
-    return lambda e: fn(decode(e))
 
 
 # ---------------------------------------------------------------------------

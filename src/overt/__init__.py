@@ -11,7 +11,7 @@ The package is organised around a few cooperating layers:
     predicates.
 ``intervals``
     The decidable lattice of finite unions of open rational intervals:
-    well-inside witnesses, exact finite-cover decisions.
+    gap complements, exact finite-cover decisions.
 ``metric``
     Formal balls over rational metric spaces and the ball base (shrink and
     uniform-size cover axioms) handed to the kernel.

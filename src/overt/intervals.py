@@ -8,16 +8,18 @@ because the point 1 is genuinely missing from the open set.
 
 The well-inside relation ``u`` inside ``v`` is witnessed by an element ``w``
 with ``u & w = 0`` and ``v | w = 1``; the maximal candidate is the gap
-complement of ``u``, so the relation is decidable by a single construction.
+complement of ``u``, so u is well inside v iff ``join(v, gap_complement(u))``
+is the top.  The definition of a model that uses the relation is checked in
+``tests/helpers.py`` (``subset_models``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from overt.errors import AmbientMismatch, InvariantViolation, PreconditionFailed
+from overt.errors import AmbientMismatch, PreconditionFailed
 from overt.rationals import Cursor, format_rational
 
 Part = tuple[Fraction, Fraction]
@@ -134,28 +136,6 @@ def gap_complement(u: IntervalElement) -> IntervalElement:
     cuts.append(hi)
     gaps = [(cuts[i], cuts[i + 1]) for i in range(0, len(cuts), 2)]
     return IntervalElement.make(u.ambient, gaps)
-
-
-@dataclass(frozen=True)
-class WellInsideWitness:
-    """w with u & w = 0 and v | w = 1, both exactly."""
-
-    w: IntervalElement
-
-
-def well_inside(u: IntervalElement, v: IntervalElement) -> Optional[WellInsideWitness]:
-    """Witness that u is well inside v, or None.
-
-    The gap complement of u is the largest element disjoint from u, so a
-    witness exists iff that particular element joins with v to the top.
-    """
-    _same_ambient(u, v)
-    w = gap_complement(u)
-    if not meet(u, w).is_zero:
-        raise InvariantViolation("gap complement overlaps its element")
-    if join(v, w).is_one:
-        return WellInsideWitness(w)
-    return None
 
 
 def finite_cover_decide(u: IntervalElement, family: Sequence[IntervalElement]) -> bool:

@@ -8,15 +8,14 @@ established by finite derivation trees built from
 * ``ext``    -- u sits below a listed member of the target;
 * axiom leaves -- a declared covering family of u is contained in the target;
 * ``tra``    -- an axiom family for u, with one sub-derivation per member;
-* ``open``   -- the open-sublocale rule (premises cover the meets of u with
-  the opens defining the sublocale);
 * ``poshyp`` -- the positively-closed discharge: with a decidable hereditary
   predicate F, the generating clause "if F(u) then u is covered" holds
   vacuously whenever F(u) fails.
 
-Closed sublocales do not need a rule of their own: covering u by V in the
-closed sublocale determined by W means covering u by V together with W, so
-the search simply enlarges the target.
+The sublocales searched are the ones the paper's results run through,
+closed and positively closed.  Closed sublocales do not need a rule of
+their own: covering u by V in the closed sublocale determined by W means
+covering u by V together with W, so the search simply enlarges the target.
 
 The search returns ``None`` (Unknown) when no derivation is found within
 the depth bound; Unknown is never a refutation.  On the formal reals it runs
@@ -130,16 +129,6 @@ def as_target(family) -> EltSet:
 
 
 @dataclass(frozen=True)
-class OpenSub:
-    """Open sublocale determined by the listed opens."""
-
-    opens: tuple
-
-    def __init__(self, opens: Iterable):
-        object.__setattr__(self, "opens", tuple(opens))
-
-
-@dataclass(frozen=True)
 class ClosedSub:
     """Closed sublocale: complement of the (listed + predicate) open set."""
 
@@ -163,7 +152,7 @@ class PosClosedSub:
 # Derivations.
 # ---------------------------------------------------------------------------
 
-_STRUCTURAL_RULES = ("ref", "ext", "tra", "open", "poshyp")
+_STRUCTURAL_RULES = ("ref", "ext", "tra", "poshyp")
 
 
 @dataclass(frozen=True)
@@ -210,10 +199,6 @@ class Base:
     def candidate_instances(self, u, budget: int, target: EltSet) -> list[tuple[str, tuple]]:
         """Instances offered to the search; may be target-directed."""
         return self.axiom_instances(u, budget)
-
-    def meet(self, u, v):
-        """Canonical binary meet, or None when empty/unsupported."""
-        return None
 
     def top(self):
         return None
@@ -266,16 +251,6 @@ class FormalRealsBase(Base):
             return False
         return v[0] <= u[0] and u[1] <= v[1]
 
-    def meet(self, u, v):
-        if u is TOP:
-            return v
-        if v is TOP:
-            return u
-        lo, hi = max(u[0], v[0]), min(u[1], v[1])
-        if lo < hi:
-            return (lo, hi)
-        return None
-
     def top(self):
         return TOP if self.ambient is not None else None
 
@@ -296,20 +271,7 @@ class FormalRealsBase(Base):
     def axiom_instances(self, u, budget: int) -> list[tuple[str, tuple]]:
         if u is TOP:
             return [("amb", (self.ambient,))] if self.ambient is not None else []
-        p, s = u
-        out = []
-        seen = set()
-        for k in range(1, max(1, budget) + 1):
-            step = (s - p) / 2**k
-            grid = [p + i * step for i in range(1, 2**k)]
-            for qi in grid:
-                for ri in grid:
-                    if qi < ri:
-                        fam = ((p, ri), (qi, s))
-                        if fam not in seen:
-                            seen.add(fam)
-                            out.append(("split", fam))
-        return out
+        return self.candidate_instances(u, budget, EltSet())
 
     def candidate_instances(self, u, budget: int, target: EltSet) -> list[tuple[str, tuple]]:
         if u is TOP:
@@ -571,8 +533,9 @@ def derive_cover(base: Base, u, family, depth: int, budget: int = 4) -> Optional
 def sublocale_cover(
     base: Base, spec, u, family, depth: int, budget: int = 4
 ) -> Optional[Derivation]:
-    """Derivation search in the extended system of the given sublocale; a
-    depth over ``MAX_DEPTH`` is refused before any search."""
+    """Derivation search in the extended system of the given sublocale, a
+    :class:`ClosedSub` or a :class:`PosClosedSub`; any other spec, and a
+    depth over ``MAX_DEPTH``, is refused before any search."""
     _check_depth(depth)
     target = as_target(family)
     if isinstance(spec, ClosedSub):
@@ -580,19 +543,6 @@ def sublocale_cover(
         return derive_cover(base, u, target, depth, budget)
     if isinstance(spec, PosClosedSub):
         return _least_derivation(base, u, target, depth, budget, spec)
-    if isinstance(spec, OpenSub):
-        if depth <= 0:
-            return None
-        premises = []
-        for w in spec.opens:
-            m = base.meet(u, w)
-            if m is None:
-                continue
-            sub = derive_cover(base, m, target, depth - 1, budget)
-            if sub is None:
-                return None
-            premises.append(sub)
-        return Derivation("open", u, witness=tuple(spec.opens), premises=tuple(premises))
     raise PreconditionFailed(f"unknown sublocale spec {spec!r}")
 
 
@@ -641,17 +591,6 @@ def _check_node(base: Base, node: Derivation, u, target: EltSet, sublocale) -> b
             return False
         return all(
             _check_node(base, sub, f, target, sublocale) for f, sub in zip(fam, subs)
-        )
-    if rule == "open":
-        if not isinstance(node.witness, tuple):
-            return False
-        expected = [base.meet(u, w) for w in node.witness]
-        expected = [m for m in expected if m is not None]
-        if len(expected) != len(node.premises):
-            return False
-        return all(
-            _check_node(base, sub, m, target, None)
-            for m, sub in zip(expected, node.premises)
         )
     # Axiom leaf.
     if node.premises:
@@ -737,7 +676,6 @@ def check_positivity_axioms(
 #   node   := (ref ELT) | (poshyp ELT) | (ext ELT ELT)
 #           | (NAME ELT FAMILY)            -- axiom leaf, NAME its axiom
 #           | (tra node (node ...))
-#           | (open ELT FAMILY (node ...))
 #   FAMILY := (ELT ELT ...)
 #
 # ELT is whatever the base's own element reader reads at that point, blanks
@@ -756,10 +694,6 @@ def serialize_derivation(base: Base, node: Derivation) -> str:
         head, *subs = node.premises
         inner = " ".join(serialize_derivation(base, s) for s in subs)
         return f"(tra {serialize_derivation(base, head)} ({inner}))"
-    if rule == "open":
-        fam = " ".join(f(w) for w in node.witness)
-        inner = " ".join(serialize_derivation(base, s) for s in node.premises)
-        return f"(open {f(node.element)} ({fam}) ({inner}))"
     fam = " ".join(f(x) for x in node.witness)
     return f"({rule} {f(node.element)} ({fam}))"
 
@@ -785,9 +719,7 @@ def _read_node(base: Base, cur: Cursor) -> Derivation:
         elif rule == "ext":
             node = Derivation("ext", u, witness=base.read_element(cur))
         else:
-            fam = _read_group(cur, base.read_element)
-            subs = _read_group(cur, lambda c: _read_node(base, c)) if rule == "open" else ()
-            node = Derivation(rule, u, witness=fam, premises=subs)
+            node = Derivation(rule, u, witness=_read_group(cur, base.read_element))
     cur.expect(")")
     return node
 

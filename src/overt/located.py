@@ -1153,8 +1153,10 @@ def affine_image(S: EpsilonNetFamily, f: AffineMap) -> EpsilonNetFamily:
       s r about f(c);
     * a union to the union of the images of its two parts.
 
-    A set without a hook, or whose hook has no image (a disk under any other
-    map), keeps an exact distance comparison wherever the map carries it:
+    Any other inhabited line set (the Cantor set) under a map whose column
+    (a, d) is zero is the one point (c, f), a ``plane_point_set``.  A set
+    without a hook, or whose hook has no image (a disk under any other map),
+    keeps an exact distance comparison wherever the map carries it:
 
     * a line set with ``distance_value`` and a nonzero column u = (a, d),
       under any map: with w = p - (c, f) and x0 = (w.u) / |u|^2 the foot of
@@ -1170,10 +1172,12 @@ def affine_image(S: EpsilonNetFamily, f: AffineMap) -> EpsilonNetFamily:
         image = S._image(f)
         if image is not None:
             return image
+    line = S.inhabited and isinstance(S.space, (RationalLine, LineSegment))
+    if line and not (f.a or f.d):
+        return plane_point_set([(f.c, f.f)])
     T = image_located(S, f, f.modulus, PLANE)
-    if S.inhabited and isinstance(S.space, (RationalLine, LineSegment)):
-        if S.distance_value is not None and (f.a or f.d):
-            T.distance_compare = _line_image_compare(S.distance_value, f)
+    if line and S.distance_value is not None:
+        T.distance_compare = _line_image_compare(S.distance_value, f)
     elif S.inhabited and S.space is PLANE and S.distance_compare is not None:
         s = f.similarity_scale()
         if s is not None:

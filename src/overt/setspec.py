@@ -15,8 +15,8 @@ coordinate live on the line, with two in the plane.  An image of a
 segment, an interval or a finite set is a segment or a finite set again,
 under any map; a disk under a similarity of rational scale is a disk; a
 union maps part by part; the Cantor set keeps its exact comparison under a
-map whose column (a, d) is nonzero.  Shears and irrational-scale images of
-disks, and the Cantor set under a zero column, carry nets only (see
+map whose column (a, d) is nonzero, and under a zero column is the point
+(c, f).  Shears and irrational-scale images of disks carry nets only (see
 ``located.affine_image``).
 """
 

@@ -16,6 +16,8 @@ of *tiles* box(a) & dia(b_1) & ... & dia(b_k) with every b_i below a.
 
 A model assigns to the carrier a positivity predicate: empty at bottom,
 upward closed, splitting joins, and answering the well-inside dichotomy.
+That definition is checked subset by subset in ``tests/helpers.py``
+(``subset_models``), the oracle the enumeration here is tested against.
 Models evaluate dia(u) as positivity of u and box(u) as "u joins with the
 non-positive part to the top".  Carriers are distributive lattices; the
 finite ones rely on it, since on a finite distributive carrier the models
@@ -48,9 +50,8 @@ class Carrier:
     A carrier has a ``name`` and these members: ``elements()``, all
     elements or None when the carrier is infinite; ``leq(u, v)``,
     ``meet(u, v)`` and ``join(u, v)``; the elements ``bot`` and ``top``;
-    ``well_inside(u, v)``, the relation u << v; ``format_element(u)``; and
-    ``read_element(cur)``, which reads one element at a
-    :class:`~overt.rationals.Cursor`.
+    ``format_element(u)``; and ``read_element(cur)``, which reads one
+    element at a :class:`~overt.rationals.Cursor`.
     """
 
     def parse_element(self, text: str):
@@ -88,13 +89,6 @@ class FiniteCarrier(Carrier):
 
     def elements(self):
         return self._elems
-
-    def well_inside(self, u, v) -> bool:
-        # Exhaustive witness search: some w with u & w = 0 and v | w = 1.
-        return any(
-            self.meet(u, w) == self.bot and self.join(v, w) == self.top
-            for w in self._elems
-        )
 
 
 def chain(n: int) -> FiniteCarrier:
@@ -207,9 +201,6 @@ class IntervalCarrier(Carrier):
     def elements(self):
         return None
 
-    def well_inside(self, u, v) -> bool:
-        return ilat.well_inside(u, v) is not None
-
     def read_element(self, cur):
         return ilat.read_element(cur, self.ambient)
 
@@ -270,26 +261,6 @@ def format_term(t, L: Carrier) -> str:
 # ---------------------------------------------------------------------------
 # Models.
 # ---------------------------------------------------------------------------
-
-
-def is_loc_model(L: Carrier, pos: frozenset) -> bool:
-    elems = L.elements()
-    if elems is None:
-        raise PreconditionFailed("model checking needs a finite carrier")
-    if L.bot in pos:
-        return False
-    for u in elems:
-        if u in pos:
-            for v in elems:
-                if L.leq(u, v) and v not in pos:
-                    return False
-    for u in elems:
-        for v in elems:
-            if L.join(u, v) in pos and u not in pos and v not in pos:
-                return False
-            if L.well_inside(u, v) and v not in pos and u in pos:
-                return False
-    return True
 
 
 def enumerate_models(L: Carrier) -> list[frozenset]:
@@ -408,8 +379,7 @@ def is_principal_model(L: Carrier, pos: frozenset) -> bool:
     """Whether pos is the principal model {u : not u <= n} of its
     non-positive join n, in O(|L|) lattice operations.  On a finite
     distributive carrier these are all the models (see
-    :func:`enumerate_models`), so this agrees with :func:`is_loc_model`,
-    which stays the checker for carriers not known to be distributive."""
+    :func:`enumerate_models`)."""
     n = nonpositive_join(L, pos)
     return all((u in pos) != L.leq(u, n) for u in L.elements())
 

@@ -109,6 +109,16 @@ class TestCommands:
                            "--prec=1/1024")
         assert code == 0 and out.strip() == "[2, 2]"
 
+    def test_cantor_under_zero_column_is_one_point(self, capsys):
+        # The image is the one point (0, 0), answered without a Cantor net.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "distance", "--set=image(affine:0,0,0,0,0,0,cantor)",
+                           "--point=1,1", "--prec=1/1000000000")
+        elapsed = time.perf_counter() - start
+        lo, hi = (Fraction(v) for v in out.strip()[1:-1].split(", "))
+        assert code == 0 and lo * lo <= 2 <= hi * hi
+        assert elapsed < 1
+
     def test_cover_derivation(self, capsys):
         code, out, _ = run(
             capsys, "cover", "--space", "reals", "--target", "(0,3)",

@@ -8,7 +8,6 @@ from overt.kernel import (
     Derivation,
     EltSet,
     FormalRealsBase,
-    OpenSub,
     PosClosedSub,
     SetPredicate,
     check_derivation,
@@ -19,7 +18,7 @@ from overt.kernel import (
     serialize_derivation,
     sublocale_cover,
 )
-from overt.metric import BallBase, FormalBall, LineSegment
+from overt.metric import BallBase, FormalBall, LineSegment, RationalLine, completion_base
 
 BASE = FormalRealsBase()
 
@@ -125,6 +124,12 @@ class TestChecker:
         bad = Derivation("tra", u, premises=(head, Derivation("ref", V[0])))
         assert not check_derivation(BASE, bad, u, [iv(0, 2)])
 
+    def test_rejects_open_rule(self):
+        # "B(1; 0) is covered by nothing inside itself": no rule says so.
+        base = completion_base(RationalLine(), 16)
+        u = FormalBall(F(0), F(1))
+        assert not check_derivation(base, Derivation("open", u, witness=(u,)), u, [])
+
 
 class TestSublocales:
     def test_closed_matches_plain_cover_on_extended_target(self):
@@ -150,12 +155,6 @@ class TestSublocales:
                         a = sublocale_cover(BASE, spec, u, fam, depth)
                         b = derive_cover(BASE, u, fam + [iv(2, 3)], depth)
                         assert (a is None) == (b is None)
-
-    def test_open_sublocale(self):
-        spec = OpenSub([iv(0, 1)])
-        d = sublocale_cover(BASE, spec, iv(-5, 5), [iv(0, 1)], 3)
-        assert d is not None and d.rule == "open"
-        assert check_derivation(BASE, d, iv(-5, 5), [iv(0, 1)], sublocale=spec)
 
     def test_posclosed_base_clause(self):
         pos01 = SetPredicate(

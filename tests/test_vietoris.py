@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from helpers import subset_models
 from overt.errors import ParseError, PreconditionFailed
 from overt.intervals import IntervalElement
 from overt.vietoris import (
@@ -20,7 +21,6 @@ from overt.vietoris import (
     evaluate_nf,
     format_term,
     grid,
-    is_loc_model,
     loc_to_point,
     model_point,
     normalize,
@@ -62,15 +62,8 @@ class TestModels:
             assert frozenset() in enumerate_models(L)
 
     def test_exhaustive_enumeration_matches_axioms(self):
-        import itertools
-
         for L in (chain(4), grid(2, 2)):
-            elems = L.elements()
-            brute = []
-            for bits in itertools.product((False, True), repeat=len(elems)):
-                pos = frozenset(e for e, b in zip(elems, bits) if b)
-                if is_loc_model(L, pos):
-                    brute.append(pos)
+            brute = subset_models(L)
             assert sorted(map(sorted, brute)) == sorted(map(sorted, enumerate_models(L)))
 
     def test_all_relations_hold_in_every_model(self):

@@ -13,8 +13,8 @@ The package is organised around a few cooperating layers:
     The decidable lattice of finite unions of open rational intervals:
     gap complements, exact finite-cover decisions.
 ``metric``
-    Formal balls over rational metric spaces and the ball base (shrink and
-    uniform-size cover axioms) handed to the kernel.
+    Formal balls over rational metric spaces and the ball base (uniform-size
+    cover axioms, each a true cover of its element) handed to the kernel.
 ``located``
     Located sets as dichotomy oracles and two-sided epsilon-net families:
     distances, Hausdorff distance, net/predicate round trips, the

@@ -76,7 +76,6 @@ from overt.kernel import (
     sublocale_cover,
 )
 from overt.metric import (
-    CompleteUniformBase,
     FormalBall,
     LineSegment,
     MetricSpace,
@@ -84,6 +83,7 @@ from overt.metric import (
     PlaneMax,
     RationalLine,
     ball_lt,
+    completion_base,
     distance_below,
 )
 from overt.reals import DedekindReal, sqrt_bounds
@@ -1312,16 +1312,15 @@ class TvdReport:
 def tvd_check(P: LocatedPredicate, Z: Sequence[FormalBall], depth: int, budget: int) -> TvdReport:
     """Check both directions of the located-sublocale containment statement.
 
-    Only axiom families known to be semantically complete covers are used
-    (the uniform families of ``CompleteUniformBase``, over a grid fine
-    enough for their radius), so a found
+    The search runs on the space's ``completion_base``, whose every axiom
+    family covers its element at the points of the space, so a found
     derivation is true of the space itself, never an artifact of the
-    truncation; the shrink families are excluded for the same reason.
+    truncation.
     """
     if P.pos_exact is None:
         raise PreconditionFailed("tvd_check needs an exactly decidable predicate")
     Z = tuple(Z)
-    base = CompleteUniformBase(P.space, budget)
+    base = completion_base(P.space, budget)
     notpos = SetPredicate(
         "notpos", lambda ball: ball is not TOP and not P.pos_exact(ball)
     )

@@ -13,17 +13,16 @@ Formal balls are pairs (center, positive radius).  The strict refinement
 ``ball_lt`` decides d(x, y) < s - r and the non-strict ``ball_leq``
 decides d(x, y) <= s - r, both with one exact comparison.
 
-``completion_base`` packages a space as a kernel base whose declared axioms
-are the shrink families (every ball is covered by balls strictly inside it;
-truncated to listed centers and dyadic shrink margins) and the uniform-size
-families (the whole space is covered by balls of size 2**-k).  Truncations
-are honest: a family is only as good as its declaration, and judgments
-derived from them live in the truncated presentation.  Segment spaces know
-when a uniform family is a genuinely complete cover (``m2_complete``), and
-``CompleteUniformBase`` offers only those families, for consumers needing
-semantic ground truth.  A ball base holds at most ``MAX_BALL_POINTS``
+``completion_base`` packages a space as a kernel base, truncated to a
+point budget, whose axioms are the uniform families: the balls of radius
+2**-k around the listed points, for the whole space (``m2``) or near a ball
+(``m2loc``).  A family is an axiom only where it covers its element at
+every point of the space, so every derivation holds at the points of the
+completion; where the listed points are too sparse there is no axiom, and
+the judgment stays Unknown.  A ball base holds at most ``MAX_BALL_POINTS``
 points; on the line spaces it keeps them sorted, as integers over their
-common denominator, and finds the points near a ball by two bisections.
+common denominator, and finds and judges the points near a ball by two
+bisections.
 """
 
 from __future__ import annotations
@@ -45,9 +44,9 @@ from overt.reals import sqrt_bounds
 # refused before any point is built.
 MAX_BALL_POINTS = 1024
 
-# The axiom families of a ball base use dyadic sizes 2**-k for k from 1 to
-# at most this.
-_MAX_SHRINK = 6
+# The axiom families of a ball base have radius 2**-k for k from 1 to at
+# most this.
+_MAX_LEVEL = 6
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class FormalBall:
     radius: Fraction
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if self.radius.numerator <= 0:
             raise PreconditionFailed(f"ball radius must be positive, got {self.radius}")
 
     def __hash__(self):
@@ -119,10 +118,14 @@ class MetricSpace:
         dsq, tsq = self.dist_sq(x, y), t * t
         return (dsq > tsq) - (dsq < tsq)
 
-    def is_grid_complete(self, k: int, point_budget: int) -> bool:
-        """Whether the first point_budget points contain a grid so fine that
-        balls of radius 2**-k around them cover the whole space."""
-        return False
+    def extent(self, u) -> Optional[tuple]:
+        """The closed (lo, hi) range of each coordinate of the element u
+        that a family covering it must span: c - r to c + r for a ball
+        B(r; c).  None for the top, which no finite family covers."""
+        if u is TOP:
+            return None
+        coords = u.center if isinstance(u.center, tuple) else (u.center,)
+        return tuple((x - u.radius, x + u.radius) for x in coords)
 
     def ball_covers_space(self, ball: "FormalBall") -> bool:
         """Whether the open ball certifiably contains the whole space."""
@@ -197,17 +200,11 @@ class LineSegment(_Line):
 
         return list(itertools.islice(points(), max(1, count)))
 
-    def grid_level_count(self, level: int) -> int:
-        return 2**level + 1
-
-    def is_grid_complete(self, k: int, point_budget: int) -> bool:
-        span = self.hi - self.lo
-        level = 0
-        while span / 2**level > Fraction(1, 2**k):
-            level += 1
-            if self.grid_level_count(level) > point_budget:
-                return False
-        return self.grid_level_count(level) <= point_budget
+    def extent(self, u) -> tuple:
+        """The segment for the top, and a ball's range clipped to it."""
+        if u is TOP:
+            return ((self.lo, self.hi),)
+        return ((max(u.center - u.radius, self.lo), min(u.center + u.radius, self.hi)),)
 
     def ball_covers_space(self, ball: FormalBall) -> bool:
         return (
@@ -299,30 +296,52 @@ def distance_below(space: MetricSpace, x, y, bound: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _dyadic_exponent(q: Fraction) -> Optional[int]:
-    if q <= 0 or q.numerator != 1:
-        return None
-    den = q.denominator
-    k = den.bit_length() - 1
-    return k if (1 << k) == den else None
+def _covers(space: MetricSpace, u, family: tuple) -> bool:
+    """Whether the balls of the family, all of one radius rho, cover the
+    element u at every point of the space: on each axis of u's extent the
+    centres' coordinates reach both ends with no gap wider than rho, and in
+    the plane every point of their product grid within r + rho of the
+    centre c of u is a centre."""
+    box = space.extent(u)
+    if box is None:
+        return False
+    rho = family[0].radius
+    centers = [f.center if isinstance(f.center, tuple) else (f.center,) for f in family]
+    axes = []
+    for axis, (lo, hi) in enumerate(box):
+        xs = sorted({p[axis] for p in centers})
+        if xs[0] > lo or xs[-1] < hi or any(y - x > rho for x, y in zip(xs, xs[1:])):
+            return False
+        axes.append(xs)
+    if len(axes) == 1:
+        return True
+    held, cmp, reach = set(centers), space.compare_distance, u.radius + rho
+    return all(p in held for p in itertools.product(*axes) if cmp(p, u.center, reach) < 0)
 
 
 class BallBase(Base):
     """Kernel base for a localic completion, truncated to a point budget.
 
-    Axioms:
+    Axioms, each a family of the balls of radius rho = 2**-k around listed
+    points:
 
-    ``m1``    -- a ball is covered by the listed balls shrunk by a dyadic
-                 margin that strictly refine it;
-    ``m2``    -- the synthetic top is covered by the dyadic-size balls
-                 around the listed points;
-    ``m2loc`` -- a ball is covered by the dyadic-size balls around listed
-                 points near it (the localized form of ``m2``).
+    ``m2``    -- the top is covered by the balls around every listed point;
+    ``m2loc`` -- a ball B(r; c) is covered by the balls around the listed
+                 points within r + rho of c (the localized form of ``m2``).
+
+    Either is an axiom only when it covers its element at every point of
+    the space (``_covers``): the family's centres, read as coordinates,
+    reach both ends of the element's extent with no gap wider than rho,
+    and in the plane every corner of that grid within r + rho of c is a
+    centre.  A point of the element then lies in a grid cell of side at
+    most rho, whose nearest corner is within rho/sqrt 2 < rho of it, so in
+    a ball of the family.  The top of the line or the plane has no extent,
+    so those spaces have no ``m2``.
 
     The balls of radius 2**-k around the listed points are built once per
-    k, on first use, and every ``m2`` and ``m2loc`` family of that k is
-    drawn from them.  The base keeps them for its own life: at most
-    ``_MAX_SHRINK`` tuples of at most ``MAX_BALL_POINTS`` balls.
+    k, on first use, and every family of that k is drawn from them.  The
+    base keeps them for its own life: at most ``_MAX_LEVEL`` tuples of at
+    most ``MAX_BALL_POINTS`` balls.
     """
 
     def __init__(self, space: MetricSpace, point_budget: int):
@@ -336,15 +355,22 @@ class BallBase(Base):
         self._point_set = set(self.points)
         self.name = f"loc({space.name})"
         # On the builtin lines the points within r of c are an open range of
-        # the sorted points, kept as integers over their common denominator;
-        # other spaces are scanned with compare_distance.
+        # the sorted points, kept as integers over their common denominator,
+        # and a family is judged on that range; other spaces are scanned
+        # with compare_distance and judged by ``_covers``.
         self._line = None
         if type(space) in (RationalLine, LineSegment):
             den = math.lcm(*(y.denominator for y in self.points))
             ints = [y.numerator * (den // y.denominator) for y in self.points]
             order = sorted(range(len(ints)), key=ints.__getitem__)
             self._line = (den, [ints[i] for i in order], order)
-        self._uniform: dict = {}  # k -> the balls of radius 2**-k, in listed order
+            # Whether the least and the greatest key are ends of the space.
+            seg = type(space) is LineSegment
+            self._ends = (seg and space.lo in self._point_set, seg and space.hi in self._point_set)
+        # k -> the balls of radius 2**-k in listed order and, on the lines,
+        # the positions i of the sorted keys with a gap wider than 2**-k
+        # after them.
+        self._levels: dict = {}
 
     def top(self):
         return TOP
@@ -356,93 +382,80 @@ class BallBase(Base):
             return self.space.ball_covers_space(v)
         return ball_leq(self.space, u, v)
 
-    def m2_complete(self, k: int) -> bool:
-        return self.space.is_grid_complete(k, self.point_budget)
+    def _level(self, k: int) -> tuple:
+        level = self._levels.get(k)
+        if level is None:
+            radius = Fraction(1, 2**k)
+            balls = tuple(FormalBall(y, radius) for y in self.points)
+            gaps = None
+            if self._line is not None:
+                den, keys = self._line[0], self._line[1]
+                gaps = [i for i in range(len(keys) - 1) if (keys[i + 1] - keys[i]) << k > den]
+            level = self._levels[k] = (balls, gaps)
+        return level
 
-    def _near(self, c, r: Fraction) -> list:
-        """The indexes of the listed points y with d(y, c) < r certified, in
-        listed order."""
+    def _uniform_family(self, u, k: int) -> tuple:
+        """The ``m2`` family of the top or the ``m2loc`` family of a ball at
+        radius 2**-k, in listed order, when it covers u; else ()."""
+        balls, gaps = self._level(k)
         if self._line is None:
-            cmp = self.space.compare_distance
-            return [i for i, y in enumerate(self.points) if cmp(y, c, r) < 0]
-        # With keys y*D: c - r < y iff key > floor((c - r) D), and y < c + r
-        # iff key < ceil((c + r) D).
+            if u is TOP:
+                fam = balls
+            else:
+                cmp, r = self.space.compare_distance, u.radius + balls[0].radius
+                fam = tuple(b for b in balls if cmp(b.center, u.center, r) < 0)
+            return fam if fam and _covers(self.space, u, fam) else ()
         den, keys, order = self._line
-        cn, cd, rn, rd = c.numerator, c.denominator, r.numerator, r.denominator
-        lo, hi, q = (cn * rd - rn * cd) * den, (cn * rd + rn * cd) * den, cd * rd
-        return sorted(order[bisect_right(keys, lo // q) : bisect_left(keys, -(-hi // q))])
-
-    def _shrink_family(self, u: FormalBall, k: int) -> tuple:
-        margin = Fraction(1, 2**k)
-        if margin >= u.radius:
+        if u is TOP:
+            (left, right), i, j = self._ends, 0, len(keys)
+        else:
+            # In units of 1/q, q = cd rd 2**k: c = a 2**k, r = b 2**k and
+            # 2**-k = cd rd.  The family is the keys y D with
+            # |y - c| < r + 2**-k; the extent of u runs from c - r to c + r.
+            c, r = u.center, u.radius
+            cd, rd = c.denominator, r.denominator
+            a, b, rho = c.numerator * rd, r.numerator * cd, cd * rd
+            q = rho << k
+            lo, hi = (a - b) << k, (a + b) << k
+            i = bisect_right(keys, (lo - rho) * den // q)
+            j = bisect_left(keys, -(-(hi + rho) * den // q))
+            if i >= j:
+                return ()
+            left = (self._ends[0] and i == 0) or keys[i] * q <= lo * den
+            right = (self._ends[1] and j == len(keys)) or keys[j - 1] * q >= hi * den
+        if not (left and right):
             return ()
-        radius = u.radius - margin
-        points = self.points
-        return tuple(FormalBall(points[i], radius) for i in self._near(u.center, margin))
-
-    def _uniform_family(self, u: Optional[FormalBall], k: int) -> tuple:
-        """The balls of radius 2**-k around the listed points, or around
-        those near u, in listed order, taken from one tuple per k that is
-        built on first use."""
-        radius = Fraction(1, 2**k)
-        balls = self._uniform.get(k)
-        if balls is None:
-            balls = self._uniform[k] = tuple(FormalBall(y, radius) for y in self.points)
-        if u is None:
-            return balls
-        return tuple(balls[i] for i in self._near(u.center, u.radius + radius))
+        g = bisect_left(gaps, i)
+        if g < len(gaps) and gaps[g] < j - 1:
+            return ()
+        return tuple(balls[x] for x in sorted(order[i:j]))
 
     def axiom_instances(self, u, budget: int) -> list[tuple[str, tuple]]:
+        axiom = "m2" if u is TOP else "m2loc"
         out = []
-        kmax = min(max(1, budget), _MAX_SHRINK)
-        if u is TOP:
-            for k in range(1, kmax + 1):
-                fam = self._uniform_family(None, k)
-                if fam:
-                    out.append(("m2", fam))
-            return out
-        for k in range(1, kmax + 1):
-            fam = self._shrink_family(u, k)
-            if fam:
-                out.append(("m1", fam))
-        for k in range(1, kmax + 1):
+        for k in range(1, min(max(1, budget), _MAX_LEVEL) + 1):
             fam = self._uniform_family(u, k)
             if fam:
-                out.append(("m2loc", fam))
+                out.append((axiom, fam))
         return out
 
     def axiom_valid(self, axiom: str, u, family: tuple) -> bool:
-        if not family:
+        if axiom != ("m2" if u is TOP else "m2loc") or not family:
             return False
-        if axiom == "m1":
-            if u is TOP or any(f is TOP for f in family):
+        radii = {f.radius for f in family}
+        if len(radii) != 1:
+            return False
+        rho = radii.pop()
+        d = rho.denominator
+        if rho.numerator != 1 or d < 2 or d & (d - 1):  # rho = 2**-k, k >= 1
+            return False
+        if any(f.center not in self._point_set for f in family):
+            return False
+        if u is not TOP:
+            r, cmp = u.radius + rho, self.space.compare_distance
+            if any(cmp(f.center, u.center, r) >= 0 for f in family):
                 return False
-            radii = {f.radius for f in family}
-            if len(radii) != 1:
-                return False
-            k = _dyadic_exponent(u.radius - radii.pop())
-            if k is None or k < 1:
-                return False
-            return all(ball_lt(self.space, f, u) for f in family)
-        if axiom in ("m2", "m2loc"):
-            if axiom == "m2" and u is not TOP:
-                return False
-            if axiom == "m2loc" and u is TOP:
-                return False
-            radii = {f.radius for f in family}
-            if len(radii) != 1:
-                return False
-            k = _dyadic_exponent(radii.pop())
-            if k is None or k < 1:
-                return False
-            if any(f.center not in self._point_set for f in family):
-                return False
-            if axiom == "m2loc":
-                r = u.radius + Fraction(1, 2**k)
-                cmp = self.space.compare_distance
-                return all(cmp(f.center, u.center, r) < 0 for f in family)
-            return True
-        return False
+        return _covers(self.space, u, family)
 
     def sample_elements(self, rng: random.Random, count: int) -> list:
         out = []
@@ -469,26 +482,6 @@ class BallBase(Base):
             coords = "two coordinates" if plane else "one coordinate"
             raise cur.error(f"a ball of {self.name} has {coords}", at)
         return ball
-
-
-class CompleteUniformBase(BallBase):
-    """The ball base restricted to the uniform families that are complete
-    covers of the space itself (``m2_complete``): ``m2`` for the top and
-    ``m2loc`` for a ball, in order of k.  A derivation from these families
-    is true of the space, never an artifact of the truncation."""
-
-    def __init__(self, space: MetricSpace, point_budget: int):
-        super().__init__(space, point_budget)
-        self._complete = [k for k in range(1, _MAX_SHRINK + 1) if self.m2_complete(k)]
-
-    def axiom_instances(self, u, budget: int) -> list[tuple[str, tuple]]:
-        axiom, ball = ("m2", None) if u is TOP else ("m2loc", u)
-        out = []
-        for k in self._complete:
-            fam = self._uniform_family(ball, k) if k <= max(1, budget) else ()
-            if fam:
-                out.append((axiom, fam))
-        return out
 
 
 def completion_base(space: MetricSpace, point_budget: int) -> BallBase:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from scratch against the math, not
 against the library: bisection for square roots, triadic interval lists for
-the middle-thirds set, endpoint sweeps for interval covers, bucketed
+the middle-thirds set, endpoint sweeps for interval covers, walks over
+sorted centres and point tests for ball families, bucketed
 integer arithmetic for exact finite Hausdorff bounds, every subset of a
 finite carrier for its positivity models, a scan of every listed point
 for the balls near a center, affine maps applied coordinate by
@@ -360,6 +361,40 @@ def subset_models(L):
 def points_within(points, c, r):
     """The points y with |y - c| < r, in the order given."""
     return [y for y in points if abs(y - c) < r]
+
+
+def line_family_covers(centers, lo, hi, rho):
+    """Whether the centers, walked in steps of at most rho, reach from at or
+    below lo to at or above hi: start at the largest center at most lo,
+    then step to the largest center at most rho further on."""
+    centers = sorted(centers)
+    at = max((x for x in centers if x <= lo), default=None)
+    while at is not None and at < hi:
+        at = max((x for x in centers if at < x <= at + rho), default=None)
+    return at is not None
+
+
+def line_ball_cover_holds(target, family, segment=None):
+    """Whether the open ball ``target``, a (center, radius) pair or None for
+    the whole space, lies inside the union of the open balls of ``family``
+    at every point of the line, or of the closed ``segment`` (lo, hi): an
+    endpoint sweep over their intervals.  No finite family of balls covers
+    the whole line."""
+    parts = [(c - r, c + r) for c, r in family]
+    if segment is None:
+        if target is None:
+            return False
+        ends = [x for part in parts + [(target[0] - target[1], target[0] + target[1])] for x in part]
+        segment = (min(ends) - 1, max(ends) + 1)
+    lo, hi = segment
+    u = (lo - 1, hi + 1) if target is None else (target[0] - target[1], target[0] + target[1])
+    return sweep_cover_oracle([u], [[part] for part in parts], segment)
+
+
+def plane_cover_holds_at(x, balls):
+    """Whether the point x of the plane lies in one of the open balls,
+    (center, radius) pairs, under the Euclidean metric: on squares."""
+    return any((x[0] - c[0]) ** 2 + (x[1] - c[1]) ** 2 < r * r for c, r in balls)
 
 
 def grid_line_net(a, b, h):

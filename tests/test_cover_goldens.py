@@ -7,6 +7,8 @@ denominators 3, 5 and 7, a segment with non-dyadic ends and ``loc:q`` at
 budget 8 pin the exact arithmetic of the search and of the ball families.  ``goldens/covers.txt`` holds each command
 after ``$ overt`` and then its standard output; the rendering must match it
 byte for byte, so any change in rule order, instance order or depth shows.
+No derived ball cover in it may be false at a point of its space: each is
+checked by an endpoint sweep.
 """
 
 import contextlib
@@ -14,7 +16,10 @@ import io
 import shlex
 from pathlib import Path
 
+from helpers import line_ball_cover_holds
 from overt.cli import main
+from overt.metric import parse_ball, read_ball
+from overt.rationals import Cursor, parse_rational
 
 GOLDEN = Path(__file__).parent / "goldens" / "covers.txt"
 
@@ -105,3 +110,24 @@ def test_table_spans_spaces_depths_and_verdicts():
     assert {row[3] for row in TABLE} == set(range(1, 13)) | {40}
     derived = [o for o in outputs if o != "unknown"]
     assert len(derived) > len(TABLE) // 2 and "unknown" in outputs
+
+
+def test_derived_ball_covers_hold_at_points():
+    outputs = GOLDEN.read_text(encoding="ascii").splitlines()[1::2]
+    checked = 0
+    for (space, target, family, _, _), out in zip(TABLE, outputs):
+        if space == "reals" or out == "unknown":
+            continue
+        segment = None
+        if space.startswith("loc:seg:"):
+            segment = tuple(parse_rational(v) for v in space[len("loc:seg:"):].split(","))
+        u = None if target == "top" else parse_ball(target)
+        cur = Cursor(family)
+        members = cur.finish(cur.separated(read_ball, ";"))
+        assert line_ball_cover_holds(
+            None if u is None else (u.center, u.radius),
+            [(b.center, b.radius) for b in members],
+            segment,
+        ), (space, target, family)
+        checked += 1
+    assert checked >= 10

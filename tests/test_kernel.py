@@ -130,6 +130,26 @@ class TestChecker:
         u = FormalBall(F(0), F(1))
         assert not check_derivation(base, Derivation("open", u, witness=(u,)), u, [])
 
+    def test_rejects_ball_leaves_smaller_than_their_element(self):
+        # Each leaf says that a set is covered by a strictly smaller one.
+        for base, text in (
+            (completion_base(RationalLine(), 32), "(m2loc B(1; 0) (B(1/4; 0)))"),
+            (completion_base(LineSegment(0, 1), 17), "(m2 top (B(1/4; 0)))"),
+            (completion_base(RationalLine(), 32), "(m1 B(1; 0) (B(1/2; 0)))"),
+        ):
+            d = parse_derivation(base, text)
+            assert not check_derivation(base, d, d.element, list(d.witness)), text
+
+    def test_accepts_a_covering_ball_family(self):
+        # The quarters from -1 to 1 cover B(1; 0) with balls of radius 1/4;
+        # without -1 they stop short of its left end.
+        base = completion_base(RationalLine(), 32)
+        quarters = " ".join(f"B(1/4; {n}/4)" for n in range(-4, 5))
+        d = parse_derivation(base, f"(m2loc B(1; 0) ({quarters}))")
+        assert check_derivation(base, d, d.element, list(d.witness))
+        short = Derivation("m2loc", d.element, witness=d.witness[1:])
+        assert not check_derivation(base, short, d.element, list(short.witness))
+
 
 class TestSublocales:
     def test_closed_matches_plain_cover_on_extended_target(self):

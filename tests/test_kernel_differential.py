@@ -1,11 +1,12 @@
 """Differential tests of the indexed ball families and the cached search.
 
 On the rational line and its segments ``BallBase`` answers "the listed
-points within r of c" from its points sorted once; every other space is
-scanned with ``compare_distance``.  The families are checked against
-``helpers.points_within`` and against the same base built over a wrapper
-space the index does not recognise, and the searches over both bases must
-return identical derivations.
+points within r of c", and whether their balls cover the element, from its
+points sorted once; every other space is scanned with ``compare_distance``
+and judged on the family's own centres.  The families are checked against
+``helpers.points_within`` and ``helpers.line_family_covers`` and against
+the same base built over a wrapper space the index does not recognise, and
+the searches over both bases must return identical derivations.
 
 The line spaces compare distances and find the points near a ball in
 integers; both are checked against ``Fraction`` arithmetic, on non-dyadic
@@ -25,7 +26,14 @@ from fractions import Fraction as F
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import derivable_within, least_derivation_depth, points_within
+from helpers import (
+    derivable_within,
+    least_derivation_depth,
+    line_ball_cover_holds,
+    line_family_covers,
+    plane_cover_holds_at,
+    points_within,
+)
 from overt.kernel import (
     MAX_DEPTH,
     TOP,
@@ -41,11 +49,12 @@ from overt.kernel import (
 from overt.located import interval_set, predicate_from_net, tvd_check
 from overt.metric import (
     BallBase,
-    CompleteUniformBase,
     FormalBall,
     LineSegment,
     MetricSpace,
+    PlaneEuclid,
     RationalLine,
+    completion_base,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -66,8 +75,8 @@ class Wrapped(MetricSpace):
     def dist_sq(self, x, y):
         return self.inner.dist_sq(x, y)
 
-    def is_grid_complete(self, k, point_budget):
-        return self.inner.is_grid_complete(k, point_budget)
+    def extent(self, u):
+        return self.inner.extent(u)
 
     def ball_covers_space(self, ball):
         return self.inner.ball_covers_space(ball)
@@ -96,21 +105,28 @@ def base_and_ball(draw):
     return base, FormalBall(center, radius)
 
 
+def extent_of(space, u):
+    """The range a family must span: the ball's, clipped to a segment; the
+    segment itself for the top; None for the top of the line."""
+    segment = isinstance(space, LineSegment)
+    if u is TOP:
+        return (space.lo, space.hi) if segment else None
+    lo, hi = u.center - u.radius, u.center + u.radius
+    return (max(lo, space.lo), min(hi, space.hi)) if segment else (lo, hi)
+
+
 @SETTINGS
 @given(base_and_ball(), st.integers(1, 6))
 def test_families_match_scans(case, k):
     base, u = case
     scanned = BallBase(Wrapped(base.space), base.point_budget)
-    margin = F(1, 2**k)
-    shrink = ()
-    if margin < u.radius:
-        near = points_within(base.points, u.center, margin)
-        shrink = tuple(FormalBall(y, u.radius - margin) for y in near)
-    assert base._shrink_family(u, k) == shrink
-    uniform = tuple(FormalBall(y, margin) for y in points_within(base.points, u.center, u.radius + margin))
-    assert base._uniform_family(u, k) == uniform
-    assert base.axiom_instances(u, k) == scanned.axiom_instances(u, k)
-    assert base.axiom_instances(TOP, k) == scanned.axiom_instances(TOP, k)
+    rho = F(1, 2**k)
+    for v, near in ((u, points_within(base.points, u.center, u.radius + rho)), (TOP, base.points)):
+        box = extent_of(base.space, v)
+        covers = box is not None and bool(near) and line_family_covers(near, *box, rho)
+        assert base._uniform_family(v, k) == (tuple(FormalBall(y, rho) for y in near) if covers else ())
+        assert scanned._uniform_family(v, k) == base._uniform_family(v, k)
+        assert base.axiom_instances(v, k) == scanned.axiom_instances(v, k)
 
 
 def test_points_at_distance_r_excluded():
@@ -118,15 +134,20 @@ def test_points_at_distance_r_excluded():
     u = FormalBall(F(1, 2), F(1, 4))
     assert [f.center for f in base._uniform_family(u, 3)] == points_within(base.points, F(1, 2), F(3, 8))
     assert {f.center for f in base._uniform_family(u, 3)} == {F(1, 4), F(3, 8), F(1, 2), F(5, 8), F(3, 4)}
-    v = FormalBall(F(1, 2), F(1, 2))
-    assert {f.center for f in base._shrink_family(v, 2)} == {F(3, 8), F(1, 2), F(5, 8)}
+    # 1/4 and 3/4 lie at exactly r + 1/8 from 1/2; the open ball reaches up
+    # to, not onto, 3/8 and 5/8, so the three eighths between cover it.
+    v = FormalBall(F(1, 2), F(1, 8))
+    assert {f.center for f in base._uniform_family(v, 3)} == {F(3, 8), F(1, 2), F(5, 8)}
+    # Eighths leave gaps wider than 1/16: no family of that radius.
+    assert base._uniform_family(u, 4) == () and base._uniform_family(TOP, 4) == ()
 
 
 @SEARCH_SETTINGS
 @given(line_spaces(), dyadic(-1, 1), st.integers(2, 8), st.integers(2, 3), st.integers(8, 40))
 def test_derive_cover_same_over_wrapper(space, c, r8, depth, budget):
     # B(r; c) is covered by the balls of radius r at c -/+ r/2, through the
-    # localized uniform families of radius 1/16 when r >= 1/4.
+    # localized uniform families wherever the listed points are dense
+    # enough.
     r = F(r8, 8)
     ball = FormalBall(c, r)
     family = [FormalBall(c - r / 2, r), FormalBall(c + r / 2, r)]
@@ -268,7 +289,7 @@ def tvd_oracle(P, Z, depth, budget) -> str:
     """The verdict of ``tvd_check`` from ``derivable_within``: the top below
     Z and the negative balls, and each default sample below Z in the
     positively closed sublocale."""
-    base = CompleteUniformBase(P.space, budget)
+    base = completion_base(P.space, budget)
     notpos = SetPredicate("notpos", lambda b: b is not TOP and not P.pos_exact(b))
     cover = derivable_within(base, TOP, EltSet(Z, (notpos,)), depth, budget)
     samples = [TOP] + [FormalBall(c, F(1, 4)) for c in base.points[:6]]
@@ -286,6 +307,110 @@ def test_tvd_check_matches_oracle(a8, w8, margin, depth):
     Z = (FormalBall((a + b) / 2, (b - a) / 2 + margin + F(1, 8)),)
     P = predicate_from_net(interval_set(a, b, space=seg))
     assert tvd_check(P, Z, depth=depth, budget=9).verdict == tvd_oracle(P, Z, depth, 9)
+
+
+# ---------------------------------------------------------------------------
+# Soundness at points: every derived ball cover holds at every point.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def line_ball_judgments(draw):
+    """(base, segment, u, family, depth, budget) on ``loc:q`` or a segment at
+    the point budgets of ``overt cover``: the top or a ball against two
+    balls either side of its centre, or one to three random balls."""
+    budget = draw(st.integers(1, 4))
+    segment = draw(st.sampled_from([None, (F(-1), F(1)), (F(-1, 3), F(2, 5))]))
+    if segment is None:
+        base = completion_base(RationalLine(), max(budget * 8, 16))
+    else:
+        base = completion_base(LineSegment(*segment), 2 ** max(budget, 4) + 1)
+
+    def ball():
+        return FormalBall(draw(eighths(-2, 2)), F(draw(st.integers(1, 16)), 8))
+
+    u = TOP if draw(st.integers(0, 3)) == 0 else ball()
+    if draw(st.booleans()):
+        c, r = (F(0), F(1)) if u is TOP else (u.center, u.radius)
+        s = r * F(draw(st.integers(2, 6)), 4)
+        family = [FormalBall(c - r / 2, s), FormalBall(c + r / 2, s)]
+    else:
+        family = [ball() for _ in range(draw(st.integers(1, 3)))]
+    return base, segment, u, family, draw(st.integers(1, 4)), budget
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(line_ball_judgments())
+def test_derived_line_ball_covers_hold_at_points(judgment):
+    base, segment, u, family, depth, budget = judgment
+    d = derive_cover(base, u, family, depth, budget=budget)
+    if d is not None:
+        target = None if u is TOP else (u.center, u.radius)
+        assert line_ball_cover_holds(target, [(b.center, b.radius) for b in family], segment)
+
+
+def circle_points(c, r, n):
+    """n rational points on the circle of radius r about c, from the
+    Pythagorean parametrisation ((1 - t^2), 2t) / (1 + t^2), t = i/n."""
+    out = []
+    for i in range(-n, n + 1):
+        t = F(i, n)
+        x, y = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        out += [(c[0] + r * x, c[1] + r * y), (c[0] - r * x, c[1] - r * y)]
+    return out
+
+
+def points_of_ball(c, r):
+    """Rational points strictly inside B(r; c): a grid of step r/8, and the
+    points just inside its rim and halfway out."""
+    grid = [(c[0] + r * F(i, 8), c[1] + r * F(j, 8)) for i in range(-8, 9) for j in range(-8, 9)]
+    rims = circle_points(c, r * F(63, 64), 12) + circle_points(c, r / 2, 6)
+    return [x for x in grid if (x[0] - c[0]) ** 2 + (x[1] - c[1]) ** 2 < r * r] + rims
+
+
+@st.composite
+def plane_ball_judgments(draw):
+    """(base, u, family) on ``loc:q2``: a ball near the origin against the
+    four balls a quarter-diagonal out from its centre, sometimes with one
+    dropped, or one to three random balls.  The 625 listed points hold the
+    quarter grid over [-3, 3]^2."""
+    base = completion_base(PlaneEuclid(), 625)
+    quarter = eighths(-1, 1).map(lambda x: x - x % F(1, 4))
+    c = (draw(quarter), draw(quarter))
+    r = F(draw(st.integers(3, 4)), 4)
+    u = FormalBall(c, r)
+    if draw(st.integers(0, 2)):
+        s = r * F(draw(st.integers(4, 6)), 4)
+        family = [FormalBall((c[0] + a * r / 2, c[1] + b * r / 2), s) for a in (-1, 1) for b in (-1, 1)]
+        if draw(st.integers(0, 2)) == 0:
+            family.pop(draw(st.integers(0, 3)))
+    else:
+        family = [FormalBall((draw(quarter), draw(quarter)), F(draw(st.integers(2, 12)), 8))
+                  for _ in range(draw(st.integers(1, 3)))]
+    return base, u, family
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(plane_ball_judgments(), st.integers(1, 3), st.integers(2, 3))
+def test_derived_plane_ball_covers_hold_at_points(judgment, depth, budget):
+    base, u, family = judgment
+    d = derive_cover(base, u, family, depth, budget=budget)
+    if d is not None:
+        balls = [(b.center, b.radius) for b in family]
+        assert all(plane_cover_holds_at(x, balls) for x in points_of_ball(u.center, u.radius))
+
+
+def test_plane_ball_judgments_reach_m2loc():
+    # The four balls of radius 5/4 a quarter-diagonal out from the centre
+    # cover B(1; 0) only through an m2loc family, of radius 1/4; with one of
+    # them dropped the cover is false at points, and nothing is derived.
+    base = completion_base(PlaneEuclid(), 625)
+    u = FormalBall((F(0), F(0)), F(1))
+    family = [FormalBall((a, b), F(5, 4)) for a in (F(-1, 2), F(1, 2)) for b in (F(-1, 2), F(1, 2))]
+    d = derive_cover(base, u, family, 2, budget=3)
+    assert d is not None and d.premises[0].rule == "m2loc"
+    assert check_derivation(base, d, u, family)
+    assert derive_cover(base, u, family[1:], 3, budget=3) is None
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +444,23 @@ def test_line_compare_distance_matches_squares(space, x, y, t, mode):
 
 
 @SETTINGS
-@given(non_dyadic_line_spaces(), st.integers(1, 90), non_dyadic(0, 2), st.data())
-def test_near_matches_scan(space, budget, r, data):
-    # The centre sits r off a listed point, or r off a point shifted by a
-    # non-dyadic offset, so that points at distance exactly r are common.
+@given(non_dyadic_line_spaces(), st.integers(1, 90), non_dyadic(0, 2), st.integers(1, 6), st.data())
+def test_near_matches_scan(space, budget, r, k, data):
+    # The centre sits r + 2**-k or r off a listed point, or off a point
+    # shifted by a non-dyadic offset, so that points at distance exactly
+    # r + 2**-k, and listed points on the ends of the ball, are common.
     if r == 0:
         r = F(1, 3)
+    rho = F(1, 2**k)
     base = BallBase(space, budget)
     y = data.draw(st.sampled_from(base.points))
-    c = y + data.draw(st.sampled_from([-r, r, F(0), r / 3])) + data.draw(st.sampled_from([F(0), F(1, 7)]))
-    expected = [i for i, z in enumerate(base.points) if abs(z - c) < r]
-    assert base._near(c, r) == expected
-    assert [base.points[i] for i in expected] == points_within(base.points, c, r)
+    offsets = [-r - rho, r + rho, -r, r, F(0), r / 3]
+    c = y + data.draw(st.sampled_from(offsets)) + data.draw(st.sampled_from([F(0), F(1, 7)]))
+    u = FormalBall(c, r)
+    near = [z for z in base.points if abs(z - c) < r + rho]
+    assert near == points_within(base.points, c, r + rho)
+    covers = bool(near) and line_family_covers(near, *extent_of(space, u), rho)
+    assert base._uniform_family(u, k) == (tuple(FormalBall(z, rho) for z in near) if covers else ())
 
 
 def out_of(lo, hi):

@@ -315,11 +315,9 @@ class TestDichotomyAdapters:
 
     def test_mon_on_sampled_cover_instances(self):
         # The exact [0,1] predicate satisfies the monotonicity axiom on 200
-        # sampled shrink/uniform judgments.  Truncated families are only
-        # Mon-faithful away from boundary tangency (the true, infinite
-        # families always contain a positive member; a finite center list
-        # may miss it when the ball is tangent), so the sampler keeps the
-        # judgments whose positivity has a robust margin.
+        # sampled m2loc judgments: each family covers its ball at every
+        # point, so a ball that meets [0,1] has a member that meets it,
+        # tangent balls included.
         base = metric.completion_base(LINE, 16)
         dv = interval_set(0, 1).distance_value
         pos = kernel.SetPredicate(
@@ -332,21 +330,19 @@ class TestDichotomyAdapters:
             insts = base.axiom_instances(u, 2)
             if not insts:
                 continue
-            if pos(u) and not dv(u.center) < u.radius - F(1, 2):
-                continue
             name, fam = insts[rng.randrange(len(insts))]
             judgments.append((u, fam, kernel.Derivation(name, u, witness=fam)))
         rep = kernel.check_positivity_axioms(base, pos, judgments, depth=2, budget=2)
         assert rep.all_mon_ok
 
     def test_upward_violation_reported(self):
-        # a predicate positive on a ball but on no shrunk ball: Mon fails on
-        # a shrink family.
-        base = metric.completion_base(LINE, 10)
+        # a predicate positive on a ball but on no ball of a family covering
+        # it: Mon fails on an m2loc family.
+        base = metric.completion_base(LINE, 32)
         u = B(1, 0)
-        fam = [nf for nf in base.axiom_instances(u, 2) if nf[0] == "m1"][0][1]
+        name, fam = base.axiom_instances(u, 2)[0]
         pos = kernel.SetPredicate("only-u", lambda b: b == u)
-        judgments = [(u, fam, kernel.Derivation("m1", u, witness=fam))]
+        judgments = [(u, fam, kernel.Derivation(name, u, witness=fam))]
         rep = kernel.check_positivity_axioms(base, pos, judgments, depth=1, budget=2)
         assert not rep.all_mon_ok
         assert rep.mon_failures[0].element == u

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from helpers import line_ball_cover_holds
 from overt import kernel
 from overt.metric import (
     FormalBall,
@@ -192,26 +193,25 @@ class TestDistanceBelow:
 
 
 class TestCompletionBase:
-    def test_m1_instances_shape(self):
-        base = completion_base(LINE, 8)
+    def test_m2loc_instances_shape(self):
+        # The 32 first points hold the quarters from -3 to 3: B(1; 0) has
+        # families of radius 1/2 and 1/4, each one a cover of it.
+        base = completion_base(LINE, 32)
         u = B(1, 0)
-        instances = base.axiom_instances(u, 2)
-        m1s = [(n, fam) for n, fam in instances if n == "m1"]
-        assert m1s
-        for _, fam in m1s:
-            radii = {f.radius for f in fam}
-            assert len(radii) == 1
-            k = (u.radius - radii.pop()).denominator.bit_length() - 1
-            assert k >= 1
-            for f in fam:
-                assert ball_lt(LINE, f, u)  # soundness of shrink families
+        instances = base.axiom_instances(u, 3)
+        assert [(n, fam[0].radius) for n, fam in instances] == [("m2loc", F(1, 2)), ("m2loc", F(1, 4))]
+        for _, fam in instances:
+            rho = fam[0].radius
+            assert {f.radius for f in fam} == {rho}
+            assert all(abs(f.center - u.center) < u.radius + rho for f in fam)
+            assert line_ball_cover_holds((u.center, u.radius), [(f.center, f.radius) for f in fam])
 
     def test_axiom_leaf_derivation(self):
-        base = completion_base(LINE, 8)
+        base = completion_base(LINE, 32)
         u = B(1, 0)
-        name, fam = [nf for nf in base.axiom_instances(u, 2) if nf[0] == "m1"][0]
+        name, fam = base.axiom_instances(u, 2)[0]
         d = kernel.derive_cover(base, u, fam, 1, budget=2)
-        assert d is not None and d.rule == "m1"
+        assert d is not None and d.rule == name == "m2loc"
         assert kernel.check_derivation(base, d, u, fam)
 
     def test_budget_monotone(self):
@@ -224,14 +224,26 @@ class TestCompletionBase:
 
     def test_top_and_uniform_families(self):
         seg = LineSegment(F(-1), F(2))
-        base = completion_base(seg, 2**6 + 1)
-        m2 = [fam for n, fam in base.axiom_instances(kernel.TOP, 4) if n == "m2"]
-        assert m2
-        assert base.m2_complete(4)
-        # the uniform family at a complete level genuinely covers
-        fam = [f for f in m2 if f[0].radius == F(1, 16)][0]
-        for x in seg.enumerate_points(30):
-            assert any(abs(x - f.center) < f.radius for f in fam)
+        base = completion_base(seg, 2**6 + 1)  # steps of 3/64
+        m2 = [fam for n, fam in base.axiom_instances(kernel.TOP, 6) if n == "m2"]
+        # radius 1/32 and 1/64 are finer than the steps
+        assert [fam[0].radius for fam in m2] == [F(1, 2), F(1, 4), F(1, 8), F(1, 16)]
+        for fam in m2:
+            assert line_ball_cover_holds(None, [(f.center, f.radius) for f in fam], (seg.lo, seg.hi))
+        # the top of the line has no m2 family
+        assert completion_base(LINE, 1024).axiom_instances(kernel.TOP, 6) == []
+
+    def test_plane_family_needs_every_grid_corner(self):
+        # The 625 first points of the plane hold its quarter grid near 0.
+        base = completion_base(PlaneEuclid(), 625)
+        u = FormalBall((F(0), F(0)), F(1))
+        name, fam = base.axiom_instances(u, 2)[-1]
+        assert name == "m2loc" and fam[0].radius == F(1, 4)
+        assert base.axiom_valid(name, u, fam)
+        # Without the centre the grid's axes still span B(1; 0), but the
+        # cells around 0 lose a corner.
+        holed = tuple(f for f in fam if f.center != (F(0), F(0)))
+        assert not base.axiom_valid(name, u, holed)
 
     def test_ambient_swallowing_ball(self):
         seg = LineSegment(F(-1), F(2))
@@ -260,9 +272,9 @@ class TestBallSyntax:
             assert format_ball(ball) == text
 
     def test_base_serialization_with_balls(self):
-        base = completion_base(LINE, 6)
+        base = completion_base(LINE, 32)
         u = B(1, 0)
-        insts = [nf for nf in base.axiom_instances(u, 2) if nf[0] == "m1"]
+        insts = base.axiom_instances(u, 2)
         d = kernel.derive_cover(base, u, insts[0][1], 1, budget=2)
         text = kernel.serialize_derivation(base, d)
         assert kernel.parse_derivation(base, text) == d

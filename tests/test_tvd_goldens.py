@@ -14,7 +14,7 @@ from pathlib import Path
 
 from overt.kernel import serialize_derivation
 from overt.located import interval_set, predicate_from_net, tvd_check
-from overt.metric import CompleteUniformBase, LineSegment, parse_ball
+from overt.metric import LineSegment, completion_base, parse_ball
 from overt.rationals import parse_rational
 
 GOLDEN = Path(__file__).parent / "goldens" / "tvd.txt"
@@ -39,7 +39,7 @@ def render_case(row) -> str:
     Z = [parse_ball(t) for t in balls]
     report = tvd_check(predicate_from_net(S), Z, depth=depth, budget=budget)
     # The check's own base, for the element syntax of the derivations.
-    base = CompleteUniformBase(seg, budget)
+    base = completion_base(seg, budget)
 
     def text(d):
         return "unknown" if d is None else serialize_derivation(base, d)

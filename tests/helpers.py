@@ -5,7 +5,8 @@ against the library: bisection for square roots, triadic interval lists for
 the middle-thirds set, endpoint sweeps for interval covers, walks over
 sorted centres and point tests for ball families, bucketed
 integer arithmetic for exact finite Hausdorff bounds, every subset of a
-finite carrier for its positivity models, a scan of every listed point
+finite carrier for its positivity models, finite point sets as points of
+the Vietoris lattice on open intervals, a scan of every listed point
 for the balls near a center, affine maps applied coordinate by
 coordinate, nets built by repeated addition over the full grid, spread
 laws checked level by level, and cover derivability by plain recursion over
@@ -356,6 +357,30 @@ def subset_models(L):
             continue
         models.append(frozenset(elems[i] for i in range(n) if mask >> i & 1))
     return models
+
+
+def interval_term_holds(term, K):
+    """A modal term at the point of an interval carrier given by a finite
+    set K of reals: ``("dia", parts)`` holds when K meets the union of the
+    open intervals ``parts``, ``("box", parts)`` when K lies inside it;
+    ``("0",)``, ``("1",)``, ``("&", s, t)`` and ``("|", s, t)`` as usual."""
+    op = term[0]
+    if op in ("0", "1"):
+        return op == "1"
+    if op in ("dia", "box"):
+        inside = [any(p < k < q for p, q in term[1]) for k in K]
+        return any(inside) if op == "dia" else all(inside)
+    left, right = interval_term_holds(term[1], K), interval_term_holds(term[2], K)
+    return left and right if op == "&" else left or right
+
+
+def cut_representatives(cuts):
+    """One point for each cut point and one for each gap between two
+    consecutive cut points, for the sorted cuts of an ambient interval
+    whose ends are the first and the last cut."""
+    cuts = sorted(set(cuts))
+    gaps = [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+    return sorted(cuts[1:-1] + gaps)
 
 
 def points_within(points, c, r):

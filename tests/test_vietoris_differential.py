@@ -6,13 +6,22 @@ are checked against ``helpers.subset_models``, which tests every subset of
 the carrier against the definition of a model.  The step from one to the
 other needs a distributive carrier, so distributivity of every builtin
 carrier is checked too.
+
+On an interval carrier ``term_leq`` answers only True or Unknown, from the
+normal-form comparison.  A True is checked at the finite point sets K of
+the reals, where ``helpers.interval_term_holds`` evaluates a term.  Only
+the order of K among the endpoints of the query matters, so every K of at
+most two representatives of that endpoint cut is tried.
 """
+
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import subset_models
+from helpers import cut_representatives, interval_term_holds, subset_models
 from overt.vietoris import (
     TERM_ONE,
     TERM_ZERO,
@@ -26,6 +35,8 @@ from overt.vietoris import (
     grid,
     is_principal_model,
     loc_to_point,
+    parse_carrier,
+    parse_term,
     point_to_loc,
     term_leq,
 )
@@ -130,3 +141,78 @@ def test_term_leq_matches_brute_force(case):
     L, s, t = case
     assert term_leq(s, t, L) is brute_leq(s, t, L)
     assert term_leq(t, s, L) is brute_leq(t, s, L)
+
+
+def _rational(q) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _element_text(parts, ambient) -> str:
+    if not parts:
+        return "0"
+    if parts == (ambient,):
+        return "1"
+    return "|".join(f"({_rational(p)},{_rational(q)})" for p, q in parts)
+
+
+def _term_text(t, ambient) -> str:
+    if t[0] in ("0", "1"):
+        return t[0]
+    if t[0] in ("dia", "box"):
+        return f"{t[0]}({_element_text(t[1], ambient)})"
+    return f"({_term_text(t[1], ambient)} {t[0]} {_term_text(t[2], ambient)})"
+
+
+def _ends(t) -> set:
+    if t[0] in ("dia", "box"):
+        return {x for part in t[1] for x in part}
+    if t[0] in ("&", "|"):
+        return _ends(t[1]) | _ends(t[2])
+    return set()
+
+
+@st.composite
+def interval_query(draw):
+    """An ambient with eighth ends, five elements of at most two parts
+    whose ends lie on the eighths inside it, and terms s, t over them,
+    where t is often s joined with more or s met with more."""
+    a, b = draw(st.integers(-12, -1)), draw(st.integers(1, 12))
+    ambient = (Fraction(a, 8), Fraction(b, 8))
+    grid = [Fraction(k, 8) for k in range(a, b + 1)]
+    part = st.lists(st.sampled_from(grid), min_size=2, max_size=2, unique=True).map(
+        lambda ab: tuple(sorted(ab))
+    )
+    element = st.one_of(
+        st.just(()), st.just((ambient,)), st.lists(part, min_size=1, max_size=2).map(tuple)
+    )
+    elems = draw(st.lists(element, min_size=5, max_size=5))
+    leaves = st.one_of(
+        st.sampled_from(elems).map(lambda e: ("dia", e)),
+        st.sampled_from(elems).map(lambda e: ("box", e)),
+        st.sampled_from([("0",), ("1",)]),
+    )
+    terms = st.recursive(
+        leaves,
+        lambda sub: st.tuples(st.sampled_from(["&", "|"]), sub, sub),
+        max_leaves=8,
+    )
+    s, extra = draw(terms), draw(terms)
+    shape = draw(st.sampled_from(["join", "meet", "free"]))
+    if shape == "join":
+        return ambient, s, ("|", s, extra)
+    if shape == "meet":
+        return ambient, ("&", s, extra), s
+    return ambient, s, extra
+
+
+@SETTINGS
+@given(interval_query())
+def test_interval_true_holds_at_finite_point_sets(query):
+    ambient, s, t = query
+    L = parse_carrier(f"intervals:({_rational(ambient[0])},{_rational(ambient[1])})")
+    answer = term_leq(parse_term(_term_text(s, ambient), L), parse_term(_term_text(t, ambient), L), L)
+    assert answer in (True, None)
+    if answer:
+        reps = cut_representatives(_ends(s) | _ends(t) | set(ambient))
+        for K in [()] + [(x,) for x in reps] + list(combinations(reps, 2)):
+            assert interval_term_holds(t, K) or not interval_term_holds(s, K), K

@@ -35,7 +35,6 @@ anywhere in the library.
 
 from overt.errors import (
     AmbientMismatch,
-    EmptySetError,
     InvariantViolation,
     ParseError,
     PreconditionFailed,
@@ -43,7 +42,6 @@ from overt.errors import (
 
 __all__ = [
     "AmbientMismatch",
-    "EmptySetError",
     "InvariantViolation",
     "ParseError",
     "PreconditionFailed",

@@ -2,7 +2,7 @@
 lattice queries, spread checks, and exact plots.
 
 Exit codes: 0 success, 1 usage, 2 parse error, 3 failed precondition
-(e.g. a possibly-empty set), 4 internal invariant breach.
+(e.g. a search depth over its cap), 4 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import sys
 from overt import kernel, located, metric, plot, setspec, trees, vietoris
 from overt.errors import (
     AmbientMismatch,
-    EmptySetError,
     InvariantViolation,
     ParseError,
     PreconditionFailed,
@@ -230,7 +229,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return PARSE_EXIT
-    except (EmptySetError, PreconditionFailed, AmbientMismatch) as e:
+    except (PreconditionFailed, AmbientMismatch) as e:
         print(f"precondition failed: {e}", file=sys.stderr)
         return PRECONDITION_EXIT
     except InvariantViolation as e:

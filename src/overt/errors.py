@@ -5,10 +5,6 @@ class PreconditionFailed(ValueError):
     """An operation was called outside its stated precondition."""
 
 
-class EmptySetError(PreconditionFailed):
-    """An operation that needs an inhabited set was given a possibly empty one."""
-
-
 class AmbientMismatch(ValueError):
     """Two lattice elements or net families live over different ambients."""
 

@@ -61,7 +61,6 @@ from typing import Callable, Optional, Sequence
 
 from overt.errors import (
     AmbientMismatch,
-    EmptySetError,
     InvariantViolation,
     PreconditionFailed,
 )
@@ -114,23 +113,24 @@ class Modulus:
 class EpsilonNetFamily:
     """Two-sided eps-approximations of an inhabited set.
 
-    ``net(eps)`` returns a nonempty finite point list; every net point lies
-    within eps of the set and every set point within eps of some net point
-    (strictly, with slack, for the builtin constructions).  When the set
-    admits exact rational distance comparison, ``distance_compare(x, t)``
-    returns the sign of d(x, set) - t; the builtin sets decide it in
-    integer arithmetic, and a set given only ``distance_value`` compares
-    that value with t.  ``points`` is the whole set as a
-    tuple when it is finite, else None.  ``_image``, set by the builtin
-    constructors (:func:`_with_image`), maps an :class:`AffineMap` to the
-    image as a builtin set again, or to None where it has none.
+    Every set is inhabited, as a Bishop totally bounded set is; emptiness is
+    for the positivity predicate to decide.  ``net(eps)`` returns a nonempty
+    finite point list (an empty one is an :class:`InvariantViolation`);
+    every net point lies within eps of the set and every set point within
+    eps of some net point (strictly, with slack, for the builtin
+    constructions).  When the set admits exact rational distance comparison,
+    ``distance_compare(x, t)`` returns the sign of d(x, set) - t; the
+    builtin sets decide it in integer arithmetic, and a set given only
+    ``distance_value`` compares that value with t.  ``points`` is the whole
+    set as a tuple when it is finite, else None.  ``_image``, set by the
+    builtin constructors (:func:`_with_image`), maps an :class:`AffineMap`
+    to the image as a builtin set again, or to None where it has none.
     """
 
     def __init__(
         self,
         space: MetricSpace,
         net_fn: Callable[[Fraction], list],
-        inhabited: bool = True,
         distance_compare: Optional[Callable[[object, Fraction], int]] = None,
         distance_value: Optional[Callable[[object], Fraction]] = None,
         name: str = "set",
@@ -138,7 +138,6 @@ class EpsilonNetFamily:
     ):
         self.space = space
         self._net_fn = net_fn
-        self.inhabited = inhabited
         self.distance_value = distance_value
         if distance_compare is None and distance_value is not None:
             distance_compare = lambda x, t: _sign(distance_value(x), t)
@@ -155,8 +154,8 @@ class EpsilonNetFamily:
             raise PreconditionFailed(f"net precision must be positive, got {eps}")
         if eps not in self._memo:
             pts = tuple(self._net_fn(eps))
-            if self.inhabited and not pts:
-                raise InvariantViolation(f"empty net for inhabited set {self.name}")
+            if not pts:
+                raise InvariantViolation(f"empty net for {self.name}")
             self._memo[eps] = pts
         return list(self._memo[eps])
 
@@ -349,7 +348,7 @@ def _meets_test(P) -> Optional[Callable]:
     agree with every POS_OUTER answer of ``decide``.  This is the one place
     that chooses between an exact dichotomy and one from nets."""
     if isinstance(P, EpsilonNetFamily):
-        if P.inhabited and P.distance_compare is not None:
+        if P.distance_compare is not None:
             cmp = P.distance_compare
             return lambda c, s: cmp(c, s) < 0
     elif isinstance(P, LocatedPredicate) and P.pos_exact is not None:
@@ -381,8 +380,6 @@ def distance_to_set(S: EpsilonNetFamily, x) -> DedekindReal:
     when a probe meets the distance.  Without either, the net at eps/3
     answers, with width at most 5 eps/6 (clipped below at zero).
     """
-    if not S.inhabited:
-        raise EmptySetError(f"distance to possibly-empty set {S.name}")
     return DedekindReal(lambda eps: _distance_bracket(S, x, eps), name=f"d({x}, {S.name})")
 
 
@@ -398,8 +395,6 @@ def decide_located_pair(S, inner: FormalBall, outer: FormalBall) -> Decision:
         return S.decide(inner, outer)
     if not isinstance(S, EpsilonNetFamily):
         raise PreconditionFailed(f"cannot decide on {S!r}")
-    if not S.inhabited:
-        raise EmptySetError(f"dichotomy on possibly-empty set {S.name}")
     space = S.space
     if not ball_lt(space, inner, outer):
         raise PreconditionFailed("decide needs strictly refining balls")
@@ -568,7 +563,6 @@ def image_located(
     return EpsilonNetFamily(
         space,
         lambda eps: [f(p) for p in S.net(m.omega(eps))],
-        inhabited=S.inhabited,
         name=f"image({S.name})",
     )
 
@@ -577,13 +571,12 @@ def union_located(A: EpsilonNetFamily, B: EpsilonNetFamily) -> EpsilonNetFamily:
     """Finite unions preserve locatedness: concatenate the nets."""
     if A.space is not B.space:
         raise AmbientMismatch(f"union over different spaces {A.space.name}, {B.space.name}")
-    both = A.inhabited and B.inhabited
     dv = None
-    if both and A.distance_value is not None and B.distance_value is not None:
+    if A.distance_value is not None and B.distance_value is not None:
         va, vb = A.distance_value, B.distance_value
         dv = lambda x: min(va(x), vb(x))
     dc = None
-    if both and A.distance_compare is not None and B.distance_compare is not None:
+    if A.distance_compare is not None and B.distance_compare is not None:
         ca, cb = A.distance_compare, B.distance_compare
 
         def dc(x, t):
@@ -591,21 +584,12 @@ def union_located(A: EpsilonNetFamily, B: EpsilonNetFamily) -> EpsilonNetFamily:
             sign = ca(x, t)
             return sign if sign < 0 else min(sign, cb(x, t))
 
-    def net(eps):
-        pts = []
-        if A.inhabited:
-            pts.extend(A.net(eps))
-        if B.inhabited:
-            pts.extend(B.net(eps))
-        return pts
-
     points = None
     if A.points is not None and B.points is not None:
         points = A.points + B.points
     U = EpsilonNetFamily(
         A.space,
-        net,
-        inhabited=A.inhabited or B.inhabited,
+        lambda eps: A.net(eps) + B.net(eps),
         distance_compare=dc,
         distance_value=dv,
         name=f"{A.name}|{B.name}",
@@ -632,8 +616,6 @@ def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal
     The computation is literally symmetric in A and B, so swapping the
     arguments returns identical intervals.
     """
-    if not A.inhabited or not B.inhabited:
-        raise EmptySetError("hausdorff distance needs inhabited sets")
     if A.space is not B.space:
         raise AmbientMismatch(f"hausdorff over different spaces {A.space.name}, {B.space.name}")
     name = f"H({A.name}, {B.name})"
@@ -1153,7 +1135,7 @@ def affine_image(S: EpsilonNetFamily, f: AffineMap) -> EpsilonNetFamily:
       s r about f(c);
     * a union to the union of the images of its two parts.
 
-    Any other inhabited line set (the Cantor set) under a map whose column
+    Any other line set (the Cantor set) under a map whose column
     (a, d) is zero is the one point (c, f), a ``plane_point_set``.  A set
     without a hook, or whose hook has no image (a disk under any other map),
     keeps an exact distance comparison wherever the map carries it:
@@ -1172,13 +1154,13 @@ def affine_image(S: EpsilonNetFamily, f: AffineMap) -> EpsilonNetFamily:
         image = S._image(f)
         if image is not None:
             return image
-    line = S.inhabited and isinstance(S.space, (RationalLine, LineSegment))
+    line = isinstance(S.space, (RationalLine, LineSegment))
     if line and not (f.a or f.d):
         return plane_point_set([(f.c, f.f)])
     T = image_located(S, f, f.modulus, PLANE)
     if line and S.distance_value is not None:
         T.distance_compare = _line_image_compare(S.distance_value, f)
-    elif S.inhabited and S.space is PLANE and S.distance_compare is not None:
+    elif S.space is PLANE and S.distance_compare is not None:
         s = f.similarity_scale()
         if s is not None:
             T.distance_compare = _similar_image_compare(S.distance_compare, f, s)

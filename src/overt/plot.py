@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from overt.errors import EmptySetError, PreconditionFailed
+from overt.errors import PreconditionFailed
 from overt.located import EpsilonNetFamily, _cell_filter, promote_to_plane
 from overt.reals import sqrt_bounds
 
@@ -54,8 +54,6 @@ def pixel_radius(pw: Fraction, ph: Fraction) -> Fraction:
 
 def render_plot(spec: PlotSpec) -> str:
     S = promote_to_plane(spec.set_family)
-    if not S.inhabited:
-        raise EmptySetError("cannot plot a possibly-empty set")
     xmin, xmax, ymin, ymax = (Fraction(v) for v in spec.viewport)
     w, h = spec.width, spec.height
     pw, ph = (xmax - xmin) / w, (ymax - ymin) / h

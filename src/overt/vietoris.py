@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Optional
 
 from overt import intervals as ilat
@@ -397,10 +398,11 @@ def model_point(L: Carrier, pos: frozenset) -> Point:
 
 @dataclass(frozen=True)
 class Tile:
-    """box(a) & dia(b_1) & ... & dia(b_k) with each b_i <= a."""
+    """box(a) & dia(b_1) & ... & dia(b_k) with each b_i <= a; the diamonds
+    form a set, so equal tiles compare and hash equal with no sort."""
 
     box: object
-    diamonds: tuple
+    diamonds: frozenset
 
 
 @dataclass(frozen=True)
@@ -408,28 +410,18 @@ class TileNormalForm:
     tiles: tuple
 
 
-def _tile_key(L: Carrier, t: Tile):
-    return (L.format_element(t.box), tuple(L.format_element(d) for d in t.diamonds))
-
-
 def _make_tile(L: Carrier, box, diamonds) -> Optional[Tile]:
     """Trim diamonds below the box (relation 3 as an equality inside a
     tile), drop the tile when a diamond dies (relation 5), keep diamonds as
     a minimal antichain."""
-    trimmed = []
+    trimmed = set()
     for d in diamonds:
         d = L.meet(d, box)
         if d == L.bot:
             return None
-        trimmed.append(d)
-    minimal = []
-    for d in trimmed:
-        if any(L.leq(e, d) and e != d for e in trimmed):
-            continue
-        if d not in minimal:
-            minimal.append(d)
-    minimal.sort(key=L.format_element)
-    return Tile(box, tuple(minimal))
+        trimmed.add(d)
+    minimal = (d for d in trimmed if not any(L.leq(e, d) and e != d for e in trimmed))
+    return Tile(box, frozenset(minimal))
 
 
 def _tile_leq(L: Carrier, t1: Tile, t2: Tile) -> bool:
@@ -441,43 +433,29 @@ def _tile_leq(L: Carrier, t1: Tile, t2: Tile) -> bool:
 
 
 def normalize(t, L: Carrier) -> TileNormalForm:
-    tiles = _normalize_tiles(t, L)
-    # Merge pure diamonds (relation 1).
-    pure = [tile for tile in tiles if tile.box == L.top and len(tile.diamonds) == 1]
-    rest = [tile for tile in tiles if not (tile.box == L.top and len(tile.diamonds) == 1)]
+    """The join of tiles of t, pure diamonds merged into one (relation 1)
+    and equal tiles kept once.  No tile absorbs another: :func:`term_leq`
+    asks only whether each tile lies below some tile, and that answer does
+    not change when a tile below another is dropped."""
+    pure, rest = [], []
+    for tile in _normalize_tiles(t, L):
+        (pure if tile.box == L.top and len(tile.diamonds) == 1 else rest).append(tile)
     if len(pure) > 1:
-        u = pure[0].diamonds[0]
-        for tile in pure[1:]:
-            u = L.join(u, tile.diamonds[0])
-        merged = _make_tile(L, L.top, (u,))
-        tiles = rest + ([merged] if merged else [])
-    # Absorb dominated tiles; among syntactically equivalent pairs keep the
-    # one with the smaller canonical key.
-    tiles = sorted(set(tiles), key=lambda x: _tile_key(L, x))
-    kept = []
-    for t1 in tiles:
-        dominated = False
-        for t2 in tiles:
-            if t1 == t2 or not _tile_leq(L, t1, t2):
-                continue
-            if not _tile_leq(L, t2, t1) or _tile_key(L, t2) < _tile_key(L, t1):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(t1)
-    return TileNormalForm(tuple(kept))
+        u = reduce(L.join, (d for tile in pure for d in tile.diamonds))
+        pure = [Tile(L.top, frozenset({u}))]
+    return TileNormalForm(tuple(dict.fromkeys(rest + pure)))
 
 
 def _normalize_tiles(t, L: Carrier) -> list[Tile]:
     if t is TERM_ZERO:
         return []
     if t is TERM_ONE:
-        return [Tile(L.top, ())]
+        return [Tile(L.top, frozenset())]
     if isinstance(t, Dia):
         tile = _make_tile(L, L.top, (t.u,))
         return [tile] if tile else []
     if isinstance(t, Box):
-        return [Tile(t.u, ())]
+        return [Tile(t.u, frozenset())]
     if isinstance(t, TermJoin):
         return _normalize_tiles(t.left, L) + _normalize_tiles(t.right, L)
     if isinstance(t, TermMeet):
@@ -487,7 +465,7 @@ def _normalize_tiles(t, L: Carrier) -> list[Tile]:
         for t1 in left:
             for t2 in right:
                 tile = _make_tile(
-                    L, L.meet(t1.box, t2.box), t1.diamonds + t2.diamonds
+                    L, L.meet(t1.box, t2.box), t1.diamonds | t2.diamonds
                 )
                 if tile:
                     out.append(tile)

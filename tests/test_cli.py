@@ -50,7 +50,8 @@ class TestSetSpecParsing:
 
     def test_nested_union(self):
         S = parse_set_spec("union(union(interval:0,1,interval:2,3),points:(5))")
-        assert S.inhabited
+        xs = (Fraction(4), Fraction(3), Fraction(3, 2))
+        assert [S.distance_value(x) for x in xs] == [1, 0, Fraction(1, 2)]
 
 
 class TestCommands:

@@ -9,7 +9,7 @@ from helpers import (
     finite_hausdorff_leq,
 )
 from overt import kernel, located, metric
-from overt.errors import AmbientMismatch, EmptySetError, PreconditionFailed
+from overt.errors import AmbientMismatch, PreconditionFailed
 from overt.located import (
     Decision,
     EpsilonNetFamily,
@@ -79,11 +79,6 @@ class TestDistance:
         S = point_set([F(3, 7)])
         lo, hi = distance_to_set(S, F(3, 7)).approximate(F(1, 64))
         assert lo == 0 and hi <= F(1, 64)
-
-    def test_empty_rejected(self):
-        S = EpsilonNetFamily(LINE, lambda eps: [], inhabited=False, name="empty")
-        with pytest.raises(EmptySetError):
-            distance_to_set(S, F(0))
 
     def test_plane_distance(self):
         d = distance_to_set(disk_set(F(1, 2), F(1, 2), F(1, 4)), (F(2), F(1, 2)))
@@ -160,11 +155,6 @@ class TestNetFromLocated:
         never = LocatedPredicate(LINE, lambda i, o: Decision.NOT_POS_INNER, name="never")
         kept = net_from_located(interval_set(0, 1), never, F(1, 4))
         assert kept == ()
-
-    def test_empty_ambient_keeps_nothing(self):
-        empty = EpsilonNetFamily(LINE, lambda eps: [], inhabited=False)
-        for P in (point_set([0]), predicate_from_net(point_set([0]))):
-            assert net_from_located(empty, P, F(1, 4)) == ()
 
     def test_round_trip_net_is_close(self):
         # located -> net: the filtered net is 2-eps-close to the set.
@@ -293,11 +283,6 @@ class TestHausdorff:
         bc = hausdorff_distance(Bs, C).approximate(eps)[1]
         ac = hausdorff_distance(A, C).approximate(eps)[0]
         assert ac <= ab + bc + 3 * eps
-
-    def test_empty_rejected(self):
-        empty = EpsilonNetFamily(LINE, lambda eps: [], inhabited=False, name="empty")
-        with pytest.raises(EmptySetError):
-            hausdorff_distance(interval_set(0, 1), empty)
 
 
 class TestDichotomyAdapters:

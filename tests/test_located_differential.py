@@ -97,7 +97,7 @@ def plane_pt(den=4):
 
 def net_only(S):
     """The same set without its exact comparison: every query takes nets."""
-    return EpsilonNetFamily(S.space, S.net, inhabited=S.inhabited, name=f"nets({S.name})")
+    return EpsilonNetFamily(S.space, S.net, name=f"nets({S.name})")
 
 
 def loose_interval(a, b):

@@ -4,8 +4,7 @@ from pathlib import Path
 import pytest
 
 from overt import setspec
-from overt.errors import EmptySetError, PreconditionFailed
-from overt.located import EpsilonNetFamily, LINE
+from overt.errors import PreconditionFailed
 from overt.plot import PlotSpec, pixel_radius, render_plot
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -63,11 +62,6 @@ class TestFormat:
         text = render_plot(PlotSpec(S, (0, 1, F(-1, 8), F(1, 8)), 4, 4))
         _, _, grid = _pixels(text)
         assert all(v == "0" for row in grid for v in row)
-
-    def test_empty_rejected(self):
-        S = EpsilonNetFamily(LINE, lambda eps: [], inhabited=False, name="empty")
-        with pytest.raises(EmptySetError):
-            render_plot(PlotSpec(S, (0, 1, 0, 1), 4, 4))
 
     def test_degenerate_viewport_rejected(self):
         S = setspec.parse_set_spec("disk:0,0,1")

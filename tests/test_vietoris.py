@@ -77,7 +77,7 @@ class TestNormalize:
         L = chain(3)
         nf = normalize(TermJoin(Dia(1), Dia(2)), L)
         assert len(nf.tiles) == 1
-        assert nf.tiles[0].box == L.top and nf.tiles[0].diamonds == (2,)
+        assert nf.tiles[0].box == L.top and nf.tiles[0].diamonds == {2}
 
     def test_diamond_bottom_vanishes(self):
         L = chain(3)
@@ -88,7 +88,7 @@ class TestNormalize:
         nf = normalize(TermMeet(Box(1), Dia(2)), L)
         assert len(nf.tiles) == 1
         tile = nf.tiles[0]
-        assert tile.box == 1 and tile.diamonds == (1,)
+        assert tile.box == 1 and tile.diamonds == {1}
 
     def test_tile_invariant_diamonds_below_box(self):
         rng = random.Random(101)

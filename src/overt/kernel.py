@@ -44,6 +44,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from overt.errors import InvariantViolation, PreconditionFailed
+from overt.intervals import IntervalElement, finite_cover_decide
 from overt.rationals import Cursor, format_rational
 
 
@@ -524,10 +525,18 @@ def derive_cover(base: Base, u, family, depth: int, budget: int = 4) -> Optional
 
     A derivation found is of least depth, so success at a depth implies
     success at every larger depth.  A depth over ``MAX_DEPTH`` is refused
-    before any search.
+    before any search.  On the formal reals every split is an exact cover,
+    so an interval with a point outside a listed family (no predicates, no
+    top) is below it at no depth, and gets None without a search.
     """
     _check_depth(depth)
-    return _least_derivation(base, u, as_target(family), depth, budget, None)
+    target = as_target(family)
+    plain = not target.predicates and TOP not in target.listed
+    if type(base) is FormalRealsBase and u is not TOP and plain:
+        parts = [IntervalElement.make(u, [v]) for v in target.listed]
+        if not finite_cover_decide(IntervalElement.one(u), parts):
+            return None
+    return _least_derivation(base, u, target, depth, budget, None)
 
 
 def sublocale_cover(

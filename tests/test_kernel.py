@@ -1,7 +1,9 @@
 import gc
 import random
+import time
 from fractions import Fraction as F
 
+from overt import kernel
 from overt.kernel import (
     TOP,
     ClosedSub,
@@ -52,6 +54,18 @@ class TestDeriveCover:
 
     def test_semantically_false_cover_stays_unknown(self):
         assert derive_cover(BASE, iv(0, 1), [iv(0, F(1, 2))], 8) is None
+
+    def test_false_cover_refuted_before_search(self, monkeypatch):
+        # [1, 2] lies outside both members, so no depth derives the cover:
+        # the answer comes at the deepest depth with no step of the search.
+        calls = []
+        monkeypatch.setattr(kernel._Searcher, "_search", lambda *a: calls.append(a))
+        start = time.perf_counter()
+        assert derive_cover(BASE, iv(0, 3), [iv(0, 1), iv(2, 3)], kernel.MAX_DEPTH) is None
+        assert time.perf_counter() - start < 0.05 and calls == []
+        # A true cover goes to the search.
+        derive_cover(BASE, iv(0, 3), [iv(0, 2), iv(1, 3)], 1)
+        assert calls
 
     def test_monotone_in_depth(self):
         fam = [iv(0, 2), iv(1, 3)]

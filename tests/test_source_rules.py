@@ -6,7 +6,8 @@ library and ``overt`` itself.  Every public module-level function and class
 must be referenced outside its own definition by the library, the
 benchmark, the demos, the test oracles or the acceptance tests; unit tests
 do not count, and neither does the benchmark's tracer (``bench/spans.py``),
-which wraps entry points by name without calling them.  Every name
+which wraps entry points by name without calling them, nor a re-export (an
+import, or a name listed in ``__all__``).  Every name
 imported by a module of the library, the tests or the demos must be used
 in that module.
 """
@@ -63,11 +64,21 @@ def _defines(node: ast.AST) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
 
 
+def _exports(stmt: ast.AST) -> bool:
+    """An import or an ``__all__`` list: it names a symbol without using it."""
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return True
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+    )
+
+
 def unreferenced(sources: dict, callers: list) -> list:
     """Public module-level functions and classes of the ``sources`` trees
     (keyed by module) that no ``callers`` tree names outside the definition
     itself.  A name counts as an ``ast.Name``, an ``ast.Attribute`` or a
-    string constant, since tracing code looks entry points up by string."""
+    string constant, since tracing code looks entry points up by string;
+    imports and ``__all__`` lists do not count."""
     public = {
         node.name: module
         for module, tree in sources.items()
@@ -77,6 +88,8 @@ def unreferenced(sources: dict, callers: list) -> list:
     used = set()
     for tree in callers:
         for stmt in tree.body:
+            if _exports(stmt):
+                continue
             own = stmt.name if _defines(stmt) else None
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
@@ -140,10 +153,14 @@ def test_unused_rule_catches_violations():
         "def recursive(n): return recursive(n - 1)\n"
         "def traced(): pass\n"
         "class Unused: pass\n"
+        "class Reexported: pass\n"
         "def _private(): pass\n"
     )
     caller = ast.parse("import lib\nlib.used()\nSPANNED = [('lib', None, 'traced')]\n")
-    assert unreferenced({"lib": lib}, [lib, caller]) == ["lib.Unused", "lib.recursive"]
+    package = ast.parse("from lib import Reexported\n__all__ = ['Reexported']\n")
+    assert unreferenced({"lib": lib}, [lib, caller, package]) == [
+        "lib.Reexported", "lib.Unused", "lib.recursive"
+    ]
 
 
 @pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: f"{p.parent.name}/{p.name}")

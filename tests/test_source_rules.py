@@ -64,10 +64,7 @@ def _defines(node: ast.AST) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
 
 
-def _exports(stmt: ast.AST) -> bool:
-    """An import or an ``__all__`` list: it names a symbol without using it."""
-    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-        return True
+def _lists_all(stmt: ast.AST) -> bool:
     return isinstance(stmt, ast.Assign) and any(
         isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
     )
@@ -88,8 +85,8 @@ def unreferenced(sources: dict, callers: list) -> list:
     used = set()
     for tree in callers:
         for stmt in tree.body:
-            if _exports(stmt):
-                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) or _lists_all(stmt):
+                continue  # a re-export names a symbol without using it
             own = stmt.name if _defines(stmt) else None
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
@@ -118,9 +115,7 @@ def unused_imports(tree: ast.AST) -> list:
                 imported.setdefault(a.asname or a.name, node.lineno)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
-        ):
+        if _lists_all(stmt):
             used.update(c.value for c in ast.walk(stmt.value) if isinstance(c, ast.Constant))
     return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
 

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import cut_representatives, interval_term_holds, subset_models
+from overt.rationals import format_rational
 from overt.vietoris import (
     TERM_ONE,
     TERM_ZERO,
@@ -143,16 +144,12 @@ def test_term_leq_matches_brute_force(case):
     assert term_leq(t, s, L) is brute_leq(t, s, L)
 
 
-def _rational(q) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _element_text(parts, ambient) -> str:
     if not parts:
         return "0"
     if parts == (ambient,):
         return "1"
-    return "|".join(f"({_rational(p)},{_rational(q)})" for p, q in parts)
+    return "|".join(f"({format_rational(p)},{format_rational(q)})" for p, q in parts)
 
 
 def _term_text(t, ambient) -> str:
@@ -209,8 +206,9 @@ def interval_query(draw):
 @given(interval_query())
 def test_interval_true_holds_at_finite_point_sets(query):
     ambient, s, t = query
-    L = parse_carrier(f"intervals:({_rational(ambient[0])},{_rational(ambient[1])})")
-    answer = term_leq(parse_term(_term_text(s, ambient), L), parse_term(_term_text(t, ambient), L), L)
+    L = parse_carrier(f"intervals:({format_rational(ambient[0])},{format_rational(ambient[1])})")
+    s_term, t_term = (parse_term(_term_text(x, ambient), L) for x in (s, t))
+    answer = term_leq(s_term, t_term, L)
     assert answer in (True, None)
     if answer:
         reps = cut_representatives(_ends(s) | _ends(t) | set(ambient))

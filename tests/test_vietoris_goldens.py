@@ -21,14 +21,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from overt.cli import main
+from overt.rationals import format_rational
 
 GOLDEN = Path(__file__).parent / "goldens" / "vietoris.txt"
 SEED = 23
 COUNT = 60
-
-
-def _fmt(q) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _rr(rng, lo, hi, den):
@@ -58,7 +55,8 @@ def _query(rng) -> list:
         if x < 0.1:
             return "1"
         cuts = sorted(rng.sample(grid, 4 if rng.random() < 0.5 else 2))
-        return "|".join(f"({_fmt(p)},{_fmt(q)})" for p, q in zip(cuts[::2], cuts[1::2]))
+        parts = zip(cuts[::2], cuts[1::2])
+        return "|".join(f"({format_rational(p)},{format_rational(q)})" for p, q in parts)
 
     elems = [elem() for _ in range(6)]
     s = _term(rng, elems, 3)
@@ -69,7 +67,8 @@ def _query(rng) -> list:
         s, t = f"({s} & {_term(rng, elems, 2)})", s
     else:
         t = _term(rng, elems, 3)
-    return ["vietoris", f"--carrier=intervals:({_fmt(lo)},{_fmt(hi)})", "--leq", s, t]
+    carrier = f"intervals:({format_rational(lo)},{format_rational(hi)})"
+    return ["vietoris", f"--carrier={carrier}", "--leq", s, t]
 
 
 def table() -> list:

@@ -56,7 +56,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Callable, Optional, Sequence
 
 from overt.errors import (
@@ -125,6 +124,10 @@ class EpsilonNetFamily:
     set as a tuple when it is finite, else None.  ``_image``, set by the
     builtin constructors (:func:`_with_image`), maps an :class:`AffineMap`
     to the image as a builtin set again, or to None where it has none.
+    ``_lattice``, set by :func:`interval_set` and :func:`box_set`
+    (:func:`_lattice_family`), gives the net at eps as a lattice: (den,
+    axes), one or two sorted lists of integers over den, whose points, by x
+    and then by y, are the net.
     """
 
     def __init__(
@@ -145,6 +148,7 @@ class EpsilonNetFamily:
         self.name = name
         self.points = points
         self._image: Optional[Callable] = None
+        self._lattice: Optional[Callable] = None
         self._memo: dict[Fraction, tuple] = {}
         self._indexes: dict[Fraction, _GridIndex] = {}
 
@@ -451,80 +455,101 @@ def _cell_rho(space: MetricSpace) -> tuple:
 _LEAF = 4
 
 
-def _cell_filter(P, pts: list, inner: Fraction, outer: Fraction) -> bytearray:
-    """Which points x of pts the dichotomy of P answers POS_OUTER on the pair
-    (B(x, inner), B(x, outer)), as a mask in the order of pts.
+def _lattice_blocks(P, den: int, axes: tuple, inner: Fraction, outer: Fraction) -> list:
+    """The lattice points x on which the dichotomy of P answers POS_OUTER on
+    the pair (B(x, inner), B(x, outer)), as blocks (i0, i1, j0, j1) of
+    index ranges, half-open, on the axes.
 
-    With an exact ``meets`` test (:func:`_meets_test`) in one of
-    ``_GRID_SPACES``, the points descend through dyadic cells.  They are
-    held as integers over their common denominator; a line point x is
-    (x, 0).  A cell is the bounding box of its points, with centre C its
-    midpoint and rho at least the distance from C to any of them: 17/24 of
-    the longer side in the Euclidean plane, half of it otherwise.  With
-    t = ``outer``, a positive answer means d(x, S) < t, so a cell is kept
-    whole when d(C, S) < t - rho and dropped whole when d(C, S) >= t + rho;
-    otherwise it splits at the midpoint of its longer side.  The points of a
-    cell are kept sorted by x, so that its x-range is its ends and an x-split
-    is a bisection.  Only cells of at most ``_LEAF`` points, and every point
-    of a set without an exact test, take the per-point dichotomy, whose
-    answer each cell test agrees with.
+    ``axes`` are one or two sorted lists of integers over ``den``: a line
+    point is x, a plane point (x, y), for x on the first axis and y on the
+    second.  With an exact ``meets`` test (:func:`_meets_test`) in one of
+    ``_GRID_SPACES`` of the lattice's dimension, the lattice descends
+    through cells, each a product of index ranges; a line cell is a plane
+    cell with y = 0.  A cell's box is read from the ends of its ranges, with
+    centre C its midpoint and rho at least the distance from C to any of its
+    points: 17/24 of the longer side in the Euclidean plane, half of it
+    otherwise.  With t = ``outer``, a positive answer means d(x, S) < t, so
+    a cell is kept whole when d(C, S) < t - rho and dropped whole when
+    d(C, S) >= t + rho; otherwise it splits at the midpoint of its longer
+    side, by a bisection of that axis.  Only cells of at most ``_LEAF``
+    points, and every point of a set without an exact test, take the
+    per-point dichotomy, whose answer each cell test agrees with.  The work
+    is one step per cell and per probed point, and a ``Fraction`` per cell
+    centre and per probe, never one per lattice point.
     """
-    n = len(pts)
-    mask = bytearray(n)
+    plane = len(axes) == 2
+    xs, ys = axes if plane else (axes[0], [0])
+    blocks = []
 
-    def decide(ids):
-        for i in ids:
-            x = pts[i]
-            if decide_located_pair(P, FormalBall(x, inner), FormalBall(x, outer)) is Decision.POS_OUTER:
-                mask[i] = 1
+    def decide(i0, i1, j0, j1):
+        for i in range(i0, i1):
+            x = Fraction(xs[i], den)
+            for j in range(j0, j1):
+                p = (x, Fraction(ys[j], den)) if plane else x
+                if decide_located_pair(P, FormalBall(p, inner), FormalBall(p, outer)) is Decision.POS_OUTER:
+                    blocks.append((i, i + 1, j, j + 1))
 
     meets = _meets_test(P)
-    plane = meets is not None and isinstance(P.space, (PlaneEuclid, PlaneMax))
     if (
         meets is None
         or not isinstance(P.space, _GRID_SPACES)
-        or not pts
-        or any(isinstance(p, tuple) != plane for p in pts)
+        or plane != isinstance(P.space, (PlaneEuclid, PlaneMax))
     ):
-        decide(range(n))
-        return mask
-    coords = pts if plane else [(x, 0) for x in pts]
-    den = math.lcm(*{c.denominator for p in coords for c in p})
-    xs = [x.numerator * (den // x.denominator) for x, _ in coords]
-    ys = [y.numerator * (den // y.denominator) for _, y in coords]
+        decide(0, len(xs), 0, len(ys))
+        return blocks
     # rho = a * side / (b * den); t -+ rho = (tb -+ a * side * td) / rd.
     a, b = _cell_rho(P.space)
     td = outer.denominator
     tb, rd = outer.numerator * b * den, b * den * td
-    ids = sorted(range(n), key=xs.__getitem__)
-    stack = [([xs[i] for i in ids], [ys[i] for i in ids], ids)]
+    stack = [(0, len(xs), 0, len(ys))]
     while stack:
-        cx, cy, ids = stack.pop()
-        x0, x1, y0, y1 = cx[0], cx[-1], min(cy), max(cy)
+        cell = stack.pop()
+        i0, i1, j0, j1 = cell
+        x0, x1, y0, y1 = xs[i0], xs[i1 - 1], ys[j0], ys[j1 - 1]
         side = max(x1 - x0, y1 - y0)
         arho = a * side * td
         c = Fraction(x0 + x1, 2 * den)
         if plane:
             c = (c, Fraction(y0 + y1, 2 * den))
         if arho < tb and meets(c, Fraction(tb - arho, rd)):
-            for i in ids:
-                mask[i] = 1
+            blocks.append(cell)
             continue
         if not meets(c, Fraction(tb + arho, rd)):
             continue
-        if len(ids) <= _LEAF:
-            decide(ids)
+        if (i1 - i0) * (j1 - j0) <= _LEAF:
+            decide(*cell)
             continue
         if x1 - x0 == side:
-            k = bisect_right(cx, (x0 + x1) // 2)
-            stack.append((cx[k:], cy[k:], ids[k:]))
-            stack.append((cx[:k], cy[:k], ids[:k]))
+            k = bisect_right(xs, (x0 + x1) // 2, i0, i1)
+            stack.append((k, i1, j0, j1))
+            stack.append((i0, k, j0, j1))
         else:
-            mid = (y0 + y1) // 2
-            low = [v <= mid for v in cy]
-            for sel in ([not s for s in low], low):
-                stack.append((list(compress(cx, sel)), list(compress(cy, sel)), list(compress(ids, sel))))
-    return mask
+            k = bisect_right(ys, (y0 + y1) // 2, j0, j1)
+            stack.append((i0, i1, k, j1))
+            stack.append((i0, i1, j0, k))
+    return blocks
+
+
+def _lattice_points(den: int, axes: tuple, blocks) -> list:
+    """The lattice points of the disjoint blocks (i0, i1, j0, j1) of
+    :func:`_lattice_blocks`, in the order of the whole lattice: by x, then
+    by y.  Each row builds one ``Fraction`` and each block one per column,
+    which the points of the block share."""
+    xs = axes[0]
+    if len(axes) == 1:
+        return [Fraction(xs[i], den) for i0, i1, _, _ in sorted(blocks) for i in range(i0, i1)]
+    ys = axes[1]
+    rows: dict = {}
+    for i0, i1, j0, j1 in blocks:
+        col = [Fraction(ys[j], den) for j in range(j0, j1)]
+        for i in range(i0, i1):
+            rows.setdefault(i, []).append((j0, col))
+    pts: list = []
+    for i in sorted(rows):
+        x = Fraction(xs[i], den)
+        for _, col in sorted(rows[i]):
+            pts += [(x, y) for y in col]
+    return pts
 
 
 def net_from_located(ambient: EpsilonNetFamily, P, eps: Fraction) -> tuple:
@@ -532,19 +557,29 @@ def net_from_located(ambient: EpsilonNetFamily, P, eps: Fraction) -> tuple:
 
     Each ambient net point x at eps/3 is kept when the dichotomy on the
     nested pair (B(x, eps/3), B(x, 2*eps/3)) answers POS_OUTER, i.e. when x
-    is certified to lie within 2*eps/3 of the set.  The answers come from
-    :func:`_cell_filter`: a set with an exact comparison, or a predicate
-    with ``pos_exact``, decides whole cells of ambient points by one
-    comparison at the cell centre, and only the points of small cells on the
-    set's edge are probed one by one.  The kept points are those of the
-    point-by-point filter, in ambient-net order.  An empty result means
-    nothing was certified (the set may be empty).
+    is certified to lie within 2*eps/3 of the set.  The net of a box or an
+    interval is a lattice (its ``_lattice`` hook), and it is never built:
+    :func:`_lattice_blocks` descends through its index ranges, where a set
+    with an exact comparison, or a predicate with ``pos_exact``, decides
+    whole cells of points by one comparison at the cell centre, and only
+    the points of small cells on the set's edge are probed one by one.  Only
+    the kept points are built (:func:`_lattice_points`).  The net of any
+    other ambient is filtered point by point.  Either way the kept points
+    are those of the point-by-point filter, in ambient-net order.  An empty
+    result means nothing was certified (the set may be empty).
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise PreconditionFailed("net precision must be positive")
-    net = ambient.net(eps / 3)
-    return tuple(compress(net, _cell_filter(P, net, eps / 3, 2 * eps / 3)))
+    inner, outer = eps / 3, 2 * eps / 3
+    if ambient._lattice is None:
+        return tuple(
+            x
+            for x in ambient.net(inner)
+            if decide_located_pair(P, FormalBall(x, inner), FormalBall(x, outer)) is Decision.POS_OUTER
+        )
+    den, axes = ambient._lattice(inner)
+    return tuple(_lattice_points(den, axes, _lattice_blocks(P, den, axes, inner, outer)))
 
 
 def image_located(
@@ -832,9 +867,24 @@ def _grid_coords(a: Fraction, h: Fraction, ks: range) -> list:
     return [Fraction(an + k * hn, d) for k in ks]
 
 
-def _grid_line(a: Fraction, b: Fraction, h: Fraction) -> list:
-    """a, a + h, a + 2h, ... while below b, then b itself, for a <= b."""
-    return _grid_coords(a, h, range(math.ceil((b - a) / h))) + [b]
+def _grid_axis(a: int, b: int, h: int) -> list:
+    """a, a + h, a + 2h, ... while below b, then b itself, for integers
+    a <= b and h > 0."""
+    return [*range(a, b, h), b]
+
+
+def _lattice_family(space: MetricSpace, lattice: Callable, **kw) -> EpsilonNetFamily:
+    """The set whose net at eps is the lattice ``lattice(eps)``, with that
+    lattice as its ``_lattice`` hook, so the net has one source."""
+
+    def net(eps):
+        den, axes = lattice(eps)
+        ny = len(axes[1]) if len(axes) == 2 else 1
+        return _lattice_points(den, axes, [(0, len(axes[0]), 0, ny)])
+
+    S = EpsilonNetFamily(space, net, **kw)
+    S._lattice = lattice
+    return S
 
 
 def interval_set(a, b, space: Optional[MetricSpace] = None) -> EpsilonNetFamily:
@@ -851,14 +901,12 @@ def interval_set(a, b, space: Optional[MetricSpace] = None) -> EpsilonNetFamily:
         X = n * D
         return (max(0, A * m - X, X - B * m), m * D)
 
+    def lattice(eps):
+        d, an, bn, h = _scaled(a, b, eps)
+        return d, (_grid_axis(an, bn, h),)
+
     dv, cmp = _line_distance(parts)
-    S = EpsilonNetFamily(
-        space,
-        lambda eps: _grid_line(a, b, eps),
-        distance_compare=cmp,
-        distance_value=dv,
-        name=f"[{a},{b}]",
-    )
+    S = _lattice_family(space, lattice, distance_compare=cmp, distance_value=dv, name=f"[{a},{b}]")
     return _with_image(S, lambda f: segment_set(*f(a), *f(b)))
 
 
@@ -1047,9 +1095,9 @@ def box_set(x0, x1, y0, y1) -> EpsilonNetFamily:
         raise PreconditionFailed("degenerate box")
     D, X0, X1, Y0, Y1 = _scaled(x0, x1, y0, y1)
 
-    def net(eps):
-        xs, ys = _grid_line(x0, x1, eps / 2), _grid_line(y0, y1, eps / 2)
-        return [(x, y) for x in xs for y in ys]
+    def lattice(eps):
+        d, a0, a1, b0, b1, h = _scaled(x0, x1, y0, y1, eps / 2)
+        return d, (_grid_axis(a0, a1, h), _grid_axis(b0, b1, h))
 
     def cmp(p, t):
         # The offsets from the box over m n D, for p = (x/m, y/n).
@@ -1060,7 +1108,7 @@ def box_set(x0, x1, y0, y1) -> EpsilonNetFamily:
         ey = max(0, Y0 * n - b, b - Y1 * n) * m
         return _sq_sign(ex * ex + ey * ey, (m * n * D) ** 2, t)
 
-    return EpsilonNetFamily(PLANE, net, distance_compare=cmp, name="box")
+    return _lattice_family(PLANE, lattice, distance_compare=cmp, name="box")
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,13 @@ Each pixel stands for one nested-ball question to the set's dichotomy: the
 inner ball has the pixel's half-diagonal radius (so it covers the pixel),
 the outer ball twice that.  A positive answer paints the pixel black (the
 set certifiably meets the outer ball), a negative one white (the set
-certifiably misses the inner ball, hence the pixel).  The pixel centres go
-through the cell descent of ``located._cell_filter``: a set with an exact
-comparison settles whole blocks of pixels by one comparison at the block
-centre, and only small blocks on the set's edge ask pixel by pixel; a set
-without one asks every pixel.  Either way each pixel gets the answer of its
+certifiably misses the inner ball, hence the pixel).  The pixel centres are
+a lattice, one integer axis of columns and one of rows over a common
+denominator, and go through the cell descent of nets from a dichotomy,
+``located._lattice_blocks``: a set with an exact comparison settles whole
+blocks of pixels, as index ranges, by one comparison at the block centre,
+and only small blocks on the set's edge ask pixel by pixel; a set without
+one asks every pixel.  Either way each pixel gets the answer of its
 own question, every decision is rational arithmetic, and repeated runs are
 byte-identical.
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from overt.errors import PreconditionFailed
-from overt.located import EpsilonNetFamily, _cell_filter, promote_to_plane
+from overt.located import EpsilonNetFamily, _lattice_blocks, _scaled, promote_to_plane
 from overt.reals import sqrt_bounds
 
 MAX_PIXELS = 1 << 20
@@ -58,9 +60,17 @@ def render_plot(spec: PlotSpec) -> str:
     w, h = spec.width, spec.height
     pw, ph = (xmax - xmin) / w, (ymax - ymin) / h
     r = pixel_radius(pw, ph)
-    xs = [xmin + (2 * j + 1) * pw / 2 for j in range(w)]
-    ys = [ymax - (2 * i + 1) * ph / 2 for i in range(h)]
-    mask = _cell_filter(S, [(x, y) for y in ys for x in xs], r, 2 * r)
+    # Pixel (i, j) of row i from the top has the centre
+    # (xmin + (2j + 1) pw/2, ymax - (2i + 1) ph/2); over one denominator the
+    # centres are the lattice of the columns and of the rows from the bottom.
+    den, x0, dx, y1, dy = _scaled(xmin, pw / 2, ymax, ph / 2)
+    xs = list(range(x0 + dx, x0 + 2 * w * dx, 2 * dx))
+    ys = list(range(y1 - (2 * h - 1) * dy, y1, 2 * dy))
+    mask = bytearray(w * h)
+    for j0, j1, k0, k1 in _lattice_blocks(S, den, (xs, ys), r, 2 * r):
+        for k in range(k0, k1):
+            row = (h - 1 - k) * w
+            mask[row + j0:row + j1] = b"\1" * (j1 - j0)
     rows = [
         " ".join("0" if b else "255" for b in mask[i * w:(i + 1) * w]) for i in range(h)
     ]

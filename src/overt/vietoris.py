@@ -469,7 +469,9 @@ def _normalize_tiles(t, L: Carrier) -> list[Tile]:
                 )
                 if tile:
                     out.append(tile)
-        return out
+        # Each product once: a meet of n joins of two tiles has 2^n
+        # products, of which few differ.
+        return list(dict.fromkeys(out))
     raise PreconditionFailed(f"not a term: {t!r}")
 
 

@@ -15,6 +15,7 @@ from overt.vietoris import (
     TERM_ZERO,
     TermJoin,
     TermMeet,
+    _normalize_tiles,
     boolean,
     chain,
     enumerate_models,
@@ -216,6 +217,15 @@ class TestIntervalCarrier:
         assert term_leq(t, TermJoin(Box(L.parse_element("(0,1/4)")), t), L) is True
         # incompleteness is allowed: unknown never contradicts
         assert term_leq(parse_term("box((0,1/2))", L), parse_term("box((0,3/4))", L), L) in (True, None)
+
+    def test_meet_keeps_each_tile_once(self):
+        # The meet of 13 copies of a join of two tiles has 2^13 products but
+        # only 3 distinct tiles; each meet keeps its products once, in order.
+        L = IntervalCarrier((F(0), F(1)))
+        s = parse_term(" & ".join(["(dia((0,1/2))|box((1/4,1)))"] * 13), L)
+        tiles = _normalize_tiles(s, L)
+        assert len(tiles) == len(set(tiles)) == 3
+        assert term_leq(s, parse_term("dia((0,1/2))", L), L) is None
 
     def test_normal_form_eval_against_interval_point(self):
         amb = (F(0), F(1))

@@ -74,7 +74,8 @@ def _build_parser() -> _Parser:
     co.add_argument("--target", required=True)
     co.add_argument("--family", required=True, help="';'-separated elements")
     co.add_argument("--depth", required=True)
-    co.add_argument("--budget", default="4")
+    co.add_argument("--budget", default="4",
+                    help="sizes the ball bases of the loc: spaces; reals ignores it")
 
     vi = sub.add_parser("vietoris", help="modal-lattice inequality")
     vi.add_argument("--carrier", required=True)

@@ -189,7 +189,8 @@ class Base:
 
     def axiom_instances(self, u, budget: int) -> list[tuple[str, tuple]]:
         """Declared covering families of u, finitely many per budget,
-        deterministic and monotone in the budget."""
+        deterministic and monotone in the budget.  A base may ignore the
+        budget: the formal reals offer the same splits at every budget."""
         raise NotImplementedError
 
     def axiom_valid(self, axiom: str, u, family: tuple) -> bool:

@@ -23,12 +23,14 @@ middle-thirds set decide the sign of d(p, S) - t from integer products,
 over integers scaled when the set is built (:func:`_scaled`,
 :func:`_sq_sign`).  An affine map takes
 segments, intervals and finite sets, disks under rational similarities,
-and unions of these, piece by piece to builtin sets again, and keeps a
-comparison on other images wherever the map carries it
-(:func:`affine_image`); images under other maps with a modulus carry nets
-only.  A line set placed in the plane is its image under the isometry
-x -> (x, 0) (:func:`promote_to_plane`).  A dichotomy on a set with a
-comparison is one call of its ``meets`` test (:func:`_meets_test`).
+and unions of these, piece by piece to builtin sets again; any other image
+is its source under one map, so an image of an image is the image under
+the composed map, and a line set with an exact distance keeps an exact
+comparison under every map (:func:`affine_image`).  The other images (of
+disks under maps that are not rational-scale similarities, and of boxes)
+carry nets only.  A line set placed in the plane is its image under the
+isometry x -> (x, 0) (:func:`promote_to_plane`).  A dichotomy on a set with
+a comparison is one call of its ``meets`` test (:func:`_meets_test`).
 Every distance bracket, of ``distance_to_set``, of a net-backed dichotomy
 and of each cell of a Hausdorff descent, comes from
 :func:`_distance_bracket`: exact from ``distance_value``, bisected on
@@ -96,17 +98,17 @@ PLANE = PlaneEuclid()
 _GRID_SPACES = (RationalLine, LineSegment, PlaneEuclid, PlaneMax)
 _CELL = 4
 
+# A disk's net at eps has at most (2 steps + 1)^2 points, steps = r/(eps/2)
+# rounded down, plus 1 (``disk_set``); a larger net is refused before a point
+# is built.  Under the cap a sheared unit disk answers a distance at
+# precision 1/32 (a net of up to 245,025 points) in 2.5-2.9 s and 70-73 MB
+# on a shared 2-core VM; at 1/64 (974,169) it took 11.9 s and 256 MB.
+_MAX_DISK_NET = 2**18
+
 
 class Decision(enum.Enum):
     NOT_POS_INNER = "not-pos-inner"  # the set misses the inner ball
     POS_OUTER = "pos-outer"  # the set meets the outer ball
-
-
-@dataclass(frozen=True)
-class Modulus:
-    """Uniform-continuity modulus: d(x,y) < omega(eps) forces images within eps."""
-
-    omega: Callable[[Fraction], Fraction]
 
 
 class EpsilonNetFamily:
@@ -122,8 +124,11 @@ class EpsilonNetFamily:
     builtin sets decide it in integer arithmetic, and a set given only
     ``distance_value`` compares that value with t.  ``points`` is the whole
     set as a tuple when it is finite, else None.  ``_image``, set by the
-    builtin constructors (:func:`_with_image`), maps an :class:`AffineMap`
-    to the image as a builtin set again, or to None where it has none.
+    builtin constructors and by :func:`affine_image` (:func:`_with_image`),
+    maps an :class:`AffineMap` to the image as a builtin set again, or to
+    the source's image under the composed map, or to None where it has
+    none.  ``net(eps)`` builds the net on each call; only ``net_index``
+    keeps what it builds.
     ``_lattice``, set by :func:`interval_set` and :func:`box_set`
     (:func:`_lattice_family`), gives the net at eps as a lattice: (den,
     axes), one or two sorted lists of integers over den, whose points, by x
@@ -149,19 +154,16 @@ class EpsilonNetFamily:
         self.points = points
         self._image: Optional[Callable] = None
         self._lattice: Optional[Callable] = None
-        self._memo: dict[Fraction, tuple] = {}
         self._indexes: dict[Fraction, _GridIndex] = {}
 
     def net(self, eps: Fraction) -> list:
         eps = Fraction(eps)
         if eps <= 0:
             raise PreconditionFailed(f"net precision must be positive, got {eps}")
-        if eps not in self._memo:
-            pts = tuple(self._net_fn(eps))
-            if not pts:
-                raise InvariantViolation(f"empty net for {self.name}")
-            self._memo[eps] = pts
-        return list(self._memo[eps])
+        pts = list(self._net_fn(eps))
+        if not pts:
+            raise InvariantViolation(f"empty net for {self.name}")
+        return pts
 
     def net_index(self, eps: Fraction) -> _GridIndex:
         """Cached exact nearest-point index over the nonempty net(eps), with
@@ -229,10 +231,12 @@ class _GridIndex:
     coordinate.  That stopping rule needs a metric at least as large as
     every coordinate difference, as |x - y| on the line and the Euclidean
     and max metrics in the plane are.  In any other space the index has
-    one cell, which holds every point, so a search is a scan.
+    one cell, which holds every point, so a search is a scan.  ``points``
+    is the point list the index was built from.
     """
 
     def __init__(self, space: MetricSpace, pts, cell: Optional[Fraction] = None):
+        self.points = pts
         self.dist_sq = space.dist_sq
         if not isinstance(space, _GRID_SPACES):
             cell = None
@@ -582,26 +586,6 @@ def net_from_located(ambient: EpsilonNetFamily, P, eps: Fraction) -> tuple:
     return tuple(_lattice_points(den, axes, _lattice_blocks(P, den, axes, inner, outer)))
 
 
-def image_located(
-    S: EpsilonNetFamily,
-    f: Callable,
-    m: Modulus,
-    target_space: Optional[MetricSpace] = None,
-) -> EpsilonNetFamily:
-    """Image of a located set under a map with a uniform-continuity modulus.
-
-    The image carries nets only, built from the source net at omega(eps);
-    :func:`affine_image` maps builtin sets to builtin sets and gives other
-    images an exact comparison under the affine maps that carry one.
-    """
-    space = target_space if target_space is not None else S.space
-    return EpsilonNetFamily(
-        space,
-        lambda eps: [f(p) for p in S.net(m.omega(eps))],
-        name=f"image({S.name})",
-    )
-
-
 def union_located(A: EpsilonNetFamily, B: EpsilonNetFamily) -> EpsilonNetFamily:
     """Finite unions preserve locatedness: concatenate the nets."""
     if A.space is not B.space:
@@ -668,7 +652,10 @@ def hausdorff_distance(A: EpsilonNetFamily, B: EpsilonNetFamily) -> DedekindReal
         lo = hi = Fraction(0)
         delta = eps / 6
         for source, target in ((A, B), (B, A)):
-            mlo, mhi = _net_max_distance(target, source.net(delta), eps / 2)
+            # The other sweep searches this net at delta through its index,
+            # so the sweeps read each net from its index and build it once.
+            pts = source.net_index(delta).points
+            mlo, mhi = _net_max_distance(target, pts, eps / 2)
             lo, hi = max(lo, mlo - delta), max(hi, mhi + delta)
         return (lo, hi)
 
@@ -994,7 +981,9 @@ def cantor_set() -> EpsilonNetFamily:
 
 
 def disk_set(cx, cy, r) -> EpsilonNetFamily:
-    """The closed Euclidean disk of radius r around (cx, cy)."""
+    """The closed Euclidean disk of radius r around (cx, cy).  Its net at
+    eps is refused (:class:`PreconditionFailed`) when it may hold more than
+    ``_MAX_DISK_NET`` points."""
     cx, cy, r = Fraction(cx), Fraction(cy), Fraction(r)
     if r <= 0:
         raise PreconditionFailed(f"disk radius must be positive, got {r}")
@@ -1008,6 +997,11 @@ def disk_set(cx, cy, r) -> EpsilonNetFamily:
         q = r / h
         qn, qd = q.numerator, q.denominator
         steps = qn // qd + 1
+        if (2 * steps + 1) ** 2 > _MAX_DISK_NET:
+            raise PreconditionFailed(
+                f"the net of {name} at {eps} would hold up to {(2 * steps + 1) ** 2} "
+                f"points, over the cap of {_MAX_DISK_NET}"
+            )
         ks = range(-steps, steps + 1)
         xs, ys = _grid_coords(cx, h, ks), _grid_coords(cy, h, ks)
         pts = [(cx, cy)]
@@ -1044,7 +1038,8 @@ def disk_set(cx, cy, r) -> EpsilonNetFamily:
         s = f.similarity_scale()
         return None if s is None else disk_set(*f((cx, cy)), s * r)
 
-    S = EpsilonNetFamily(PLANE, net, distance_compare=cmp, name=f"disk({cx},{cy};{r})")
+    name = f"disk({cx},{cy};{r})"
+    S = EpsilonNetFamily(PLANE, net, distance_compare=cmp, name=name)
     return _with_image(S, image)
 
 
@@ -1135,9 +1130,18 @@ class AffineMap:
             x, y = Fraction(p), Fraction(0)
         return (self.a * x + self.b * y + self.c, self.d * x + self.e * y + self.f)
 
-    @property
-    def modulus(self) -> Modulus:
-        return Modulus(lambda eps: eps / self.lip)
+    def __matmul__(self, f: AffineMap) -> AffineMap:
+        """g @ f, the map g after f: the product of the linear parts, and g
+        applied to the shift of f, with its own ``lip``."""
+        g = self
+        return affine_plane_map(
+            g.a * f.a + g.b * f.d,
+            g.a * f.b + g.b * f.e,
+            g.a * f.c + g.b * f.f + g.c,
+            g.d * f.a + g.e * f.d,
+            g.d * f.b + g.e * f.e,
+            g.d * f.c + g.e * f.f + g.f,
+        )
 
     def similarity_scale(self) -> Optional[Fraction]:
         """s when A is s times an orthogonal matrix (orthogonal columns of
@@ -1183,20 +1187,19 @@ def affine_image(S: EpsilonNetFamily, f: AffineMap) -> EpsilonNetFamily:
       s r about f(c);
     * a union to the union of the images of its two parts.
 
-    Any other line set (the Cantor set) under a map whose column
-    (a, d) is zero is the one point (c, f), a ``plane_point_set``.  A set
-    without a hook, or whose hook has no image (a disk under any other map),
-    keeps an exact distance comparison wherever the map carries it:
+    A line set under a map whose column u = (a, d) is zero is the one point
+    (c, f).  Every other image keeps its source S and the one map f, and
+    its own hook maps it on under g as ``affine_image(S, g @ f)``: an image
+    of an image is the image under the composed map, never an image of
+    another image's nets.  Its nets are the source's at eps / lip, mapped;
+    and
 
-    * a line set with ``distance_value`` and a nonzero column u = (a, d),
-      under any map: with w = p - (c, f) and x0 = (w.u) / |u|^2 the foot of
-      p on the image line, d(p)^2 = |w|^2 - (w.u) x0 + |u|^2 dv(x0)^2, the
+    * a line set with ``distance_value`` (the Cantor set) has an exact
+      comparison: with w = p - (c, f) and x0 = (w.u) / |u|^2 the foot of p
+      on the image line, d(p)^2 = |w|^2 - (w.u) x0 + |u|^2 dv(x0)^2, the
       squared height plus the squared distance along the line;
-    * a plane set with ``distance_compare`` under a similarity of rational
-      scale s: d(p, f(S)) = s d(f^-1(p), S), with f^-1(p) = A^T (p - t) / s^2.
-
-    Other images (shears and irrational-scale images of disks, and of sets
-    without a hook) carry nets only, built from the source net at eps / lip.
+    * any other set (a disk under a map that is not a rational-scale
+      similarity, a box) carries its nets only.
     """
     if S._image is not None:
         image = S._image(f)
@@ -1205,14 +1208,12 @@ def affine_image(S: EpsilonNetFamily, f: AffineMap) -> EpsilonNetFamily:
     line = isinstance(S.space, (RationalLine, LineSegment))
     if line and not (f.a or f.d):
         return plane_point_set([(f.c, f.f)])
-    T = image_located(S, f, f.modulus, PLANE)
+    T = EpsilonNetFamily(
+        PLANE, lambda eps: [f(p) for p in S.net(eps / f.lip)], name=f"image({S.name})"
+    )
     if line and S.distance_value is not None:
         T.distance_compare = _line_image_compare(S.distance_value, f)
-    elif S.space is PLANE and S.distance_compare is not None:
-        s = f.similarity_scale()
-        if s is not None:
-            T.distance_compare = _similar_image_compare(S.distance_compare, f, s)
-    return T
+    return _with_image(T, lambda g: affine_image(S, g @ f))
 
 
 def _line_image_compare(dv: Callable, f: AffineMap) -> Callable:
@@ -1234,17 +1235,6 @@ def _line_image_compare(dv: Callable, f: AffineMap) -> Callable:
         e, g = d1.numerator, d1.denominator
         cross = (wx * UY - wy * UX) * g
         return _sq_sign(cross * cross + (L * e * k) ** 2, (k * D * g) ** 2 * L, t)
-
-    return cmp
-
-
-def _similar_image_compare(src_cmp: Callable, f: AffineMap, s: Fraction) -> Callable:
-    ssq = s * s
-
-    def cmp(p, t):
-        wx, wy = p[0] - f.c, p[1] - f.f
-        q = ((f.a * wx + f.d * wy) / ssq, (f.b * wx + f.e * wy) / ssq)
-        return src_cmp(q, t / s)
 
     return cmp
 

@@ -16,8 +16,10 @@ segment, an interval or a finite set is a segment or a finite set again,
 under any map; a disk under a similarity of rational scale is a disk; a
 union maps part by part; the Cantor set keeps its exact comparison under a
 map whose column (a, d) is nonzero, and under a zero column is the point
-(c, f).  Shears and irrational-scale images of disks carry nets only (see
-``located.affine_image``).
+(c, f).  An image of an image is the image under the composed map, so a
+nested Cantor image stays exact.  Disks under maps that are not
+rational-scale similarities, and unions and images that contain them, are
+the only specs that carry nets only (see ``located.affine_image``).
 """
 
 from __future__ import annotations

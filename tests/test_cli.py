@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from overt import kernel
+from overt import kernel, located
 from overt.cli import main
 from overt.errors import ParseError
 from overt.plot import PlotSpec, render_plot
@@ -308,6 +308,20 @@ class TestExitCodes:
         assert code == 3 and "precondition" in err
         code, out, _ = run(capsys, *argv, f"--depth={kernel.MAX_DEPTH}")
         assert code == 0 and out.strip() == "unknown"
+
+    SHEARED_DISK = "--set=image(affine:1,1/2,0,0,1,0,disk:0,0,1)"
+
+    def test_disk_net_cap(self, capsys):
+        # A disk net's size is known before a point is built, so a net over
+        # the cap is refused at once.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "distance", self.SHEARED_DISK, "--point=3,0", "--prec=1/100000")
+        assert code == 3 and out == "" and f"over the cap of {located._MAX_DISK_NET}" in err
+        assert time.perf_counter() - start < 1
+
+    def test_disk_net_under_the_cap_answers(self, capsys):
+        code, out, _ = run(capsys, "distance", self.SHEARED_DISK, "--point=3,0", "--prec=1/16")
+        assert code == 0 and out == "[153403/80688, 3762361/1936512]\n"
 
     @pytest.mark.parametrize("carrier", ["chain:1025", "grid:100000,100000", "bool:9"])
     def test_carrier_size_cap(self, capsys, carrier):

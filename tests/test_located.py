@@ -15,8 +15,6 @@ from overt.located import (
     EpsilonNetFamily,
     LINE,
     LocatedPredicate,
-    PLANE,
-    Modulus,
     affine_plane_map,
     ball_region,
     box_set,
@@ -26,7 +24,6 @@ from overt.located import (
     disk_set,
     distance_to_set,
     hausdorff_distance,
-    image_located,
     interval_set,
     located_from_overt,
     meets_oracle,
@@ -188,23 +185,23 @@ class TestNetFromLocated:
 
 class TestImagesAndUnions:
     def test_affine_image_of_interval(self):
-        S = interval_set(0, 1)
-        f, m = (lambda x: 2 * x), Modulus(lambda eps: eps / 2)
-        img = image_located(S, f, m)
-        target = interval_set(0, 2)
+        # x -> (2x, 0) takes [0, 1] to the segment from (0, 0) to (2, 0).
+        img = located.affine_image(interval_set(0, 1), affine_plane_map(2, 0, 0, 0, 0, 0))
+        target = segment_set(0, 0, 2, 0)
         for eps in (F(1, 4), F(1, 16)):
-            assert finite_hausdorff_leq(img.net(eps), target.net(eps), 2 * eps)
+            assert finite_hausdorff_leq(img.net(eps), target.net(eps), 2 * eps, plane=True)
 
     def test_identity_image(self):
+        # Under the identity the image nets are the Cantor set's, on the x-axis.
         S = cantor_set()
-        img = image_located(S, lambda x: x, Modulus(lambda eps: eps))
+        img = located.affine_image(S, affine_plane_map(1, 0, 0, 0, 1, 0))
         for eps in (F(1, 8), F(1, 32)):
-            assert img.net(eps) == S.net(eps)
+            assert img.net(eps) == [(x, F(0)) for x in S.net(eps)]
 
     def test_projection_of_square(self):
         square = box_set(0, 1, 0, 1)
         f = affine_plane_map(1, 0, 0, 0, 0, 0)  # (x, y) -> (x, 0)
-        img = image_located(square, f, f.modulus, target_space=PLANE)
+        img = located.affine_image(square, f)
         seg = segment_set(0, 0, 1, 0)
         for eps in (F(1, 4), F(1, 8)):
             assert finite_hausdorff_leq(img.net(eps), seg.net(eps), 2 * eps, plane=True)

@@ -11,7 +11,8 @@ sweep nets both ways.  The cell descent of exact pairs is checked against
 closed forms down to fine precisions, plateaus included, and by a count of
 its comparisons.  Net-only dichotomies must agree with the oracles.
 Images under affine maps are checked the same way, against oracles
-written from the mapped geometry, and the exact Hausdorff distance of two
+written from the mapped geometry, images of images against the image under
+the composed map, and the exact Hausdorff distance of two
 finite sets against its closed form.  The nearest-point index of a net is
 checked against brute force, and a space outside the grid spaces, with
 the same exact squared distances, checks the one-cell index that scans.
@@ -421,6 +422,19 @@ def test_net_hausdorff_pads_the_root_bracket(k):
     B = EpsilonNetFamily(PLANE, lambda e: [(b[0] + 3 * e / 5, b[1] + 4 * e / 5)])
     q = point_sq(a, b)
     check_hausdorff(A, B, eps, lambda lo, hi: root_at_least(q, 0, lo) and root_at_most(q, 0, hi))
+
+
+def test_net_hausdorff_builds_each_net_once():
+    # Each sweep reads its source net from the index that the other sweep
+    # searches, so a pair of net-only sets builds each net once.
+    calls = []
+
+    def counted(S):
+        return EpsilonNetFamily(S.space, lambda e: calls.append(S.name) or S.net(e), name=S.name)
+
+    A, B = counted(disk_set(0, 0, 1)), counted(segment_set(0, 0, 2, 1))
+    hausdorff_distance(A, B).approximate(F(1, 8))
+    assert sorted(calls) == sorted([A.name, B.name])
 
 
 def test_cantor_hausdorff_meets_net_path():
@@ -924,8 +938,8 @@ def test_image_distance_contains_oracle(case, p, eps):
 @NET_SETTINGS
 @given(st.one_of(similar_plane_images(), line_images()), plane_pt(8))
 def test_image_distance_meets_net_path(case, p):
-    # The net path builds the image nets at eps / lip, so it checks the
-    # modulus as well.
+    # The net path builds the image nets at eps / lip, so it checks lip as
+    # well.
     img, parts = case
     eps = F(1, 4)
     exact = distance_to_set(img, p).approximate(eps)
@@ -954,23 +968,6 @@ def test_cantor_image_along_the_line(m, x, h, eps):
             assert img.distance_compare(p, t) == 1
         if t > 0 and t * t > q_hi:
             assert img.distance_compare(p, t) == -1
-
-
-@SETTINGS
-@given(similarities(), plane_pt(8), rat(0, 1, 8), rat(0, 1, 8), plane_pt(8), rat(-2, 2, 16))
-def test_similar_box_image_compare_matches_oracle(ms, corner, w, h, q, t):
-    # A box has no image of its own, so its image keeps the box's comparison
-    # through f^-1; at p = f(q), d(p, f(box)) = s d(q, box).
-    m, s = ms
-    box = (corner[0], corner[0] + w, corner[1], corner[1] + h)
-    img = image(box_set(*box), m)
-    p = affine_apply(m, q)
-    parts = [(s * s * box_dist_sq(q, box), 0)]
-    d = rational_root(parts[0][0])
-    for t in thresholds([] if d is None else [d], t):
-        assert img.distance_compare(p, t) == min_root_sign(parts, t)
-    bracket = distance_to_set(img, p).approximate(F(1, 64))
-    assert width_ok(bracket, F(1, 64)) and bracket_holds_min_root(*bracket, parts)
 
 
 @SETTINGS
@@ -1008,7 +1005,181 @@ def test_similar_image_hausdorff_contains_oracle(ms, t, c, r, v, eps):
                     lambda lo, hi: root_at_least(q, 0, lo) and root_at_most(q, 0, hi))
 
 
-# The modulus: lip bounds the operator norm and is exact on similarities.
+# An image of an image is the image under the composed map, of every kind
+# of source the set-spec grammar builds.  The composed coefficients are
+# written here, and each image is checked against the geometry of the
+# source under them.
+
+
+def compose(g, f):
+    """The coefficients of g after f, for maps m = (a, b, c, d, e, f)."""
+    ga, gb, gc, gd, ge, gf = g
+    fa, fb, fc, fd, fe, ff = f
+    return (ga * fa + gb * fd, ga * fb + gb * fe, ga * fc + gb * ff + gc,
+            gd * fa + ge * fd, gd * fb + ge * fe, gd * fc + ge * ff + gf)
+
+
+def maps():
+    return st.one_of(any_maps(), shears(), similarities().map(lambda ms: ms[0]))
+
+
+def disk_bounds(c, r):
+    """(ups, lows) of d(p, h(D)) for the disk D = D(c, r); see
+    ``nested_sources``.  A similarity of rational scale s gives the disk of
+    radius s r about h(c).  Otherwise five points of D bound the distance
+    above, and below, when A is invertible, d(p, h(D)) >= k d(x, D) for
+    p = h(x) and k = 2 |det A| / (|A|_F^2 + 1), at most |det A| / |A|_F, the
+    least singular value's lower bound."""
+    samples = [c] + [(c[0] + r * u, c[1] + r * v) for u, v in DIRECTIONS[:2] + [(-1, 0), (0, -1)]]
+
+    def bounds(h, p):
+        a, b, tx, d, e, ty = h
+        s = is_square(a * a + d * d)
+        if a * b + d * e == 0 and a * a + d * d == b * b + e * e and s:
+            parts = [(point_sq(p, affine_apply(h, c)), -s * r)]
+            return parts, parts
+        ups = [(point_sq(p, affine_apply(h, q)), 0) for q in samples]
+        det = a * e - b * d
+        if det == 0:
+            return ups, [(F(0), F(0))]
+        wx, wy = p[0] - tx, p[1] - ty
+        x = ((e * wx - b * wy) / det, (a * wy - d * wx) / det)
+        k = 2 * abs(det) / (a * a + b * b + d * d + e * e + 1)
+        return ups, [(k * k * point_sq(x, c), -k * r)]
+
+    return bounds
+
+
+def cantor_bounds(h, p):
+    """(ups, lows) of d(p, h(C)): over the image line of u = (a, d), the
+    squared height of p plus |u|^2 times the squared distance from its foot
+    x0 to C, which the triadic stages bracket; the point (c, f) when u = 0."""
+    a, _, tx, d, _, ty = h
+    wx, wy = p[0] - tx, p[1] - ty
+    usq = a * a + d * d
+    if usq == 0:
+        parts = [(wx * wx + wy * wy, 0)]
+        return parts, parts
+    wu = wx * a + wy * d
+    height_sq = wx * wx + wy * wy - wu * wu / usq
+    dk = cantor_oracle_distance(wu / usq, CANTOR_LEVEL)
+    return [(height_sq + usq * (dk + CANTOR_TOL) ** 2, 0)], [(height_sq + usq * dk * dk, 0)]
+
+
+@st.composite
+def nested_source(draw, kind):
+    """(S, bounds) for a segment, an interval, line or plane points, the
+    Cantor set or a disk; ``bounds(h, p)`` is
+    (ups, lows): d(p, h(S)) is at most max(0, sqrt(q) + shift) for every
+    (q, shift) in ups, and at least the least such root over lows."""
+    if kind in ("segment", "interval"):
+        if kind == "segment":
+            a, b = draw(plane_pt()), draw(plane_pt())
+            S = segment_set(a[0], a[1], b[0], b[1])
+        else:
+            a = draw(rat(-1, 1, 8))
+            b = a + draw(rat(0, 1, 8))
+            S = interval_set(a, b)
+
+        def bounds(h, p):
+            parts = [(segment_dist_sq(p, affine_apply(h, a), affine_apply(h, b)), 0)]
+            return parts, parts
+
+        return S, bounds
+    if kind in ("points1", "points2"):
+        if kind == "points1":
+            pts = draw(st.lists(rat(-1, 1, 16), min_size=1, max_size=4))
+            S = point_set(pts)
+        else:
+            pts = draw(st.lists(plane_pt(8), min_size=1, max_size=4))
+            S = plane_point_set(pts)
+
+        def bounds(h, p):
+            parts = [(point_sq(p, affine_apply(h, q)), 0) for q in pts]
+            return parts, parts
+
+        return S, bounds
+    if kind == "cantor":
+        return cantor_set(), cantor_bounds
+    c, r = draw(plane_pt()), draw(rat(F(1, 8), F(1, 4), 8))
+    return disk_set(c[0], c[1], r), disk_bounds(c, r)
+
+
+LINE_SOURCES = ["interval", "points1", "cantor"]
+PLANE_SOURCES = ["segment", "points2", "disk"]
+
+
+@st.composite
+def nested_sources(draw, kind):
+    """(S, bounds) for a source of the given kind, or for a union of two
+    sources on the line or in the plane."""
+    if kind not in ("line-union", "plane-union"):
+        return draw(nested_source(kind))
+    kinds = LINE_SOURCES if kind == "line-union" else PLANE_SOURCES
+    (A, a), (B, b) = (draw(nested_source(draw(st.sampled_from(kinds)))) for _ in range(2))
+
+    def bounds(h, p):
+        (ua, la), (ub, lb) = a(h, p), b(h, p)
+        return ua + ub, la + lb
+
+    return union_located(A, B), bounds
+
+
+# Every kind of source the grammar builds.
+NESTED_KINDS = LINE_SOURCES + PLANE_SOURCES + ["line-union", "plane-union"]
+
+
+@pytest.mark.parametrize("kind", NESTED_KINDS)
+@SETTINGS
+@given(st.data(), maps(), maps(), plane_pt(8), st.lists(THRESHOLDS, min_size=1, max_size=4))
+def test_image_of_an_image_is_the_composed_image(kind, data, f, g, p, ts):
+    S, _ = data.draw(nested_sources(kind))
+    nested, composed = image(image(S, f), g), image(S, compose(g, f))
+    assert nested.points == composed.points
+    assert (nested.distance_compare is None) == (composed.distance_compare is None)
+    if composed.distance_compare is not None:
+        for t in ts:
+            assert nested.distance_compare(p, t) == composed.distance_compare(p, t)
+
+
+@pytest.mark.parametrize("kind", NESTED_KINDS)
+@NET_SETTINGS
+@given(st.data(), maps(), maps(), plane_pt(8), st.sampled_from([F(1, 4), F(1, 8)]))
+def test_image_of_an_image_contains_oracle(kind, data, f, g, x, eps):
+    S, bounds = data.draw(nested_sources(kind))
+    h = compose(g, f)
+    p = affine_apply(h, x)
+    lo, hi = distance_to_set(image(image(S, f), g), p).approximate(eps)
+    assert width_ok((lo, hi), eps)
+    ups, lows = bounds(h, p)
+    assert all(root_at_least(q, s, lo) for q, s in ups)
+    assert any(root_at_most(q, s, hi) for q, s in lows)
+
+
+@SETTINGS
+@given(shears(), shears(), plane_pt(8), THRESHOLDS)
+def test_cantor_image_under_two_shears_compares(f, g, p, t):
+    nested = image(image(cantor_set(), f), g)
+    assert nested.distance_compare is not None
+    assert nested.distance_compare(p, t) == image(cantor_set(), compose(g, f)).distance_compare(p, t)
+
+
+def test_a_doubly_sheared_disk_nets_the_disk_once():
+    # The image under the second shear is the disk's image under the
+    # composed one: its net maps the disk's net, never the first image's.
+    D = disk_set(0, 0, 1)
+    shear = (F(1), F(1, 2), F(0), F(0), F(1), F(0))
+    once = image(D, shear)
+    twice = image(once, shear)
+    calls = []
+    for S in (D, once):
+        S._net_fn = lambda eps, S=S, fn=S._net_fn: calls.append(S) or fn(eps)
+    eps = F(1, 4)
+    assert twice.net(eps) == image(D, compose(shear, shear)).net(eps)
+    assert calls == [D, D]
+
+
+# lip bounds the operator norm and is exact on similarities.
 
 
 @SETTINGS
